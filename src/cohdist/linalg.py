@@ -62,7 +62,21 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.abs(m - m.conj().T).max(initial=0.0)) <= tol
+    return _rows_hermitian(m.tolist(), tol)
+
+
+def _rows_hermitian(rows: list[list[complex]], tol: float) -> bool:
+    """is_hermitian on a square matrix held as nested Python lists.
+
+    Entries are compared one pair at a time on plain scalars, which on
+    the 2x2 inputs of the measurement sweeps costs a fraction of the
+    equivalent array expression.  Written as `not <=` so a NaN fails.
+    """
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            if not abs(row[j] - rows[j][i].conjugate()) <= tol:
+                return False
+    return True
 
 
 def off_diagonal_norm(a) -> float:
@@ -80,12 +94,15 @@ def _jacobi(mat: np.ndarray, want_vectors: bool):
     complex plane rotation; sweeps repeat until the off-diagonal
     Frobenius norm drops below JACOBI_OFF_TOL.  Runs on plain Python
     scalars: at these sizes interpreter arithmetic beats vectorized
-    calls, and the measurement sweeps hammer this routine on 2x2 input.
+    calls, and the measurement sweeps hammer this routine on 2x2 input;
+    a 2x2 without vectors takes the unrolled _jacobi_2x2_values.
 
     Returns (diagonal values unsorted, accumulated unitary or None).
     """
     n = mat.shape[0]
-    a = [[complex(mat[i, j]) for j in range(n)] for i in range(n)]
+    a = mat.tolist()
+    if n == 2 and not want_vectors and JACOBI_MAX_SWEEPS > 0:
+        return _jacobi_2x2_values(a), None
     v = None
     if want_vectors:
         v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
@@ -144,6 +161,41 @@ def _jacobi(mat: np.ndarray, want_vectors: bool):
     raise ConvergenceError(
         f"Jacobi did not reach off-norm {JACOBI_OFF_TOL} in {JACOBI_MAX_SWEEPS} sweeps"
     )
+
+
+def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
+    """The cyclic loop of _jacobi unrolled for n == 2 without vectors.
+
+    On a 2x2 the first sweep is a single rotation that zeroes both
+    off-diagonal entries, so the loop always ends at the convergence
+    test of the second sweep; _jacobi comes here only when
+    JACOBI_MAX_SWEEPS allows that one sweep.  This runs the same
+    convergence test and the same rotation with every expression in the
+    loop's order, skipping only the two off-diagonal row updates the
+    diagonal does not read, so its values are bit-identical to the
+    loop's.
+    """
+    (a00, a01), (a10, a11) = a
+    if 2.0 * (a01.real * a01.real + a01.imag * a01.imag) < JACOBI_OFF_TOL * JACOBI_OFF_TOL:
+        return [a00.real, a11.real]
+    r = abs(a01)
+    e = a01 / r
+    ec = e.conjugate()
+    app = a00.real
+    aqq = a11.real
+    if app == aqq:
+        t = 1.0
+    else:
+        tau = (app - aqq) / (2.0 * r)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    # columns, then the diagonal entries of the row update
+    b00 = c * a00 + s * ec * a01
+    b01 = c * a01 - s * e * a00
+    b10 = c * a10 + s * ec * a11
+    b11 = c * a11 - s * e * a10
+    return [(c * b00 + s * e * b10).real, (c * b11 - s * ec * b01).real]
 
 
 def _checked_hermitian(a, tol: float) -> np.ndarray:

@@ -15,6 +15,9 @@ from .states import BlochVector, DensityMatrix, bloch_qubit, werner
 
 LN2 = math.log(2.0)
 
+# Sweep rates this close to the grid maximum count as tied with it.
+SWEEP_TIE_TOL = 1e-12
+
 
 def _check_p(p: float) -> float:
     if not 0.0 <= p <= 1.0:
@@ -157,8 +160,11 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int] = (200, 400)) ->
 
     For every direction n on the (theta x phi) grid Alice measures
     {|n><n|, |-n><-n|} on her half of werner(p); the achieved rate is
-    ensemble_rate(measure_local_A(...)).  Deterministic reduction: the
-    first grid point attaining the maximum wins (theta-major order).
+    ensemble_rate(measure_local_A(...)).  Tie-break rule: the winner is
+    the first point in theta-major order whose rate is within
+    SWEEP_TIE_TOL of the grid maximum, and the reported rate is that
+    point's own.  Werner rates are flat in phi, so without the rule
+    rounding noise of order 1e-16 would pick the reported azimuth.
     """
     p = _check_p(p)
     n_theta, n_phi = int(grid[0]), int(grid[1])
@@ -167,17 +173,17 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int] = (200, 400)) ->
     rho = werner(p)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    best_rate, best_th, best_ph = -1.0, 0.0, 0.0
+    rates = []
     for th in thetas:
         th = float(th)
         for ph in phis:
-            ph = float(ph)
-            up, down = _direction_projectors(th, ph)
+            up, down = _direction_projectors(th, float(ph))
             channel = KrausChannel((up, down), ("+n", "-n"))
-            rate = ensemble_rate(measure_local_A(rho, channel))
-            if rate > best_rate:
-                best_rate, best_th, best_ph = rate, th, ph
-    return BruteForceResult(best_rate, BlochVector(*_direction(best_th, best_ph)), best_th, best_ph)
+            rates.append(ensemble_rate(measure_local_A(rho, channel)))
+    floor = max(rates) - SWEEP_TIE_TOL
+    best = next(i for i, rate in enumerate(rates) if rate >= floor)
+    th, ph = float(thetas[best // n_phi]), float(phis[best % n_phi])
+    return BruteForceResult(rates[best], BlochVector(*_direction(th, ph)), th, ph)
 
 
 def gap_second_derivative(p: float) -> float:

@@ -59,12 +59,16 @@ class KrausChannel:
         labels = tuple(self.labels) or tuple(str(i + 1) for i in range(len(ops)))
         if len(labels) != len(ops):
             raise ValueError("one label per Kraus operator")
-        total = -linalg.identity(d)
-        for k in ops:
-            total += k.conj().T @ k
-        defect = float(np.abs(total).max())
-        if defect > self.tol:
-            raise ValueError(f"Kraus completeness violated by {defect}")
+        # sum K+ K - I is Hermitian, so its upper triangle holds the defect;
+        # plain scalars beat array calls at the 2x2 size the sweeps use
+        rows = [row for k in ops for row in k.tolist()]
+        defects = [
+            abs(sum([r[a].conjugate() * r[b] for r in rows]) - (a == b))
+            for a in range(d)
+            for b in range(a, d)
+        ]
+        if not all(x <= self.tol for x in defects):
+            raise ValueError(f"Kraus completeness violated by {max(defects)}")
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "operators", ops)
@@ -138,29 +142,30 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     """Measure subsystem A with {K_l x I_B}; return Bob's conditional
     ensemble {(q_l, tr_A[(K_l x I) rho (K_l x I)+] / q_l)}.
 
-    Outcomes with probability below PROB_FLOOR are dropped.
+    The lifted operator K_l x I_B is never built.  Its left factor is
+    one product of K_l with rho's A index; the right factor and the
+    trace over A contract that with conj(K_l) block by block:
+    bob_{bb'} = sum_x sum_a' [(K x I) rho]_{xb,a'b'} conj(K_{xa'}).
+    Products are taken in that order, left then right, as the lifted
+    route took them.  Outcomes with probability below PROB_FLOOR are
+    dropped.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"needs a bipartite state, dims are {rho.dims}")
     da, db = rho.dims
     if channel.dim != da:
         raise ValueError(f"channel acts on dimension {channel.dim}, A has {da}")
-    d = da * db
+    ops = np.array(channel.operators)
+    # left[l, x, b, b', a'] = [(K_l x I) rho]_{xb,a'b'}
+    left = (ops @ rho.mat.reshape(da, -1)).reshape(-1, da, db, da, db).transpose(0, 1, 2, 4, 3)
+    m = (left @ ops.conj()[:, :, None, :, None])[..., 0]
+    # q_l sums the diagonal in the lifted matrix's (x, b) order
+    probs = m.diagonal(0, 2, 3).reshape(len(ops), -1).sum(axis=1).real.tolist()
     items = []
     labels = []
-    for k, label in zip(channel.operators, channel.labels):
-        # K x I_B in the A-major convention: K entries on every B-diagonal
-        lifted = np.zeros((d, d), dtype=complex)
-        for j in range(db):
-            lifted[j::db, j::db] = k
-        m = lifted @ rho.mat @ lifted.conj().T
-        q = float(m.trace().real)
+    for q, bob, label in zip(probs, m.sum(axis=1), channel.labels):
         if q < PROB_FLOOR:
             continue
-        # trace out A: sum the B-blocks along the A diagonal
-        bob = m[0:db, 0:db].copy()
-        for a in range(1, da):
-            bob += m[a * db : (a + 1) * db, a * db : (a + 1) * db]
         items.append((q, DensityMatrix(bob / q, (db,), rho.tol)))
         labels.append(label)
     if not items:

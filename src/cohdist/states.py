@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,9 +19,9 @@ class DensityMatrix:
 
     dims lists the subsystem dimensions (their product must equal the
     matrix dimension); a single-system state may omit it.  Construction
-    checks Hermiticity, unit trace, and positivity, all within tol, and
-    caches the spectrum so entropy calls reuse the eigendecomposition
-    done for the positivity check.
+    rejects non-finite entries, then checks Hermiticity, unit trace, and
+    positivity, all within tol, and caches the spectrum so entropy
+    calls reuse the eigendecomposition done for the positivity check.
     """
 
     mat: np.ndarray
@@ -34,9 +36,12 @@ class DensityMatrix:
         dims = tuple(int(d) for d in self.dims) or (n,)
         if any(d < 1 for d in dims) or math.prod(dims) != n:
             raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
-        if not linalg.is_hermitian(m, self.tol):
+        rows = m.tolist()
+        if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
+            raise ValueError("density matrix has non-finite entries")
+        if not linalg._rows_hermitian(rows, self.tol):
             raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(m.trace())
+        tr = sum(rows[i][i] for i in range(n))
         if abs(tr - 1.0) > self.tol:
             raise ValueError(f"trace is {tr}, expected 1")
         eigs, _ = linalg._jacobi(m, want_vectors=False)  # Hermiticity already checked

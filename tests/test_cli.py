@@ -79,6 +79,17 @@ class TestMeasures:
         path.write_text(json.dumps(payload))
         assert runner.invoke(main, ["measures", "--file", str(path)]).exit_code == 2
 
+    def test_non_finite_entry_is_a_usage_error(self, runner, tmp_path):
+        payload = density_matrix_to_dict(werner(0.5))
+        payload["re"][0][1] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))  # writes the bare NaN token
+        assert "NaN" in path.read_text()
+        result = runner.invoke(main, ["measures", "--file", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "non-finite" in result.stderr
+
 
 class TestProtocol:
     def test_lqicc_golden_output(self, runner):

@@ -79,6 +79,15 @@ def test_two_by_two_spectrum_properties(entries):
     assert abs(sum(vals) - (a + b)) <= 1e-9 * max(1.0, abs(a) + abs(b))
 
 
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+def test_two_by_two_values_path_is_bit_identical_to_the_loop(entries):
+    """Without vectors a 2x2 takes the unrolled path; with them, the loop."""
+    a, b, c, d = entries
+    m = np.array([[a, c + 1j * d], [c - 1j * d, b]], dtype=complex)
+    assert linalg._jacobi(m, False)[0] == linalg._jacobi(m, True)[0]
+
+
 def test_convergence_error_when_sweeps_exhausted(monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(ConvergenceError):
@@ -142,6 +151,8 @@ def test_is_hermitian_tolerance_and_shape():
     m[0, 1] = 1e-8
     assert not is_hermitian(m)
     assert is_hermitian(m, tol=1e-6)
+    m[1, 1] = np.nan
+    assert not is_hermitian(m, tol=1e-6)
 
 
 def test_off_diagonal_norm_values():

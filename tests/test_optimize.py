@@ -147,6 +147,13 @@ class TestBruteForce:
         assert (res.theta, res.phi) == (0.0, 0.0)
         assert (res.direction.x, res.direction.y, res.direction.z) == (0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_phi_ties_resolve_to_the_first_azimuth(self, p):
+        """Werner rates are flat in phi: the equator wins at phi = 0, whatever
+        rounding noise says about the other azimuths."""
+        res = brute_force_measurement_opt(p, (21, 20))
+        assert (res.theta, res.phi) == (math.pi / 2, 0.0)
+
     def test_grid_validation(self):
         for bad in ((1, 8), (8, 0)):
             with pytest.raises(ValueError, match="grid"):

@@ -141,27 +141,48 @@ class TestMeasureLocalA:
             ens = measure_local_A(random_density_matrix(6, rng, (2, 3)), KrausChannel(ops))
             assert abs(sum(ens.probabilities) - 1.0) <= 1e-10
 
+    @staticmethod
+    def _reference_branches(rho, ops):
+        """Unnormalized tr_A[(K x I) rho (K x I)+] built from explicit tensors."""
+        da, db = rho.dims
+        out = []
+        for k in ops:
+            lifted = kron(k, np.eye(db))
+            m = lifted @ rho.mat @ lifted.conj().T
+            out.append(m.reshape(da, db, da, db).trace(axis1=0, axis2=2))
+        return out
+
     def test_agrees_with_the_kron_lift(self):
-        """Cross-check the blockwise implementation against explicit tensors."""
+        """Cross-check the contraction against explicit tensors, for random
+        complete Kraus channels (slices of a random isometry)."""
         rng = np.random.default_rng(61)
-        for _ in range(15):
-            rho = random_density_matrix(6, rng, (2, 3))
-            u = random_unitary(rng, 2)
-            ops = tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(2))
-            ens = measure_local_A(rho, KrausChannel(ops))
-            for k, (q, state) in zip(ops, ens.items):
-                lifted = kron(k, np.eye(3))
-                m = lifted @ rho.mat @ lifted.conj().T
-                want_q = m.trace().real
-                want_state = m.reshape(2, 3, 2, 3).trace(axis1=0, axis2=2) / want_q
-                assert q == pytest.approx(want_q, abs=1e-12)
-                assert np.abs(state.mat - want_state).max() < 1e-12
+        for da, db in ((2, 2), (2, 3), (3, 2)):
+            for n_ops in (1, 2, 3, 2, 3):
+                iso = random_unitary(rng, n_ops * da)[:, :da]
+                ops = tuple(iso[i * da : (i + 1) * da] for i in range(n_ops))
+                rho = random_density_matrix(da * db, rng, (da, db))
+                ens = measure_local_A(rho, KrausChannel(ops))
+                assert len(ens.items) == n_ops
+                for want, (q, state) in zip(self._reference_branches(rho, ops), ens.items):
+                    assert abs(q - want.trace().real) <= 1e-14
+                    assert np.abs(state.mat - want / want.trace().real).max() <= 1e-14
 
     def test_zero_probability_outcomes_are_dropped(self):
         rho = DensityMatrix(kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))
         ens = measure_local_A(rho, _z_channel())
         assert ens.labels == ("0",)
         assert ens.probabilities == pytest.approx((1.0,), abs=1e-12)
+        # A in |0>, measured in the reference basis: only outcome "1" survives
+        for da, db in ((2, 2), (2, 3), (3, 2)):
+            sigma = random_density_matrix(db, np.random.default_rng(63))
+            rho = DensityMatrix(kron(np.diag([1.0] + [0.0] * (da - 1)), sigma.mat), (da, db))
+            ops = tuple(np.diag(np.eye(da)[a]) for a in range(da))
+            ens = measure_local_A(rho, KrausChannel(ops))
+            want = self._reference_branches(rho, ops)
+            assert [w.trace().real for w in want[1:]] == [0.0] * (da - 1)
+            assert ens.labels == ("1",)
+            assert abs(ens.probabilities[0] - 1.0) <= 1e-14
+            assert np.abs(ens.states[0].mat - want[0]).max() <= 1e-14
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="bipartite"):

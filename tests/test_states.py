@@ -50,6 +50,17 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m)
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m)
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(2))
