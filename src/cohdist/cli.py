@@ -14,13 +14,14 @@ import click
 from . import verify as verify_mod
 from .coherence import basis_dependent_discord, c_re, qi_relative_entropy, von_neumann_entropy
 from .protocols import licc_erasing_protocol, lqicc_werner_protocol
-from .states import density_matrix_from_dict, partial_trace, werner
+from .states import _check_p, density_matrix_from_dict, partial_trace, werner
 
 
 def _checked_p(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise click.BadParameter(f"p must lie in [0, 1], got {p}")
-    return p
+    try:
+        return _check_p(p)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _fmt_complex(v: complex) -> str:
@@ -114,9 +115,9 @@ def scan(p_from, p_to, steps, fmt, out):
 
 @main.command()
 @click.argument("suite", type=click.Choice(["theorem3", "theorem4", "lemma1", "all"]))
-@click.option("--seed", type=int, default=7, show_default=True, help="Seed for the randomized suite.")
-@click.option("--brute-theta", type=int, default=200, show_default=True, help="Polar grid size of the measurement sweep.")
-@click.option("--brute-phi", type=int, default=400, show_default=True, help="Azimuthal grid size of the measurement sweep.")
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True, help="Seed for the randomized suite.")
+@click.option("--brute-theta", type=click.IntRange(min=2), default=200, show_default=True, help="Polar grid size of the measurement sweep.")
+@click.option("--brute-phi", type=click.IntRange(min=1), default=400, show_default=True, help="Azimuthal grid size of the measurement sweep.")
 def verify(suite, seed, brute_theta, brute_phi):
     """Run a verification suite; exit 0 on pass, 1 on any failure."""
     suites = []

@@ -40,19 +40,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise ValueError(f"dimension mismatch: {ma.shape} @ {mb.shape}")
-    return ma @ mb
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product (A-major composite index convention)."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -77,14 +64,6 @@ def _rows_hermitian(rows: list[list[complex]], tol: float) -> bool:
             if not abs(row[j] - rows[j][i].conjugate()) <= tol:
                 return False
     return True
-
-
-def off_diagonal_norm(a) -> float:
-    """Frobenius norm of the strictly off-diagonal part."""
-    m = as_matrix(a)
-    total = float((np.abs(m) ** 2).sum())
-    diag = float((np.abs(np.diag(m)) ** 2).sum())
-    return math.sqrt(max(total - diag, 0.0))
 
 
 def _jacobi(mat: np.ndarray, want_vectors: bool):

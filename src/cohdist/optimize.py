@@ -6,23 +6,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import golden
 
 from . import linalg
-from .coherence import c_re, xlog2x
+# c_re is unused here, but perfbench's tracer test reads optimize.c_re
+from .coherence import c_re, xlog2x  # noqa: F401
 from .protocols import KrausChannel, ensemble_rate, measure_local_A
-from .states import BlochVector, DensityMatrix, bloch_qubit, werner
+from .states import BlochVector, DensityMatrix, _check_p, bloch_qubit, werner
 
 LN2 = math.log(2.0)
 
 # Sweep rates this close to the grid maximum count as tied with it.
 SWEEP_TIE_TOL = 1e-12
-
-
-def _check_p(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
-    return float(p)
 
 
 def qi_werner_closed_form(p: float) -> float:
@@ -71,71 +65,6 @@ def conditional_c_re(p: float, z: float) -> float:
 def _direction(theta: float, phi: float) -> tuple[float, float, float]:
     st = math.sin(theta)
     return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-
-
-@dataclass(frozen=True)
-class ConditionalMax:
-    """Result of maximizing the steered-state coherence."""
-
-    value: float
-    argmax: BlochVector
-    degenerate: bool = False
-
-
-def maximize_conditional(p: float, grid: int = 31) -> ConditionalMax:
-    """Maximize c_re(steered_state(p, n)) over unit directions n.
-
-    Coarse (theta, phi) grid scan followed by golden-section refinement
-    in theta (the value is independent of phi for Werner steering, so
-    theta is the coordinate that matters).  The reported direction is
-    the canonical representative with z >= 0 and azimuth in [0, pi);
-    p = 0 makes every direction optimal and is flagged degenerate.
-    """
-    p = _check_p(p)
-    if grid < 3:
-        raise ValueError(f"grid must be at least 3, got {grid}")
-    if p == 0.0:
-        return ConditionalMax(0.0, BlochVector(1.0, 0.0, 0.0), degenerate=True)
-
-    def value_at(theta: float, phi: float) -> float:
-        return c_re(steered_state(p, *_direction(theta, phi)))
-
-    thetas = np.linspace(0.0, math.pi, grid)
-    phis = np.linspace(0.0, math.pi, grid, endpoint=False)
-    best_val, best_i, best_j = -1.0, 0, 0
-    for i, th in enumerate(thetas):
-        for j, ph in enumerate(phis):
-            val = value_at(float(th), float(ph))
-            if val > best_val:
-                best_val, best_i, best_j = val, i, j
-    phi_star = float(phis[best_j])
-    lo = float(thetas[max(best_i - 1, 0)])
-    hi = float(thetas[min(best_i + 1, grid - 1)])
-    mid = float(thetas[best_i])
-    if best_i in (0, grid - 1):
-        theta_star = mid
-    else:
-        f_lo = value_at(lo, phi_star)
-        f_mid = value_at(mid, phi_star)
-        f_hi = value_at(hi, phi_star)
-        if f_mid > f_lo and f_mid > f_hi:
-            theta_star = float(
-                golden(lambda t: -value_at(t, phi_star), brack=(lo, mid, hi), tol=1e-12)
-            )
-        else:
-            # Even grids can sample symmetrically about the peak; the two
-            # straddling points then tie and the peak sits midway.
-            theta_star = 0.5 * (mid + (hi if f_hi >= f_mid else lo))
-    value = value_at(theta_star, phi_star)
-    x, y, z = _direction(theta_star, phi_star)
-    if z < 0.0:
-        x, y, z = -x, -y, -z
-    if y < 0.0 or (y == 0.0 and x < 0.0):
-        x, y = -x, -y
-    # snap rounding fuzz so the canonical vector stays inside the ball
-    x, y, z = (0.0 if abs(c) < 1e-12 else c for c in (x, y, z))
-    nrm = math.sqrt(x * x + y * y + z * z)
-    return ConditionalMax(value, BlochVector(x / nrm, y / nrm, z / nrm))
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,16 @@ def maximally_coherent_qubit() -> DensityMatrix:
     return pure_state([1.0, 1.0])
 
 
-def werner(p: float) -> DensityMatrix:
-    """p |Phi+><Phi+| + (1 - p) I/4 for p in [0, 1]."""
+def _check_p(p: float) -> float:
+    """The Werner mixing parameter as a float, or ValueError outside [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
+    return float(p)
+
+
+def werner(p: float) -> DensityMatrix:
+    """p |Phi+><Phi+| + (1 - p) I/4 for p in [0, 1]."""
+    p = _check_p(p)
     mat = p * bell_phi_plus().mat + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
     return DensityMatrix(mat, (2, 2))
 

@@ -26,17 +26,17 @@ from .states import (
 )
 
 DEFAULT_P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+MAX_SCAN_STEPS = 1_000_001
 
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One row of a p sweep (all closed-form unless noted)."""
+    """One row of a closed-form p sweep."""
 
     p: float
     qi: float
     rate: float
     gap: float
-    brute_force_rate: float | None = None
     passed: bool = True
 
     def __post_init__(self):
@@ -149,6 +149,9 @@ def figure_data(p_from: float = 0.0, p_to: float = 1.0, steps: int = 101) -> lis
     """Uniform closed-form sweep of (qi, rate, gap) over [p_from, p_to]."""
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
+    # the CSV prints p to 6 decimals: no more distinct rows fit in [0, 1]
+    if steps > MAX_SCAN_STEPS:
+        raise ValueError(f"steps must be at most {MAX_SCAN_STEPS}, got {steps}")
     if not 0.0 <= p_from <= p_to <= 1.0:
         raise ValueError(f"need 0 <= from <= to <= 1, got {p_from}..{p_to}")
     records = []
@@ -156,7 +159,7 @@ def figure_data(p_from: float = 0.0, p_to: float = 1.0, steps: int = 101) -> lis
         p = p_from + (p_to - p_from) * k / (steps - 1)
         qi = qi_werner_closed_form(p)
         rate = rate_werner_closed_form(p)
-        records.append(ScanRecord(p, qi, rate, qi - rate, None, qi - rate >= -1e-10))
+        records.append(ScanRecord(p, qi, rate, qi - rate, qi - rate >= -1e-10))
     return records
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cohdist
 import cohdist.verify as verify_mod
 from cohdist.cli import main
 from cohdist.optimize import qi_werner_closed_form, rate_werner_closed_form
@@ -40,7 +45,9 @@ class TestMeasures:
         assert runner.invoke(main, both).exit_code == 2
 
     def test_out_of_range_p(self, runner):
-        assert runner.invoke(main, ["measures", "--werner", "1.5"]).exit_code == 2
+        result = runner.invoke(main, ["measures", "--werner", "1.5"])
+        assert result.exit_code == 2
+        assert "mixing parameter must lie in [0, 1], got 1.5" in result.stderr
 
     def test_file_input_matches_werner(self, runner, tmp_path):
         path = tmp_path / "state.json"
@@ -161,6 +168,12 @@ class TestScan:
         assert runner.invoke(main, ["scan", "--steps", "1"]).exit_code == 2
         assert runner.invoke(main, ["scan", "--from", "0.7", "--to", "0.3"]).exit_code == 2
 
+    def test_huge_step_count_is_rejected_at_once(self, runner):
+        result = runner.invoke(main, ["scan", "--steps", "1000000000"])
+        assert result.exit_code == 2
+        assert "steps must be at most 1000001" in result.stderr
+        assert result.stdout == ""
+
     def test_unwritable_target_is_an_io_error(self, runner, tmp_path):
         out = tmp_path / "missing" / "sweep.csv"
         result = runner.invoke(main, ["scan", "--steps", "3", "--out", str(out)])
@@ -193,6 +206,23 @@ class TestVerify:
     def test_unknown_suite_is_a_usage_error(self, runner):
         assert runner.invoke(main, ["verify", "bogus"]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["theorem4", "--brute-theta", "1"],
+            ["theorem4", "--brute-phi", "0"],
+            ["lemma1", "--seed", "-1"],
+        ],
+        ids=["brute-theta", "brute-phi", "seed"],
+    )
+    def test_out_of_range_options_are_usage_errors(self, runner, args):
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "Invalid value" in result.stderr
+        assert result.stdout == ""
+
     def test_any_failing_check_exits_one(self, runner, monkeypatch):
         forced = verify_mod.SuiteResult(
             "theorem3", (verify_mod.CheckLine("forced failure", False, "broken"),)
@@ -202,3 +232,17 @@ class TestVerify:
         assert result.exit_code == 1
         assert "[FAIL] theorem3: forced failure (broken)" in result.output
         assert "0/1 checks passed" in result.output
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = str(Path(cohdist.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, cohdist.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"

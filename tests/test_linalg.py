@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from conftest import random_hermitian
@@ -10,14 +8,11 @@ from cohdist import linalg
 from cohdist.linalg import (
     DEFAULT_TOL,
     ConvergenceError,
-    adjoint,
     hermitian_eigenvalues,
     hermitian_eigh,
     identity,
     is_hermitian,
     kron,
-    matmul,
-    off_diagonal_norm,
     trace_distance,
 )
 
@@ -118,21 +113,6 @@ def test_as_matrix_unwraps_mat_attribute():
         linalg.as_matrix([1.0, 2.0])
 
 
-def test_matmul_checks_inner_dimension():
-    a = np.ones((2, 3))
-    b = np.ones((3, 2))
-    assert np.array_equal(matmul(a, b), a @ b)
-    with pytest.raises(ValueError, match="mismatch"):
-        matmul(a, np.ones((2, 2)))
-
-
-def test_adjoint_is_an_involution():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.array_equal(adjoint(adjoint(m)), m)
-    assert np.array_equal(adjoint(m), m.conj().T)
-
-
 def test_kron_shape_and_associativity():
     # integer-valued entries keep the triple product exact
     a = np.array([[1, 2], [3, 4]], dtype=complex)
@@ -153,12 +133,6 @@ def test_is_hermitian_tolerance_and_shape():
     assert is_hermitian(m, tol=1e-6)
     m[1, 1] = np.nan
     assert not is_hermitian(m, tol=1e-6)
-
-
-def test_off_diagonal_norm_values():
-    assert off_diagonal_norm(np.diag([3.0, -1.0])) == 0.0
-    m = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert off_diagonal_norm(m) == pytest.approx(math.sqrt(8.0), abs=1e-15)
 
 
 def test_trace_distance_values():

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_unitary
 
 from cohdist.coherence import c_re, qi_relative_entropy
-from cohdist.linalg import DEFAULT_TOL, adjoint, kron, trace_distance
+from cohdist.linalg import DEFAULT_TOL, kron, trace_distance
 from cohdist.optimize import rate_werner_closed_form
 from cohdist.protocols import (
     ERASE_K1,
@@ -52,15 +52,15 @@ def _z_channel() -> KrausChannel:
 
 def test_gates_are_incoherent_unitaries():
     for u in ALL_GATES:
-        assert np.abs(adjoint(u) @ u - np.eye(2)).max() <= DEFAULT_TOL
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() <= DEFAULT_TOL
         assert is_incoherent_kraus(u)
 
 
 def test_erasing_operators():
-    assert np.allclose(adjoint(ERASE_K1), np.array([[-1j, 0.0], [1.0, 0.0]]) / math.sqrt(2.0))
+    assert np.allclose(ERASE_K1.conj().T, np.array([[-1j, 0.0], [1.0, 0.0]]) / math.sqrt(2.0))
     want = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-    assert np.abs(adjoint(ERASE_K1) @ ERASE_K1 - want).max() < 1e-15
-    total = adjoint(ERASE_K1) @ ERASE_K1 + adjoint(ERASE_K2) @ ERASE_K2
+    assert np.abs(ERASE_K1.conj().T @ ERASE_K1 - want).max() < 1e-15
+    total = ERASE_K1.conj().T @ ERASE_K1 + ERASE_K2.conj().T @ ERASE_K2
     assert np.abs(total - np.eye(2)).max() < 1e-12
     assert is_incoherent_kraus(ERASE_K1) and is_incoherent_kraus(ERASE_K2)
 

@@ -15,6 +15,7 @@ from cohdist.states import (
 )
 from cohdist.verify import (
     CSV_HEADER,
+    MAX_SCAN_STEPS,
     CheckLine,
     ScanRecord,
     SuiteResult,
@@ -122,6 +123,10 @@ class TestFigureData:
             figure_data(0.8, 0.2, 5)
         with pytest.raises(ValueError, match="0 <= from <= to <= 1"):
             figure_data(0.0, 1.2, 5)
+
+    def test_step_count_is_capped_before_any_record_is_built(self):
+        with pytest.raises(ValueError, match="at most 1000001"):
+            figure_data(0.0, 1.0, MAX_SCAN_STEPS + 1)
 
 
 def test_csv_golden():
