@@ -82,7 +82,8 @@ def dephase(rho: DensityMatrix, subsystems=None) -> DensityMatrix:
     subsystems=None targets all of them (full dephasing); a sequence of
     subsystem positions targets just those, e.g. (1,) on a bipartite
     state kills B-coherences while keeping A-coherences between entries
-    with identical B indices.
+    with identical B indices.  Each dephasing is built once per state
+    and reused.
     """
     dims = rho.dims
     if subsystems is None:
@@ -92,8 +93,12 @@ def dephase(rho: DensityMatrix, subsystems=None) -> DensityMatrix:
         for s in targets:
             if not 0 <= s < len(dims):
                 raise ValueError(f"invalid subsystem {s} for dims {dims}")
-    keep = _dephase_mask(dims, targets)
-    return DensityMatrix(np.where(keep, rho.mat, 0.0), dims, rho.tol)
+    key = ("dephase", targets)
+    cached = rho._derived.get(key)
+    if cached is None:
+        keep = _dephase_mask(dims, targets)
+        cached = rho._derived[key] = DensityMatrix(np.where(keep, rho.mat, 0.0), dims, rho.tol)
+    return cached
 
 
 def c_re(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for small matrices.
 
-Nothing in this package builds a matrix larger than 8x8, so the
-eigensolver favors determinism and robustness over asymptotic speed.
+The largest matrix the package builds is 9x9 (a bipartite state of
+two qutrits), so the eigensolver favors determinism and robustness
+over asymptotic speed.
 Composite indices are always A-major: |i>_A |j>_B sits at i * dim_b + j.
 """
 
@@ -69,9 +70,13 @@ def _rows_hermitian(rows: list[list[complex]], tol: float) -> bool:
 def _jacobi(mat: np.ndarray, want_vectors: bool):
     """Cyclic Jacobi diagonalization of a Hermitian matrix.
 
-    Each sweep annihilates every off-diagonal element in turn with a
-    complex plane rotation; sweeps repeat until the off-diagonal
-    Frobenius norm drops below JACOBI_OFF_TOL.  Runs on plain Python
+    Reads only the diagonal and the upper triangle: callers have already
+    checked Hermiticity, so the lower triangle carries no information.
+    Each sweep annihilates every upper off-diagonal element in turn with
+    a complex plane rotation; sweeps repeat until the off-diagonal
+    Frobenius norm drops below JACOBI_OFF_TOL.  A rotation moves the
+    diagonal in closed form and updates the rest of rows and columns p
+    and q once each, on the upper triangle only.  Runs on plain Python
     scalars: at these sizes interpreter arithmetic beats vectorized
     calls, and the measurement sweeps hammer this routine on 2x2 input;
     a 2x2 without vectors takes the unrolled _jacobi_2x2_values.
@@ -82,6 +87,7 @@ def _jacobi(mat: np.ndarray, want_vectors: bool):
     a = mat.tolist()
     if n == 2 and not want_vectors and JACOBI_MAX_SWEEPS > 0:
         return _jacobi_2x2_values(a), None
+    d = [a[i][i].real for i in range(n)]
     v = None
     if want_vectors:
         v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
@@ -93,7 +99,7 @@ def _jacobi(mat: np.ndarray, want_vectors: bool):
                 x = ai[j]
                 off2 += x.real * x.real + x.imag * x.imag
         if 2.0 * off2 < JACOBI_OFF_TOL * JACOBI_OFF_TOL:
-            return [a[i][i].real for i in range(n)], v
+            return d, v
         if sweep == JACOBI_MAX_SWEEPS:
             break
         for p in range(n - 1):
@@ -103,40 +109,46 @@ def _jacobi(mat: np.ndarray, want_vectors: bool):
                 r = abs(apq)
                 if r == 0.0:
                     continue
-                e = apq / r
-                ec = e.conjugate()
-                app = ap[p].real
-                aqq = a[q][q].real
-                if app == aqq:
+                dp = d[p]
+                dq = d[q]
+                if dp == dq:
                     t = 1.0
                 else:
-                    tau = (app - aqq) / (2.0 * r)
+                    tau = (dp - dq) / (2.0 * r)
                     t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: A <- A V, with V the rotation in the (p, q) plane
-                for i in range(n):
-                    ai = a[i]
-                    aip = ai[p]
-                    aiq = ai[q]
-                    ai[p] = c * aip + s * ec * aiq
-                    ai[q] = c * aiq - s * e * aip
-                # rows: A <- V+ A
-                aq = a[q]
-                for j in range(n):
-                    apj = ap[j]
-                    aqj = aq[j]
-                    ap[j] = c * apj + s * e * aqj
-                    aq[j] = c * aqj - s * ec * apj
+                se = t * c * (apq / r)
+                sec = se.conjugate()
+                tr = t * r
+                d[p] = dp + tr
+                d[q] = dq - tr
                 ap[q] = 0.0j
-                aq[p] = 0.0j
+                aq = a[q]
+                # A <- V+ A V on the upper triangle, V the (p, q) rotation:
+                # column entries above p, then the mixed span, then row entries
+                for k in range(p):
+                    ak = a[k]
+                    akp = ak[p]
+                    akq = ak[q]
+                    ak[p] = c * akp + sec * akq
+                    ak[q] = c * akq - se * akp
+                for k in range(p + 1, q):
+                    ak = a[k]
+                    apk = ap[k]
+                    akq = ak[q]
+                    ap[k] = c * apk + se * akq.conjugate()
+                    ak[q] = c * akq - se * apk.conjugate()
+                for k in range(q + 1, n):
+                    apk = ap[k]
+                    aqk = aq[k]
+                    ap[k] = c * apk + se * aqk
+                    aq[k] = c * aqk - sec * apk
                 if v is not None:
-                    for i in range(n):
-                        vi = v[i]
+                    for vi in v:
                         vip = vi[p]
                         viq = vi[q]
-                        vi[p] = c * vip + s * ec * viq
-                        vi[q] = c * viq - s * e * vip
+                        vi[p] = c * vip + sec * viq
+                        vi[q] = c * viq - se * vip
     raise ConvergenceError(
         f"Jacobi did not reach off-norm {JACOBI_OFF_TOL} in {JACOBI_MAX_SWEEPS} sweeps"
     )
@@ -145,21 +157,17 @@ def _jacobi(mat: np.ndarray, want_vectors: bool):
 def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
     """The cyclic loop of _jacobi unrolled for n == 2 without vectors.
 
-    On a 2x2 the first sweep is a single rotation that zeroes both
-    off-diagonal entries, so the loop always ends at the convergence
-    test of the second sweep; _jacobi comes here only when
-    JACOBI_MAX_SWEEPS allows that one sweep.  This runs the same
-    convergence test and the same rotation with every expression in the
-    loop's order, skipping only the two off-diagonal row updates the
-    diagonal does not read, so its values are bit-identical to the
-    loop's.
+    On a 2x2 the first sweep is a single rotation that zeroes the
+    off-diagonal entry, so the loop always ends at the convergence test
+    of the second sweep; _jacobi comes here only when JACOBI_MAX_SWEEPS
+    allows that one sweep.  This runs the same convergence test and the
+    same closed-form diagonal update with every expression in the
+    loop's order, so its values are bit-identical to the loop's.
     """
-    (a00, a01), (a10, a11) = a
+    (a00, a01), (_, a11) = a
     if 2.0 * (a01.real * a01.real + a01.imag * a01.imag) < JACOBI_OFF_TOL * JACOBI_OFF_TOL:
         return [a00.real, a11.real]
     r = abs(a01)
-    e = a01 / r
-    ec = e.conjugate()
     app = a00.real
     aqq = a11.real
     if app == aqq:
@@ -167,14 +175,8 @@ def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
     else:
         tau = (app - aqq) / (2.0 * r)
         t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    # columns, then the diagonal entries of the row update
-    b00 = c * a00 + s * ec * a01
-    b01 = c * a01 - s * e * a00
-    b10 = c * a10 + s * ec * a11
-    b11 = c * a11 - s * e * a10
-    return [(c * b00 + s * e * b10).real, (c * b11 - s * ec * b01).real]
+    tr = t * r
+    return [app + tr, aqq - tr]
 
 
 def _checked_hermitian(a, tol: float) -> np.ndarray:

@@ -54,7 +54,7 @@ def conditional_c_re(p: float, z: float) -> float:
     (1-p)/2 log2(1-p) + (1+p)/2 log2(1+p)
     - (1+pz)/2 log2(1+pz) - (1-pz)/2 log2(1-pz)."""
     p = _check_p(p)
-    if abs(z) > 1.0 + 1e-12:
+    if not abs(z) <= 1.0 + 1e-12:
         raise ValueError(f"z component must lie in [-1, 1], got {z}")
     z = min(max(float(z), -1.0), 1.0)
     return 0.5 * (

@@ -100,12 +100,12 @@ class Ensemble:
         dims = self.items[0][1].dims
         total = 0.0
         for q, state in self.items:
-            if q < -self.tol:
-                raise ValueError(f"negative branch probability {q}")
+            if not q >= -self.tol:
+                raise ValueError(f"branch probability {q} must be nonnegative")
             if state.dims != dims:
                 raise ValueError("ensemble states must share dims")
             total += q
-        if abs(total - 1.0) > self.tol:
+        if not abs(total - 1.0) <= self.tol:
             raise ValueError(f"branch probabilities sum to {total}, expected 1")
         object.__setattr__(self, "labels", labels)
 

@@ -22,6 +22,11 @@ class DensityMatrix:
     rejects non-finite entries, then checks Hermiticity, unit trace, and
     positivity, all within tol, and caches the spectrum so entropy
     calls reuse the eigendecomposition done for the positivity check.
+
+    The instance is frozen and its matrix read-only, so a state derived
+    from it (a partial trace, a dephasing) depends on the instance alone:
+    such states are built once and kept in the private _derived dict,
+    keyed by the operation and its arguments.
     """
 
     mat: np.ndarray
@@ -53,6 +58,7 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_eigs", tuple(eigs))
+        object.__setattr__(self, "_derived", {})
 
     @property
     def dim(self) -> int:
@@ -73,7 +79,7 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        if self.norm > 1.0 + DEFAULT_TOL:
+        if not self.norm <= 1.0 + DEFAULT_TOL:
             raise ValueError(f"Bloch vector has norm {self.norm} > 1")
 
     @property
@@ -138,20 +144,25 @@ def bloch_qubit(x: float, y: float, z: float) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduce a bipartite state to one marginal.
 
-    keep selects the surviving subsystem: 0 / "A" or 1 / "B".
+    keep selects the surviving subsystem: 0 / "A" or 1 / "B".  The
+    marginal is built once per state and reused.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"partial_trace needs a bipartite state, dims are {rho.dims}")
     side = {0: 0, 1: 1, "A": 0, "B": 1, "a": 0, "b": 1}.get(keep)
     if side is None:
         raise ValueError(f"keep must be 'A'/'B' or 0/1, got {keep!r}")
-    da, db = rho.dims
-    t = rho.mat.reshape(da, db, da, db)
-    if side == 0:
-        red = np.trace(t, axis1=1, axis2=3)
-    else:
-        red = np.trace(t, axis1=0, axis2=2)
-    return DensityMatrix(red, (rho.dims[side],), rho.tol)
+    key = ("partial_trace", side)
+    cached = rho._derived.get(key)
+    if cached is None:
+        da, db = rho.dims
+        t = rho.mat.reshape(da, db, da, db)
+        if side == 0:
+            red = np.trace(t, axis1=1, axis2=3)
+        else:
+            red = np.trace(t, axis1=0, axis2=2)
+        cached = rho._derived[key] = DensityMatrix(red, (rho.dims[side],), rho.tol)
+    return cached
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, dims: tuple[int, ...] = ()) -> DensityMatrix:
@@ -181,9 +192,9 @@ class ZeroDiscordSpec:
             raise ValueError("need at least one mixture term")
         if not (len(self.a_states) == len(self.blocks) == len(self.b_states) == k):
             raise ValueError("weights, a_states, blocks, b_states must align")
-        if any(w < -self.tol for w in self.weights):
+        if not all(w >= -self.tol for w in self.weights):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > self.tol:
+        if not abs(sum(self.weights) - 1.0) <= self.tol:
             raise ValueError(f"weights sum to {sum(self.weights)}, expected 1")
         da = self.a_states[0].dim
         db = self.b_states[0].dim

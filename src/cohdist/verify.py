@@ -40,7 +40,7 @@ class ScanRecord:
     passed: bool = True
 
     def __post_init__(self):
-        if abs(self.gap - (self.qi - self.rate)) > 1e-10:
+        if not abs(self.gap - (self.qi - self.rate)) <= 1e-10:
             raise ValueError("gap must equal qi - rate")
 
 

@@ -203,6 +203,24 @@ class TestVerify:
         assert result.exit_code == 0
         assert "gap positive on the interior grid" in result.output
 
+    def test_theorem4_passes_on_an_odd_theta_grid(self, runner):
+        """An odd --brute-theta puts theta = pi/2, the optimum, on the grid."""
+        args = ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output.endswith("11/11 checks passed\n")
+
+    def test_lemma1_random_specs_print_only_rounding_noise(self, runner):
+        """The discord= digits of the random-spec lines are rounding noise,
+        not part of the output contract; their size is."""
+        result = runner.invoke(main, ["verify", "lemma1"])
+        assert result.exit_code == 0
+        lines = [x for x in result.output.splitlines() if "random zero-discord spec" in x]
+        assert len(lines) == 100
+        for line in lines:
+            assert line.startswith("[PASS] lemma1: ")
+            assert abs(float(line.rsplit("discord=", 1)[1].rstrip(")"))) <= 1e-12
+
     def test_unknown_suite_is_a_usage_error(self, runner):
         assert runner.invoke(main, ["verify", "bogus"]).exit_code == 2
 

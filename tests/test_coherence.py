@@ -134,6 +134,31 @@ class TestDephase:
             dephase(werner(0.5), (2,))
 
 
+class TestDerivedStates:
+    """dephase and partial_trace build each derived state once per state."""
+
+    def test_repeat_calls_return_the_same_object(self):
+        rho = random_density_matrix(9, np.random.default_rng(41), (3, 3))
+        assert dephase(rho, (1,)) is dephase(rho, (1,))
+        assert dephase(rho) is dephase(rho)
+        assert partial_trace(rho, "B") is partial_trace(rho, 1)
+        assert partial_trace(rho, "a") is partial_trace(rho, 0)
+
+    def test_distinct_operations_are_distinct_objects(self):
+        rho = random_density_matrix(9, np.random.default_rng(42), (3, 3))
+        assert dephase(rho) is not dephase(rho, (1,))
+        assert partial_trace(rho, 0) is not partial_trace(rho, 1)
+
+    def test_memoized_results_equal_fresh_states(self):
+        rho = random_density_matrix(6, np.random.default_rng(43), (2, 3))
+        rho_b = partial_trace(rho, 1)
+        for derived in (dephase(rho), dephase(rho, (1,)), partial_trace(rho, 0), rho_b, dephase(rho_b)):
+            fresh = DensityMatrix(derived.mat.copy(), derived.dims, derived.tol)
+            assert np.array_equal(derived.mat, fresh.mat)
+            assert derived.dims == fresh.dims
+            assert derived.eigenvalues == fresh.eigenvalues
+
+
 def test_c_re_of_named_states():
     assert c_re(maximally_coherent_qubit()) == pytest.approx(1.0, abs=1e-12)
     assert c_re(maximally_mixed(2)) == pytest.approx(0.0, abs=1e-12)

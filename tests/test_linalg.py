@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ from cohdist.linalg import (
 def test_jacobi_matches_numpy_across_sizes():
     """The cyclic Jacobi spectrum agrees with the LAPACK oracle."""
     rng = np.random.default_rng(101)
-    for dim in (1, 2, 3, 4, 6, 8):
+    for dim in (1, 2, 3, 4, 6, 8, 9):
         for _ in range(25):
             m = random_hermitian(rng, dim)
             got = hermitian_eigenvalues(m)
@@ -47,13 +47,43 @@ def test_psd_spectrum_stays_above_negative_window():
 
 def test_eigh_reconstructs_input():
     rng = np.random.default_rng(23)
-    for dim in (2, 3, 5, 8):
+    for dim in (2, 3, 5, 8, 9):
         m = random_hermitian(rng, dim)
         vals, vecs = hermitian_eigh(m)
         assert vals == sorted(vals, reverse=True)
         assert np.abs(vecs.conj().T @ vecs - np.eye(dim)).max() < 1e-12
         rebuilt = vecs @ np.diag(vals) @ vecs.conj().T
         assert np.abs(rebuilt - m).max() < 1e-11
+
+
+def test_degenerate_spectra_at_the_largest_size():
+    """Repeated eigenvalues, and a constant diagonal, on which the first
+    rotation takes the equal-diagonal branch."""
+    rng = np.random.default_rng(29)
+    spectrum = np.array([0.4, 0.4, 0.4, 0.1, 0.1, 0.0, 0.0, 0.0, -0.2])
+    u = random_unitary(rng, 9)
+    for m in (u @ np.diag(spectrum) @ u.conj().T, np.ones((9, 9), dtype=complex)):
+        want = np.linalg.eigvalsh(m)[::-1]
+        assert np.allclose(hermitian_eigenvalues(m), want, atol=1e-12, rtol=0.0)
+        vals, vecs = hermitian_eigh(m)
+        assert np.allclose(vals, want, atol=1e-12, rtol=0.0)
+        assert np.abs(vecs.conj().T @ vecs - np.eye(9)).max() < 1e-12
+        assert np.abs(vecs @ np.diag(vals) @ vecs.conj().T - m).max() < 1e-11
+
+
+def test_nearly_hermitian_input_gives_the_hermitian_part_spectrum():
+    """Anti-Hermitian noise inside the Hermiticity tolerance shifts the
+    spectrum by no more than its own size."""
+    rng = np.random.default_rng(31)
+    for dim in (2, 4, 9):
+        h = random_hermitian(rng, dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        k = g - g.conj().T
+        m = h + 1e-11 * k / np.abs(k).max()
+        assert is_hermitian(m)
+        want = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
+        assert np.allclose(hermitian_eigenvalues(m), want, atol=1e-10, rtol=0.0)
+        assert np.allclose(hermitian_eigh(m)[0], want, atol=1e-10, rtol=0.0)
 
 
 def test_eigh_vectors_satisfy_eigen_equation():

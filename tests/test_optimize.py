@@ -96,6 +96,10 @@ class TestSteering:
         # values inside rounding fuzz of the ball are clamped, not rejected
         assert conditional_c_re(0.5, 1.0 + 1e-13) == pytest.approx(0.0, abs=1e-12)
 
+    def test_conditional_rejects_nan(self):
+        with pytest.raises(ValueError, match="z component"):
+            conditional_c_re(0.5, math.nan)
+
 
 class TestBruteForce:
     def test_matches_the_closed_form_on_a_coarse_grid(self):

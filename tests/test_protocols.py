@@ -124,6 +124,10 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="one label per"):
             Ensemble(((1.0, q),), ("a", "b"))
 
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Ensemble(((float("nan"), maximally_mixed(2)),))
+
 
 class TestMeasureLocalA:
     def test_z_measurement_on_werner(self):

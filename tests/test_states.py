@@ -84,6 +84,10 @@ class TestBlochVector:
         with pytest.raises(ValueError, match="norm"):
             BlochVector(1.0, 1.0, 0.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="norm"):
+            BlochVector(float("nan"), 0.0, 0.0)
+
 
 def test_pure_state_normalizes():
     rho = pure_state([2.0, 0.0])
@@ -196,6 +200,12 @@ class TestZeroDiscordSpec:
             ZeroDiscordSpec((1.2, -0.2), (q, q), ((0,), (1,)), (b, b))
         with pytest.raises(ValueError, match="sum to"):
             ZeroDiscordSpec((0.5,), (q,), ((0,),), (b,))
+
+    def test_rejects_nan_weights(self):
+        q = pure_state([1.0, 0.0])
+        b = pure_state([1.0, 0.0, 0.0], (3,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            ZeroDiscordSpec((float("nan"),), (q,), ((0,),), (b,))
 
     def test_dimension_validation(self):
         q2 = pure_state([1.0, 0.0])

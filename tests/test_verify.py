@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cohdist import linalg
 from cohdist.coherence import qi_relative_entropy
 from cohdist.linalg import kron
 from cohdist.optimize import qi_werner_closed_form, rate_werner_closed_form
@@ -45,6 +46,11 @@ def test_scan_record_enforces_the_gap_identity():
         ScanRecord(0.5, 0.3, 0.2, 0.2)
 
 
+def test_scan_record_rejects_nan():
+    with pytest.raises(ValueError, match="gap"):
+        ScanRecord(0.5, float("nan"), 0.2, 0.1)
+
+
 def test_suite_result_passed_property():
     good = CheckLine("ok", True, "")
     bad = CheckLine("no", False, "")
@@ -70,6 +76,33 @@ class TestDiscordReport:
         rep = discord_report(overlap_mixture())
         assert not rep.passed
         assert rep.discord == pytest.approx(0.28959791223372333, abs=1e-9)
+
+
+def test_discord_report_builds_each_derived_state_once(monkeypatch):
+    """One report on a 3x3 state validates six derived states: the
+    B-dephased state, rho_B, its dephasing, rho_A and the two product
+    states.  With the two eigendecompositions of the relative-entropy
+    route that is eight Jacobi solves; a second report builds nothing
+    new but the two product states."""
+    rho = zero_discord_state(random_zero_discord_spec(np.random.default_rng(5), 3, 3))
+    counts = {"validations": 0, "jacobi": 0}
+    post_init = DensityMatrix.__post_init__
+    jacobi = linalg._jacobi
+
+    def counting_post_init(self):
+        counts["validations"] += 1
+        post_init(self)
+
+    def counting_jacobi(mat, want_vectors):
+        counts["jacobi"] += 1
+        return jacobi(mat, want_vectors)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(linalg, "_jacobi", counting_jacobi)
+    assert discord_report(rho).passed
+    assert counts == {"validations": 6, "jacobi": 8}
+    discord_report(rho)
+    assert counts == {"validations": 8, "jacobi": 12}
 
 
 def test_check_theorem3_on_seeded_random_specs():
