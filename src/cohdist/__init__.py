@@ -1,139 +1,8 @@
 """Quantum-incoherent coherence measures and Werner-state assisted
 coherence distillation: quantifiers, protocols, optimization sweeps, and
-verification suites."""
+verification suites.
 
-from .coherence import (
-    basis_dependent_discord,
-    c_re,
-    dephase,
-    qi_relative_entropy,
-    relative_entropy,
-    von_neumann_entropy,
-)
-from .linalg import (
-    ConvergenceError,
-    hermitian_eigenvalues,
-    hermitian_eigh,
-    kron,
-    trace_distance,
-)
-from .optimize import (
-    BruteForceResult,
-    GapAnalysis,
-    brute_force_measurement_opt,
-    conditional_c_re,
-    gap_analysis,
-    gap_second_derivative,
-    gap_werner_closed_form,
-    qi_werner_closed_form,
-    rate_werner_closed_form,
-    steered_state,
-)
-from .protocols import (
-    Ensemble,
-    KrausChannel,
-    ProtocolResult,
-    apply_correction,
-    ensemble_rate,
-    is_incoherent_kraus,
-    licc_erasing_protocol,
-    lqicc_werner_protocol,
-    measure_local_A,
-)
-from .states import (
-    BlochVector,
-    DensityMatrix,
-    ZeroDiscordSpec,
-    bell_phi_plus,
-    bloch_qubit,
-    density_matrix_from_dict,
-    density_matrix_to_dict,
-    maximally_coherent_qubit,
-    maximally_mixed,
-    partial_trace,
-    pure_state,
-    random_density_matrix,
-    random_zero_discord_spec,
-    werner,
-    zero_discord_state,
-)
-from .verify import (
-    ChainReport,
-    DiscordReport,
-    ScanRecord,
-    SuiteResult,
-    check_chain,
-    check_theorem3,
-    check_theorem4,
-    discord_report,
-    figure_data,
-    lemma1_suite,
-    records_to_csv,
-    records_to_json,
-    theorem3_suite,
-    theorem4_suite,
-)
+Import each name from the module that defines it, for example
+`from cohdist.states import werner`."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlochVector",
-    "BruteForceResult",
-    "ChainReport",
-    "ConvergenceError",
-    "DensityMatrix",
-    "DiscordReport",
-    "Ensemble",
-    "GapAnalysis",
-    "KrausChannel",
-    "ProtocolResult",
-    "ScanRecord",
-    "SuiteResult",
-    "ZeroDiscordSpec",
-    "apply_correction",
-    "basis_dependent_discord",
-    "bell_phi_plus",
-    "bloch_qubit",
-    "brute_force_measurement_opt",
-    "c_re",
-    "check_chain",
-    "check_theorem3",
-    "check_theorem4",
-    "conditional_c_re",
-    "dephase",
-    "density_matrix_from_dict",
-    "density_matrix_to_dict",
-    "discord_report",
-    "ensemble_rate",
-    "figure_data",
-    "gap_analysis",
-    "gap_second_derivative",
-    "gap_werner_closed_form",
-    "hermitian_eigenvalues",
-    "hermitian_eigh",
-    "is_incoherent_kraus",
-    "kron",
-    "lemma1_suite",
-    "licc_erasing_protocol",
-    "lqicc_werner_protocol",
-    "maximally_coherent_qubit",
-    "maximally_mixed",
-    "measure_local_A",
-    "partial_trace",
-    "pure_state",
-    "qi_relative_entropy",
-    "qi_werner_closed_form",
-    "random_density_matrix",
-    "random_zero_discord_spec",
-    "rate_werner_closed_form",
-    "records_to_csv",
-    "records_to_json",
-    "relative_entropy",
-    "steered_state",
-    "theorem3_suite",
-    "theorem4_suite",
-    "trace_distance",
-    "von_neumann_entropy",
-    "werner",
-    "zero_discord_state",
-]

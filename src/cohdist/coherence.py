@@ -50,7 +50,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFA
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     first = sum(xlog2x(lam) for lam in _clamped_spectrum(rho, tol))
-    vals, vecs = linalg.hermitian_eigh(sigma.mat, tol)
+    vals, vecs = linalg.hermitian_eigh(sigma.mat)
     # weight of rho along each sigma eigenvector
     weights = np.real(np.sum(vecs.conj() * (rho.mat @ vecs), axis=0))
     second = 0.0
@@ -97,7 +97,7 @@ def dephase(rho: DensityMatrix, subsystems=None) -> DensityMatrix:
     cached = rho._derived.get(key)
     if cached is None:
         keep = _dephase_mask(dims, targets)
-        cached = rho._derived[key] = DensityMatrix(np.where(keep, rho.mat, 0.0), dims, rho.tol)
+        cached = rho._derived[key] = DensityMatrix(np.where(keep, rho.mat, 0.0), dims)
     return cached
 
 
@@ -121,11 +121,9 @@ def _discord_via_relative_entropies(rho: DensityMatrix, tol: float) -> float:
     # S(rho || rhoA x rhoB) - S(dephase_B rho || rhoA x dephase(rhoB))
     rho_a = partial_trace(rho, 0)
     rho_b = partial_trace(rho, 1)
-    product = DensityMatrix(linalg.kron(rho_a.mat, rho_b.mat), rho.dims, rho.tol)
+    product = DensityMatrix(linalg.kron(rho_a.mat, rho_b.mat), rho.dims)
     dephased = dephase(rho, (1,))
-    product_deph = DensityMatrix(
-        linalg.kron(rho_a.mat, dephase(rho_b).mat), rho.dims, rho.tol
-    )
+    product_deph = DensityMatrix(linalg.kron(rho_a.mat, dephase(rho_b).mat), rho.dims)
     return relative_entropy(rho, product, tol) - relative_entropy(dephased, product_deph, tol)
 
 

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+# Validation tolerance of the package: Hermiticity, unit trace, positivity,
+# Kraus completeness and probability sums all hold to within DEFAULT_TOL.
 DEFAULT_TOL = 1e-10
 
 # Jacobi convergence contract: off-diagonal Frobenius norm below
@@ -46,14 +48,14 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(a) -> bool:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         return False
-    return _rows_hermitian(m.tolist(), tol)
+    return _rows_hermitian(m.tolist())
 
 
-def _rows_hermitian(rows: list[list[complex]], tol: float) -> bool:
+def _rows_hermitian(rows: list[list[complex]]) -> bool:
     """is_hermitian on a square matrix held as nested Python lists.
 
     Entries are compared one pair at a time on plain scalars, which on
@@ -62,7 +64,7 @@ def _rows_hermitian(rows: list[list[complex]], tol: float) -> bool:
     """
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
-            if not abs(row[j] - rows[j][i].conjugate()) <= tol:
+            if not abs(row[j] - rows[j][i].conjugate()) <= DEFAULT_TOL:
                 return False
     return True
 
@@ -179,29 +181,29 @@ def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
     return [app + tr, aqq - tr]
 
 
-def _checked_hermitian(a, tol: float) -> np.ndarray:
+def _checked_hermitian(a) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is not square: {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 
 
-def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> list[float]:
+def hermitian_eigenvalues(a) -> list[float]:
     """Eigenvalues of a Hermitian matrix via cyclic Jacobi, descending."""
-    vals, _ = _jacobi(_checked_hermitian(a, tol), want_vectors=False)
+    vals, _ = _jacobi(_checked_hermitian(a), want_vectors=False)
     vals.sort(reverse=True)
     return vals
 
 
-def hermitian_eigh(a, tol: float = DEFAULT_TOL):
+def hermitian_eigh(a):
     """Full eigendecomposition via cyclic Jacobi.
 
     Returns (values, vectors) with values descending and vectors[:, k]
     the unit eigenvector belonging to values[k].
     """
-    m = _checked_hermitian(a, tol)
+    m = _checked_hermitian(a)
     vals, vecs = _jacobi(m, want_vectors=True)
     order = sorted(range(len(vals)), key=lambda k: -vals[k])
     w = [vals[k] for k in order]

@@ -34,11 +34,12 @@ ERASE_K2 = np.array([[-1.0j, 1.0], [0.0, 0.0]], dtype=complex) / math.sqrt(2.0)
 PROB_FLOOR = 1e-14
 
 
-def is_incoherent_kraus(k, tol: float = DEFAULT_TOL) -> bool:
-    """True when every column has at most one entry above tol, so the
-    operator maps incoherent states to (unnormalized) incoherent states."""
-    m = np.abs(linalg.as_matrix(k)) > tol
-    return bool((m.sum(axis=0) <= 1).all())
+def is_incoherent_kraus(k) -> bool:
+    """True when every entry is finite and every column has at most one
+    entry above DEFAULT_TOL in magnitude, so the operator maps incoherent
+    states to (unnormalized) incoherent states."""
+    m = np.abs(linalg.as_matrix(k))
+    return bool(np.isfinite(m).all() and ((m > DEFAULT_TOL).sum(axis=0) <= 1).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +48,6 @@ class KrausChannel:
 
     operators: tuple[np.ndarray, ...]
     labels: tuple[str, ...] = ()
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         ops = tuple(linalg.as_matrix(k).copy() for k in self.operators)
@@ -67,7 +67,7 @@ class KrausChannel:
             for a in range(d)
             for b in range(a, d)
         ]
-        if not all(x <= self.tol for x in defects):
+        if not all(x <= DEFAULT_TOL for x in defects):
             raise ValueError(f"Kraus completeness violated by {max(defects)}")
         for k in ops:
             k.setflags(write=False)
@@ -80,7 +80,7 @@ class KrausChannel:
 
     @property
     def is_incoherent(self) -> bool:
-        return all(is_incoherent_kraus(k, self.tol) for k in self.operators)
+        return all(is_incoherent_kraus(k) for k in self.operators)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +89,6 @@ class Ensemble:
 
     items: tuple[tuple[float, DensityMatrix], ...]
     labels: tuple[str, ...] = ()
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not self.items:
@@ -100,12 +99,12 @@ class Ensemble:
         dims = self.items[0][1].dims
         total = 0.0
         for q, state in self.items:
-            if not q >= -self.tol:
+            if not q >= -DEFAULT_TOL:
                 raise ValueError(f"branch probability {q} must be nonnegative")
             if state.dims != dims:
                 raise ValueError("ensemble states must share dims")
             total += q
-        if not abs(total - 1.0) <= self.tol:
+        if not abs(total - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"branch probabilities sum to {total}, expected 1")
         object.__setattr__(self, "labels", labels)
 
@@ -166,11 +165,11 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     for q, bob, label in zip(probs, m.sum(axis=1), channel.labels):
         if q < PROB_FLOOR:
             continue
-        items.append((q, DensityMatrix(bob / q, (db,), rho.tol)))
+        items.append((q, DensityMatrix(bob / q, (db,))))
         labels.append(label)
     if not items:
         raise ValueError("all outcomes fell below the probability floor")
-    return Ensemble(tuple(items), tuple(labels), rho.tol)
+    return Ensemble(tuple(items), tuple(labels))
 
 
 def apply_correction(ensemble: Ensemble, gates) -> Ensemble:
@@ -185,17 +184,17 @@ def apply_correction(ensemble: Ensemble, gates) -> Ensemble:
     items = []
     for (q, state), u in zip(ensemble.items, gates):
         defect = float(np.abs(u.conj().T @ u - linalg.identity(u.shape[0])).max())
-        if defect > ensemble.tol:
+        if not defect <= DEFAULT_TOL:
             raise ValueError(f"correction gate is not unitary (defect {defect})")
-        if not is_incoherent_kraus(u, ensemble.tol):
+        if not is_incoherent_kraus(u):
             raise ValueError("correction gate is not incoherent")
-        items.append((q, DensityMatrix(u @ state.mat @ u.conj().T, state.dims, state.tol)))
-    return Ensemble(tuple(items), ensemble.labels, ensemble.tol)
+        items.append((q, DensityMatrix(u @ state.mat @ u.conj().T, state.dims)))
+    return Ensemble(tuple(items), ensemble.labels)
 
 
-def ensemble_rate(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> float:
+def ensemble_rate(ensemble: Ensemble) -> float:
     """Average coherence sum_l q_l c_re(rho_l) of an ensemble."""
-    return sum(q * c_re(state, tol) for q, state in ensemble.items)
+    return sum(q * c_re(state) for q, state in ensemble.items)
 
 
 def _run_werner_protocol(p: float, channel: KrausChannel, corrections: dict) -> ProtocolResult:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,10 @@ class DensityMatrix:
     dims lists the subsystem dimensions (their product must equal the
     matrix dimension); a single-system state may omit it.  Construction
     rejects non-finite entries, then checks Hermiticity, unit trace, and
-    positivity, all within tol, and caches the spectrum so entropy
-    calls reuse the eigendecomposition done for the positivity check.
+    positivity, all within linalg.DEFAULT_TOL, and caches the spectrum so
+    entropy calls reuse the eigendecomposition done for the positivity
+    check.  Each dim must be an integer: a float or a string is rejected,
+    not truncated.
 
     The instance is frozen and its matrix read-only, so a state derived
     from it (a partial trace, a dephasing) depends on the instance alone:
@@ -31,27 +34,29 @@ class DensityMatrix:
 
     mat: np.ndarray
     dims: tuple[int, ...] = ()
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = linalg.as_matrix(self.mat)
         n = m.shape[0]
         if m.shape[1] != n:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        dims = tuple(int(d) for d in self.dims) or (n,)
+        try:
+            dims = tuple(map(operator.index, self.dims)) or (n,)
+        except TypeError as exc:
+            raise ValueError(f"dims must be integers, got {self.dims!r}") from exc
         if any(d < 1 for d in dims) or math.prod(dims) != n:
             raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
         rows = m.tolist()
         if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
             raise ValueError("density matrix has non-finite entries")
-        if not linalg._rows_hermitian(rows, self.tol):
+        if not linalg._rows_hermitian(rows):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = sum(rows[i][i] for i in range(n))
-        if abs(tr - 1.0) > self.tol:
+        if abs(tr - 1.0) > DEFAULT_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
         eigs, _ = linalg._jacobi(m, want_vectors=False)  # Hermiticity already checked
         eigs.sort(reverse=True)
-        if eigs[-1] < -self.tol:
+        if eigs[-1] < -DEFAULT_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {eigs[-1]}")
         m = m.copy()
         m.setflags(write=False)
@@ -161,7 +166,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
             red = np.trace(t, axis1=1, axis2=3)
         else:
             red = np.trace(t, axis1=0, axis2=2)
-        cached = rho._derived[key] = DensityMatrix(red, (rho.dims[side],), rho.tol)
+        cached = rho._derived[key] = DensityMatrix(red, (rho.dims[side],))
     return cached
 
 
@@ -177,14 +182,15 @@ class ZeroDiscordSpec:
     """Data for a classical-quantum mixture sum_a w_a rho_a^A x rho_a^B
     whose B factors live on pairwise-disjoint blocks of the reference
     basis (so they are perfectly distinguishable by an incoherent
-    projective measurement).
+    projective measurement).  The weights must be nonnegative and sum to
+    one, and each B factor may leak outside its block by at most
+    linalg.DEFAULT_TOL.
     """
 
     weights: tuple[float, ...]
     a_states: tuple[DensityMatrix, ...]
     blocks: tuple[tuple[int, ...], ...]
     b_states: tuple[DensityMatrix, ...]
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         k = len(self.weights)
@@ -192,9 +198,9 @@ class ZeroDiscordSpec:
             raise ValueError("need at least one mixture term")
         if not (len(self.a_states) == len(self.blocks) == len(self.b_states) == k):
             raise ValueError("weights, a_states, blocks, b_states must align")
-        if not all(w >= -self.tol for w in self.weights):
+        if not all(w >= -DEFAULT_TOL for w in self.weights):
             raise ValueError("weights must be nonnegative")
-        if not abs(sum(self.weights) - 1.0) <= self.tol:
+        if not abs(sum(self.weights) - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"weights sum to {sum(self.weights)}, expected 1")
         da = self.a_states[0].dim
         db = self.b_states[0].dim
@@ -218,7 +224,7 @@ class ZeroDiscordSpec:
                     float(np.abs(b.mat[outside, :]).max()),
                     float(np.abs(b.mat[:, outside]).max()),
                 )
-                if off > self.tol:
+                if off > DEFAULT_TOL:
                     raise ValueError(f"B factor leaks outside its block {idx} by {off}")
 
     @property
@@ -232,7 +238,7 @@ def zero_discord_state(spec: ZeroDiscordSpec) -> DensityMatrix:
     mat = np.zeros((da * db, da * db), dtype=complex)
     for w, a, b in zip(spec.weights, spec.a_states, spec.b_states):
         mat += w * linalg.kron(a.mat, b.mat)
-    return DensityMatrix(mat, (da, db), spec.tol)
+    return DensityMatrix(mat, (da, db))
 
 
 def random_zero_discord_spec(
@@ -268,7 +274,7 @@ def random_zero_discord_spec(
 def density_matrix_from_dict(payload: dict) -> DensityMatrix:
     """Build a state from {"dims": [dA, dB], "re": [[..]], "im": [[..]]}."""
     try:
-        dims = tuple(int(d) for d in payload["dims"])
+        dims = tuple(map(operator.index, payload["dims"]))
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -26,6 +26,8 @@ from .states import (
 )
 
 DEFAULT_P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# Verdict tolerance of the discord and chain checks.
+VERDICT_TOL = 1e-9
 MAX_SCAN_STEPS = 1_000_001
 
 
@@ -83,20 +85,21 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-def discord_report(rho: DensityMatrix, tol: float = 1e-9) -> DiscordReport:
+def discord_report(rho: DensityMatrix) -> DiscordReport:
     """Evaluate discord and the equality qi == c_re(rho_B) on any
-    bipartite state; passes only when the discord vanishes within tol."""
+    bipartite state; passes only when the discord vanishes within
+    VERDICT_TOL."""
     qi = qi_relative_entropy(rho)
     cb = c_re(partial_trace(rho, 1))
     d = basis_dependent_discord(rho, check=True)
-    passed = abs(d) <= tol and abs(qi - cb - d) <= tol
+    passed = abs(d) <= VERDICT_TOL and abs(qi - cb - d) <= VERDICT_TOL
     return DiscordReport(d, qi, cb, passed)
 
 
-def check_theorem3(spec: ZeroDiscordSpec, tol: float = 1e-9) -> DiscordReport:
+def check_theorem3(spec: ZeroDiscordSpec) -> DiscordReport:
     """Assemble the classical-quantum state a spec describes and confirm
     its discord vanishes, i.e. qi collapses to the marginal coherence."""
-    return discord_report(zero_discord_state(spec), tol)
+    return discord_report(zero_discord_state(spec))
 
 
 @dataclass(frozen=True)
@@ -138,11 +141,11 @@ def check_theorem4(
     return records
 
 
-def check_chain(rho: DensityMatrix, rate: float, tol: float = 1e-9) -> ChainReport:
+def check_chain(rho: DensityMatrix, rate: float) -> ChainReport:
     """An achieved distillation rate can never exceed the qi relative
-    entropy of the input state."""
+    entropy of the input state (up to VERDICT_TOL)."""
     qi = qi_relative_entropy(rho)
-    return ChainReport(rate, qi, qi - rate, rate <= qi + tol)
+    return ChainReport(rate, qi, qi - rate, rate <= qi + VERDICT_TOL)
 
 
 def figure_data(p_from: float = 0.0, p_to: float = 1.0, steps: int = 101) -> list[ScanRecord]:
@@ -191,7 +194,7 @@ def _overlap_control_state() -> DensityMatrix:
     return DensityMatrix(mat, (2, 2))
 
 
-def theorem3_suite(tol: float = 1e-9) -> SuiteResult:
+def theorem3_suite() -> SuiteResult:
     """Deterministic zero-discord constructions hit the equality."""
     checks = []
     product = ZeroDiscordSpec(
@@ -200,11 +203,11 @@ def theorem3_suite(tol: float = 1e-9) -> SuiteResult:
         ((0, 1),),
         (pure_state([1.0, 1.0]),),
     )
-    rep = check_theorem3(product, tol)
+    rep = check_theorem3(product)
     checks.append(
         CheckLine(
             "product state |0><0| x |+><+|",
-            rep.passed and abs(rep.qi - 1.0) <= tol,
+            rep.passed and abs(rep.qi - 1.0) <= VERDICT_TOL,
             f"discord={rep.discord:.3e} qi={rep.qi:.6f}",
         )
     )
@@ -217,7 +220,7 @@ def theorem3_suite(tol: float = 1e-9) -> SuiteResult:
             pure_state([0.0, 0.0, 1.0], (3,)),
         ),
     )
-    rep = check_theorem3(two_block, tol)
+    rep = check_theorem3(two_block)
     checks.append(
         CheckLine(
             "two-block qubit x qutrit mixture",
@@ -228,7 +231,7 @@ def theorem3_suite(tol: float = 1e-9) -> SuiteResult:
     return SuiteResult("theorem3", tuple(checks))
 
 
-def lemma1_suite(n_random: int = 100, seed: int = 7, tol: float = 1e-9) -> SuiteResult:
+def lemma1_suite(n_random: int = 100, seed: int = 7) -> SuiteResult:
     """Randomized zero-discord constructions plus negative controls.
 
     The controls feed discordant states (Werner, overlapping-block
@@ -241,7 +244,7 @@ def lemma1_suite(n_random: int = 100, seed: int = 7, tol: float = 1e-9) -> Suite
     for i in range(n_random):
         da, db = dims_cycle[i % len(dims_cycle)]
         spec = random_zero_discord_spec(rng, da, db)
-        rep = check_theorem3(spec, tol)
+        rep = check_theorem3(spec)
         checks.append(
             CheckLine(
                 f"random zero-discord spec {i:03d} ({da}x{db}, {len(spec.blocks)} blocks)",
@@ -250,19 +253,19 @@ def lemma1_suite(n_random: int = 100, seed: int = 7, tol: float = 1e-9) -> Suite
             )
         )
     for p in (0.1, 0.5, 0.9):
-        rep = discord_report(werner(p), tol)
+        rep = discord_report(werner(p))
         checks.append(
             CheckLine(
                 f"negative control: werner({p}) must fail",
-                (not rep.passed) and rep.discord > 1e-9,
+                (not rep.passed) and rep.discord > VERDICT_TOL,
                 f"discord={rep.discord:.6f}",
             )
         )
-    rep = discord_report(_overlap_control_state(), tol)
+    rep = discord_report(_overlap_control_state())
     checks.append(
         CheckLine(
             "negative control: overlapping blocks must fail",
-            (not rep.passed) and rep.discord > 1e-9,
+            (not rep.passed) and rep.discord > VERDICT_TOL,
             f"discord={rep.discord:.6f}",
         )
     )

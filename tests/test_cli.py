@@ -71,6 +71,17 @@ class TestMeasures:
         path.write_text(json.dumps({"dims": [2, 2]}))
         assert runner.invoke(main, ["measures", "--file", str(path)]).exit_code == 2
 
+    @pytest.mark.parametrize("dims", [[2.9, 2.2], "22"], ids=["float", "string"])
+    def test_non_integer_dims_are_a_usage_error(self, runner, tmp_path, dims):
+        # int() would truncate both to a valid split of a smaller matrix
+        payload = density_matrix_to_dict(maximally_mixed(4))
+        payload["dims"] = dims
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["measures", "--file", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_non_bipartite_state_is_a_usage_error(self, runner, tmp_path):
         payload = density_matrix_to_dict(maximally_mixed(4))
         path = tmp_path / "mono.json"

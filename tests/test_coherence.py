@@ -153,7 +153,7 @@ class TestDerivedStates:
         rho = random_density_matrix(6, np.random.default_rng(43), (2, 3))
         rho_b = partial_trace(rho, 1)
         for derived in (dephase(rho), dephase(rho, (1,)), partial_trace(rho, 0), rho_b, dephase(rho_b)):
-            fresh = DensityMatrix(derived.mat.copy(), derived.dims, derived.tol)
+            fresh = DensityMatrix(derived.mat.copy(), derived.dims)
             assert np.array_equal(derived.mat, fresh.mat)
             assert derived.dims == fresh.dims
             assert derived.eigenvalues == fresh.eigenvalues

@@ -158,11 +158,12 @@ def test_is_hermitian_tolerance_and_shape():
     assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
     assert not is_hermitian(np.zeros((2, 3)))
     m = np.eye(2, dtype=complex)
-    m[0, 1] = 1e-8
+    m[0, 1] = 2.0 * DEFAULT_TOL
     assert not is_hermitian(m)
-    assert is_hermitian(m, tol=1e-6)
+    m[0, 1] = 0.5 * DEFAULT_TOL
+    assert is_hermitian(m)
     m[1, 1] = np.nan
-    assert not is_hermitian(m, tol=1e-6)
+    assert not is_hermitian(m)
 
 
 def test_trace_distance_values():

@@ -73,6 +73,12 @@ def test_is_incoherent_kraus_column_rule():
     assert not is_incoherent_kraus(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operators_are_not_incoherent(bad):
+    assert not is_incoherent_kraus(np.full((2, 2), bad))
+    assert not is_incoherent_kraus(np.diag([1.0, bad]))
+
+
 class TestKrausChannel:
     def test_default_labels_and_dim(self):
         ch = _z_channel()
@@ -213,6 +219,11 @@ class TestApplyCorrection:
         ens = measure_local_A(werner(0.7), _z_channel())
         with pytest.raises(ValueError, match="unitary"):
             apply_correction(ens, (IDENTITY_2, 0.5 * PAULI_X))
+
+    def test_rejects_nan_gates(self):
+        ens = measure_local_A(werner(0.7), _z_channel())
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_correction(ens, (IDENTITY_2, np.full((2, 2), np.nan)))
 
     def test_rejects_coherent_gates(self):
         ens = measure_local_A(werner(0.7), _z_channel())

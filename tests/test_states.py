@@ -45,6 +45,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), "22"], ids=["float", "integral-float", "string"])
+    def test_rejects_non_integer_dims(self, dims):
+        # int() would truncate each of these to a valid split
+        with pytest.raises(ValueError, match="dims must be integers"):
+            DensityMatrix(np.eye(4) / 4, dims)
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):
@@ -270,6 +276,8 @@ class TestStateSerialization:
             lambda d: d.update(re="oops"),
             lambda d: d.update(im=[[0.0]]),
             lambda d: d.update(dims="xy"),
+            lambda d: d.update(dims="2"),
+            lambda d: d.update(dims=[2.9]),
         ):
             payload = {k: v for k, v in good.items()}
             breakage(payload)
