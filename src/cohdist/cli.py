@@ -77,10 +77,11 @@ def protocol(name, p):
     result = lqicc_werner_protocol(p) if name == "lqicc" else licc_erasing_protocol(p)
     click.echo(f"protocol = {name}")
     click.echo(f"p = {p:.6f}")
-    for record, (_, state) in zip(result.transcript, result.ensemble.items):
-        click.echo(f"outcome {record.label}: probability = {record.probability:.6f}")
+    ensemble = result.ensemble
+    for label, (q, state), gate in zip(ensemble.labels, ensemble.items, result.corrections):
+        click.echo(f"outcome {label}: probability = {q:.6f}")
         click.echo("correction =")
-        for line in _fmt_matrix(record.correction):
+        for line in _fmt_matrix(gate):
             click.echo(line)
         click.echo("bob state =")
         for line in _fmt_matrix(state.mat):

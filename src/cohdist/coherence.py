@@ -121,9 +121,9 @@ def _discord_via_relative_entropies(rho: DensityMatrix, tol: float) -> float:
     # S(rho || rhoA x rhoB) - S(dephase_B rho || rhoA x dephase(rhoB))
     rho_a = partial_trace(rho, 0)
     rho_b = partial_trace(rho, 1)
-    product = DensityMatrix(linalg.kron(rho_a.mat, rho_b.mat), rho.dims)
+    product = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), rho.dims)
     dephased = dephase(rho, (1,))
-    product_deph = DensityMatrix(linalg.kron(rho_a.mat, dephase(rho_b).mat), rho.dims)
+    product_deph = DensityMatrix(np.kron(rho_a.mat, dephase(rho_b).mat), rho.dims)
     return relative_entropy(rho, product, tol) - relative_entropy(dephased, product_deph, tol)
 
 

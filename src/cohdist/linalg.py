@@ -43,20 +43,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product (A-major composite index convention)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def is_hermitian(a) -> bool:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return _rows_hermitian(m.tolist())
-
-
 def _rows_hermitian(rows: list[list[complex]]) -> bool:
-    """is_hermitian on a square matrix held as nested Python lists.
+    """Hermiticity within DEFAULT_TOL of a square matrix held as nested
+    Python lists.
 
     Entries are compared one pair at a time on plain scalars, which on
     the 2x2 inputs of the measurement sweeps costs a fraction of the
@@ -181,40 +170,16 @@ def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
     return [app + tr, aqq - tr]
 
 
-def _checked_hermitian(a) -> np.ndarray:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix is not square: {m.shape}")
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return m
-
-
-def hermitian_eigenvalues(a) -> list[float]:
-    """Eigenvalues of a Hermitian matrix via cyclic Jacobi, descending."""
-    vals, _ = _jacobi(_checked_hermitian(a), want_vectors=False)
-    vals.sort(reverse=True)
-    return vals
-
-
-def hermitian_eigh(a):
+def hermitian_eigh(m: np.ndarray):
     """Full eigendecomposition via cyclic Jacobi.
 
-    Returns (values, vectors) with values descending and vectors[:, k]
-    the unit eigenvector belonging to values[k].
+    Like _jacobi, trusts its caller to have checked Hermiticity (it is
+    handed the matrix of a validated DensityMatrix).  Returns (values,
+    vectors) with values descending and vectors[:, k] the unit
+    eigenvector belonging to values[k].
     """
-    m = _checked_hermitian(a)
     vals, vecs = _jacobi(m, want_vectors=True)
     order = sorted(range(len(vals)), key=lambda k: -vals[k])
     w = [vals[k] for k in order]
     u = np.array([[vecs[i][k] for k in order] for i in range(len(vals))], dtype=complex)
     return w, u
-
-
-def trace_distance(a, b) -> float:
-    """(1/2) sum |eigenvalues| of the Hermitian difference a - b."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    vals = hermitian_eigenvalues(ma - mb)
-    return 0.5 * sum(abs(x) for x in vals)

@@ -11,7 +11,7 @@ from . import linalg
 # c_re is unused here, but perfbench's tracer test reads optimize.c_re
 from .coherence import c_re, xlog2x  # noqa: F401
 from .protocols import KrausChannel, ensemble_rate, measure_local_A
-from .states import BlochVector, DensityMatrix, _check_p, bloch_qubit, werner
+from .states import _check_p, werner
 
 LN2 = math.log(2.0)
 
@@ -40,45 +40,19 @@ def gap_werner_closed_form(p: float) -> float:
     return 0.25 * xlog2x(1.0 + 3.0 * p) - 0.25 * xlog2x(1.0 - p) - xlog2x(1.0 + p)
 
 
-def steered_state(p: float, x: float, y: float, z: float) -> DensityMatrix:
-    """Bob's conditional state p * bloch_qubit(x, y, z) + (1-p) I/2 for a
-    unit Bloch direction."""
-    p = _check_p(p)
-    mat = p * bloch_qubit(x, y, z).mat + (1.0 - p) * 0.5 * np.eye(2, dtype=complex)
-    return DensityMatrix(mat, (2,))
-
-
-def conditional_c_re(p: float, z: float) -> float:
-    """Coherence of the steered state as a function of the Bloch z
-    component of the steering direction (unit-norm direction assumed):
-    (1-p)/2 log2(1-p) + (1+p)/2 log2(1+p)
-    - (1+pz)/2 log2(1+pz) - (1-pz)/2 log2(1-pz)."""
-    p = _check_p(p)
-    if not abs(z) <= 1.0 + 1e-12:
-        raise ValueError(f"z component must lie in [-1, 1], got {z}")
-    z = min(max(float(z), -1.0), 1.0)
-    return 0.5 * (
-        xlog2x(1.0 - p) + xlog2x(1.0 + p) - xlog2x(1.0 + p * z) - xlog2x(1.0 - p * z)
-    )
-
-
-def _direction(theta: float, phi: float) -> tuple[float, float, float]:
-    st = math.sin(theta)
-    return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-
-
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Best projective measurement found by the exhaustive sweep."""
+    """Best projective measurement found by the exhaustive sweep: its
+    rate and the polar and azimuthal angles of its Bloch direction."""
 
     rate: float
-    direction: BlochVector
     theta: float
     phi: float
 
 
 def _direction_projectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    nx, ny, nz = _direction(theta, phi)
+    st = math.sin(theta)
+    nx, ny, nz = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
     off = 0.5 * (nx - 1j * ny)
     up = np.array([[0.5 * (1.0 + nz), off], [off.conjugate(), 0.5 * (1.0 - nz)]])
     return up, linalg.identity(2) - up
@@ -112,7 +86,7 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int] = (200, 400)) ->
     floor = max(rates) - SWEEP_TIE_TOL
     best = next(i for i, rate in enumerate(rates) if rate >= floor)
     th, ph = float(thetas[best // n_phi]), float(phis[best % n_phi])
-    return BruteForceResult(rates[best], BlochVector(*_direction(th, ph)), th, ph)
+    return BruteForceResult(rates[best], th, ph)
 
 
 def gap_second_derivative(p: float) -> float:

@@ -118,23 +118,14 @@ class Ensemble:
 
 
 @dataclass(frozen=True, eq=False)
-class OutcomeRecord:
-    """One protocol branch: outcome label, its probability, and the
-    correction gate Bob applied."""
-
-    label: str
-    probability: float
-    correction: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """Corrected outcome ensemble, its distillation rate, and the
-    per-outcome transcript."""
+    correction gate Bob applied on each branch, in the ensemble's label
+    order."""
 
     ensemble: Ensemble
     rate: float
-    transcript: tuple[OutcomeRecord, ...]
+    corrections: tuple[np.ndarray, ...]
 
 
 def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
@@ -201,11 +192,7 @@ def _run_werner_protocol(p: float, channel: KrausChannel, corrections: dict) -> 
     measured = measure_local_A(werner(p), channel)
     gates = tuple(corrections[label] for label in measured.labels)
     corrected = apply_correction(measured, gates)
-    transcript = tuple(
-        OutcomeRecord(label, q, gate)
-        for label, (q, _), gate in zip(corrected.labels, corrected.items, gates)
-    )
-    return ProtocolResult(corrected, ensemble_rate(corrected), transcript)
+    return ProtocolResult(corrected, ensemble_rate(corrected), gates)
 
 
 def lqicc_werner_protocol(p: float) -> ProtocolResult:

@@ -14,6 +14,13 @@ from . import linalg
 from .linalg import DEFAULT_TOL
 
 
+def _index(x) -> int:
+    """operator.index that also rejects bool, which it would read as 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix with an ordered subsystem split.
@@ -23,8 +30,8 @@ class DensityMatrix:
     rejects non-finite entries, then checks Hermiticity, unit trace, and
     positivity, all within linalg.DEFAULT_TOL, and caches the spectrum so
     entropy calls reuse the eigendecomposition done for the positivity
-    check.  Each dim must be an integer: a float or a string is rejected,
-    not truncated.
+    check.  Each dim must be an integer: a float, a string or a bool is
+    rejected, not truncated or read as 1.
 
     The instance is frozen and its matrix read-only, so a state derived
     from it (a partial trace, a dephasing) depends on the instance alone:
@@ -41,7 +48,7 @@ class DensityMatrix:
         if m.shape[1] != n:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         try:
-            dims = tuple(map(operator.index, self.dims)) or (n,)
+            dims = tuple(map(_index, self.dims)) or (n,)
         except TypeError as exc:
             raise ValueError(f"dims must be integers, got {self.dims!r}") from exc
         if any(d < 1 for d in dims) or math.prod(dims) != n:
@@ -75,23 +82,6 @@ class DensityMatrix:
         return self._eigs
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """A point in the unit ball parameterizing a qubit state."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not self.norm <= 1.0 + DEFAULT_TOL:
-            raise ValueError(f"Bloch vector has norm {self.norm} > 1")
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-
 def pure_state(amplitudes, dims: tuple[int, ...] = ()) -> DensityMatrix:
     """Outer product |v><v| of a normalized amplitude vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -114,11 +104,6 @@ def bell_phi_plus() -> DensityMatrix:
     return pure_state([1.0, 0.0, 0.0, 1.0], (2, 2))
 
 
-def maximally_coherent_qubit() -> DensityMatrix:
-    """|+><+| = (|0> + |1>)(<0| + <1|) / 2."""
-    return pure_state([1.0, 1.0])
-
-
 def _check_p(p: float) -> float:
     """The Werner mixing parameter as a float, or ValueError outside [0, 1]."""
     if not 0.0 <= p <= 1.0:
@@ -131,19 +116,6 @@ def werner(p: float) -> DensityMatrix:
     p = _check_p(p)
     mat = p * bell_phi_plus().mat + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
     return DensityMatrix(mat, (2, 2))
-
-
-def bloch_qubit(x: float, y: float, z: float) -> DensityMatrix:
-    """(I + x X + y Y + z Z) / 2 for a Bloch vector inside the unit ball."""
-    b = BlochVector(float(x), float(y), float(z))
-    mat = np.array(
-        [
-            [0.5 * (1.0 + b.z), 0.5 * (b.x - 1j * b.y)],
-            [0.5 * (b.x + 1j * b.y), 0.5 * (1.0 - b.z)],
-        ],
-        dtype=complex,
-    )
-    return DensityMatrix(mat, (2,))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -210,7 +182,10 @@ class ZeroDiscordSpec:
             raise ValueError("B factors must share one dimension")
         seen: set[int] = set()
         for blk, b in zip(self.blocks, self.b_states):
-            idx = tuple(sorted(int(i) for i in blk))
+            try:
+                idx = tuple(sorted(map(_index, blk)))
+            except TypeError as exc:
+                raise ValueError(f"block indices must be integers, got {blk!r}") from exc
             if not idx:
                 raise ValueError("blocks must be nonempty")
             if idx[0] < 0 or idx[-1] >= db:
@@ -237,7 +212,7 @@ def zero_discord_state(spec: ZeroDiscordSpec) -> DensityMatrix:
     da, db = spec.dims
     mat = np.zeros((da * db, da * db), dtype=complex)
     for w, a, b in zip(spec.weights, spec.a_states, spec.b_states):
-        mat += w * linalg.kron(a.mat, b.mat)
+        mat += w * np.kron(a.mat, b.mat)
     return DensityMatrix(mat, (da, db))
 
 
@@ -271,13 +246,28 @@ def random_zero_discord_spec(
     )
 
 
+def _numbers(rows) -> np.ndarray:
+    """A nested list of JSON numbers as a float array; a string, a bool or
+    null entry raises TypeError instead of being converted."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TypeError("expected a list of rows")
+    for x in itertools.chain.from_iterable(rows):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"entries must be numbers, got {x!r}")
+    return np.asarray(rows, dtype=float)
+
+
 def density_matrix_from_dict(payload: dict) -> DensityMatrix:
-    """Build a state from {"dims": [dA, dB], "re": [[..]], "im": [[..]]}."""
+    """Build a state from {"dims": [dA, dB], "re": [[..]], "im": [[..]]}.
+
+    Dims must be integers and entries numbers; bools and strings are
+    rejected rather than converted.
+    """
     try:
-        dims = tuple(map(operator.index, payload["dims"]))
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        dims = tuple(map(_index, payload["dims"]))
+        re = _numbers(payload["re"])
+        im = _numbers(payload["im"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state payload: {exc}") from exc
     if re.ndim != 2 or re.shape != im.shape:
         raise ValueError(f"re/im must be matching 2-d arrays, got {re.shape} and {im.shape}")

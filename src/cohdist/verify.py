@@ -102,45 +102,6 @@ def check_theorem3(spec: ZeroDiscordSpec) -> DiscordReport:
     return discord_report(zero_discord_state(spec))
 
 
-@dataclass(frozen=True)
-class Theorem4Record:
-    """Per-p comparison of protocol rates against the closed forms."""
-
-    p: float
-    qi: float
-    rate: float
-    gap: float
-    lqicc_rate: float
-    licc_rate: float
-    brute_force_rate: float
-    passed: bool
-
-
-def check_theorem4(
-    p_grid=DEFAULT_P_GRID, brute_grid: tuple[int, int] = (200, 400)
-) -> list[Theorem4Record]:
-    """For each p: both protocols hit the closed-form rate within 1e-10,
-    the exhaustive measurement sweep agrees within 2e-4 (and never beats
-    the closed form by more than 1e-9), and the gap is positive."""
-    records = []
-    for p in p_grid:
-        qi = qi_werner_closed_form(p)
-        rate = rate_werner_closed_form(p)
-        gap = qi - rate
-        lq = lqicc_werner_protocol(p).rate
-        li = licc_erasing_protocol(p).rate
-        bf = brute_force_measurement_opt(p, brute_grid).rate
-        passed = (
-            abs(lq - rate) <= 1e-10
-            and abs(li - rate) <= 1e-10
-            and abs(bf - rate) <= 2e-4
-            and bf <= rate + 1e-9
-            and gap > 0.0
-        )
-        records.append(Theorem4Record(p, qi, rate, gap, lq, li, bf, passed))
-    return records
-
-
 def check_chain(rho: DensityMatrix, rate: float) -> ChainReport:
     """An achieved distillation rate can never exceed the qi relative
     entropy of the input state (up to VERDICT_TOL)."""
@@ -275,15 +236,31 @@ def lemma1_suite(n_random: int = 100, seed: int = 7) -> SuiteResult:
 def theorem4_suite(
     p_grid=DEFAULT_P_GRID, brute_grid: tuple[int, int] = (200, 400)
 ) -> SuiteResult:
-    """Protocol optimality sweep plus the gap shape facts."""
+    """Protocol optimality sweep plus the gap shape facts.
+
+    For each p: both protocols hit the closed-form rate within 1e-10, the
+    exhaustive measurement sweep agrees within 2e-4 (and never beats the
+    closed form by more than 1e-9), and the gap is positive.
+    """
     checks = []
-    for rec in check_theorem4(p_grid, brute_grid):
+    for p in p_grid:
+        rate = rate_werner_closed_form(p)
+        gap = qi_werner_closed_form(p) - rate
+        lq = lqicc_werner_protocol(p).rate
+        li = licc_erasing_protocol(p).rate
+        bf = brute_force_measurement_opt(p, brute_grid).rate
+        passed = (
+            abs(lq - rate) <= 1e-10
+            and abs(li - rate) <= 1e-10
+            and abs(bf - rate) <= 2e-4
+            and bf <= rate + 1e-9
+            and gap > 0.0
+        )
         checks.append(
             CheckLine(
-                f"p={rec.p:g}: protocols and sweep meet the closed form",
-                rec.passed,
-                f"rate={rec.rate:.6f} lqicc={rec.lqicc_rate:.6f} "
-                f"licc={rec.licc_rate:.6f} brute={rec.brute_force_rate:.6f} gap={rec.gap:.6f}",
+                f"p={p:g}: protocols and sweep meet the closed form",
+                passed,
+                f"rate={rate:.6f} lqicc={lq:.6f} licc={li:.6f} brute={bf:.6f} gap={gap:.6f}",
             )
         )
     gaps = [gap_analysis(k / 1000.0).gap for k in range(1, 1000)]

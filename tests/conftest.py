@@ -16,6 +16,11 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2) sum |eigenvalues| of the Hermitian difference a - b."""
+    return 0.5 * abs(np.linalg.eigvalsh(a - b)).sum()
+
+
 def random_monomial_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Permutation times diagonal phases: the incoherent unitaries."""
     u = np.zeros((dim, dim), dtype=complex)

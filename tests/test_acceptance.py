@@ -11,7 +11,6 @@ from click.testing import CliRunner
 
 from cohdist.cli import main
 from cohdist.coherence import c_re, dephase, qi_relative_entropy, relative_entropy
-from cohdist.linalg import trace_distance
 from cohdist.optimize import (
     brute_force_measurement_opt,
     gap_second_derivative,
@@ -28,8 +27,8 @@ from cohdist.protocols import (
 )
 from cohdist.states import (
     DensityMatrix,
-    bloch_qubit,
     partial_trace,
+    pure_state,
     random_density_matrix,
     random_zero_discord_spec,
     werner,
@@ -37,7 +36,7 @@ from cohdist.states import (
 )
 from cohdist.verify import discord_report
 
-from conftest import random_monomial_unitary
+from conftest import random_monomial_unitary, trace_distance
 
 
 def test_criterion_1_closed_form_matches_matrix_oracle():
@@ -54,11 +53,11 @@ def test_criterion_2_protocols_hit_the_steered_state_and_rate():
     worst_td = 0.0
     worst_rate = 0.0
     for p in (0.1, 0.5, 0.9):
-        target = bloch_qubit(p, 0.0, 0.0)
+        target = p * pure_state([1.0, 1.0]).mat + (1.0 - p) * np.eye(2) / 2
         for protocol in (lqicc_werner_protocol, licc_erasing_protocol):
             result = protocol(p)
             for state in result.ensemble.states:
-                worst_td = max(worst_td, trace_distance(state.mat, target.mat))
+                worst_td = max(worst_td, trace_distance(state.mat, target))
             worst_rate = max(worst_rate, abs(result.rate - rate_werner_closed_form(p)))
     assert worst_td < 1e-12
     assert worst_rate < 1e-10

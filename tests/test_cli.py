@@ -20,6 +20,21 @@ MEASURES_WERNER_05 = (
     "D^A|B(rho) = 0.262483\n"
 )
 
+THEOREM4_21_4 = (
+    "[PASS] theorem4: p=0.1: protocols and sweep meet the closed form (rate=0.007226 lqicc=0.007226 licc=0.007226 brute=0.007226 gap=0.005963)\n"
+    "[PASS] theorem4: p=0.2: protocols and sweep meet the closed form (rate=0.029049 lqicc=0.029049 licc=0.029049 brute=0.029049 gap=0.019973)\n"
+    "[PASS] theorem4: p=0.3: protocols and sweep meet the closed form (rate=0.065932 lqicc=0.065932 licc=0.065932 brute=0.065932 gap=0.037835)\n"
+    "[PASS] theorem4: p=0.4: protocols and sweep meet the closed form (rate=0.118709 lqicc=0.118709 licc=0.118709 brute=0.118709 gap=0.056574)\n"
+    "[PASS] theorem4: p=0.5: protocols and sweep meet the closed form (rate=0.188722 lqicc=0.188722 licc=0.188722 brute=0.188722 gap=0.073761)\n"
+    "[PASS] theorem4: p=0.6: protocols and sweep meet the closed form (rate=0.278072 lqicc=0.278072 licc=0.278072 brute=0.278072 gap=0.087077)\n"
+    "[PASS] theorem4: p=0.7: protocols and sweep meet the closed form (rate=0.390160 lqicc=0.390160 licc=0.390160 brute=0.390160 gap=0.093871)\n"
+    "[PASS] theorem4: p=0.8: protocols and sweep meet the closed form (rate=0.531004 lqicc=0.531004 licc=0.531004 brute=0.531004 gap=0.090407)\n"
+    "[PASS] theorem4: p=0.9: protocols and sweep meet the closed form (rate=0.713603 lqicc=0.713603 licc=0.713603 brute=0.713603 gap=0.069610)\n"
+    "[PASS] theorem4: gap positive on the interior grid (min over k/1000 grid = 7.199e-07 at p=0.001)\n"
+    "[PASS] theorem4: gap convex below 1/3, concave above (d2(0.2)=0.3757 d2(0.5)=-0.3847)\n"
+    "11/11 checks passed\n"
+)
+
 SCAN_3_STEPS = (
     "p,qi,rate,gap\n"
     "0.000000,0.000000,0.000000,0.000000\n"
@@ -82,6 +97,28 @@ class TestMeasures:
         assert result.exit_code == 2
         assert result.stdout == ""
 
+    def test_bool_dim_is_a_usage_error(self, runner, tmp_path):
+        # operator.index(True) is 1, so [true, 4] would load as a 1x4 split
+        payload = density_matrix_to_dict(maximally_mixed(4))
+        payload["dims"] = [True, 4]
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(payload))
+        assert "true" in path.read_text()
+        result = runner.invoke(main, ["measures", "--file", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("key, entry", [("re", "0.25"), ("im", False)], ids=["string", "bool"])
+    def test_non_number_entry_is_a_usage_error(self, runner, tmp_path, key, entry):
+        payload = density_matrix_to_dict(werner(0.5))
+        payload[key][1][1] = entry
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["measures", "--file", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "entries must be numbers" in result.stderr
+
     def test_non_bipartite_state_is_a_usage_error(self, runner, tmp_path):
         payload = density_matrix_to_dict(maximally_mixed(4))
         path = tmp_path / "mono.json"
@@ -136,13 +173,25 @@ class TestProtocol:
     def test_licc_output(self, runner):
         result = runner.invoke(main, ["protocol", "licc", "--p", "0.5"])
         assert result.exit_code == 0
-        lines = result.output.splitlines()
-        assert lines[0] == "protocol = licc"
-        assert "outcome 1: probability = 0.500000" in lines
-        assert "outcome 2: probability = 0.500000" in lines
-        assert "  [0.000000-1.000000j, 0.000000+0.000000j]" in lines
-        assert "  [0.000000+1.000000j, 0.000000+0.000000j]" in lines
-        assert lines[-1] == "rate = 0.188722"
+        assert result.output == (
+            "protocol = licc\n"
+            "p = 0.500000\n"
+            "outcome 1: probability = 0.500000\n"
+            "correction =\n"
+            "  [0.000000+0.000000j, 1.000000+0.000000j]\n"
+            "  [0.000000-1.000000j, 0.000000+0.000000j]\n"
+            "bob state =\n"
+            "  [0.500000+0.000000j, 0.250000+0.000000j]\n"
+            "  [0.250000+0.000000j, 0.500000+0.000000j]\n"
+            "outcome 2: probability = 0.500000\n"
+            "correction =\n"
+            "  [0.000000+0.000000j, 1.000000+0.000000j]\n"
+            "  [0.000000+1.000000j, 0.000000+0.000000j]\n"
+            "bob state =\n"
+            "  [0.500000+0.000000j, 0.250000+0.000000j]\n"
+            "  [0.250000+0.000000j, 0.500000+0.000000j]\n"
+            "rate = 0.188722\n"
+        )
 
     def test_validation(self, runner):
         assert runner.invoke(main, ["protocol", "bogus", "--p", "0.5"]).exit_code == 2
@@ -219,7 +268,7 @@ class TestVerify:
         args = ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"]
         result = runner.invoke(main, args)
         assert result.exit_code == 0
-        assert result.output.endswith("11/11 checks passed\n")
+        assert result.output == THEOREM4_21_4
 
     def test_lemma1_random_specs_print_only_rounding_noise(self, runner):
         """The discord= digits of the random-spec lines are rounding noise,

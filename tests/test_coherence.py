@@ -15,11 +15,9 @@ from cohdist.coherence import (
     von_neumann_entropy,
     xlog2x,
 )
-from cohdist.linalg import kron
 from cohdist.states import (
     DensityMatrix,
     bell_phi_plus,
-    maximally_coherent_qubit,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -61,7 +59,7 @@ class TestRelativeEntropy:
         assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-11)
 
     def test_pure_versus_mixed(self):
-        assert relative_entropy(maximally_coherent_qubit(), maximally_mixed(2)) == pytest.approx(
+        assert relative_entropy(pure_state([1.0, 1.0]), maximally_mixed(2)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -89,7 +87,7 @@ class TestRelativeEntropy:
         # S(rho || rhoA x rhoB) == S(A) + S(B) - S(AB)
         rho = werner(0.5)
         marginals = DensityMatrix(
-            kron(partial_trace(rho, 0).mat, partial_trace(rho, 1).mat), (2, 2)
+            np.kron(partial_trace(rho, 0).mat, partial_trace(rho, 1).mat), (2, 2)
         )
         want = (
             von_neumann_entropy(partial_trace(rho, 0))
@@ -111,7 +109,7 @@ class TestDephase:
 
     def test_single_subsystem_dephasing_keeps_matching_digits(self):
         # |+>_A x |0>_B carries only A-coherence; dephasing B leaves it intact
-        rho = DensityMatrix(kron(maximally_coherent_qubit().mat, np.diag([1.0, 0.0])), (2, 2))
+        rho = DensityMatrix(np.kron(pure_state([1.0, 1.0]).mat, np.diag([1.0, 0.0])), (2, 2))
         assert np.array_equal(dephase(rho, (1,)).mat, rho.mat)
         assert dephase(rho).mat[0, 2] == 0.0
 
@@ -160,7 +158,7 @@ class TestDerivedStates:
 
 
 def test_c_re_of_named_states():
-    assert c_re(maximally_coherent_qubit()) == pytest.approx(1.0, abs=1e-12)
+    assert c_re(pure_state([1.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
     assert c_re(maximally_mixed(2)) == pytest.approx(0.0, abs=1e-12)
     assert c_re(pure_state([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     # dephasing the Bell state leaves diag(1/2, 0, 0, 1/2)

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_unitary
+from conftest import random_hermitian, random_unitary, trace_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohdist import linalg
-from cohdist.linalg import (
-    DEFAULT_TOL,
-    ConvergenceError,
-    hermitian_eigenvalues,
-    hermitian_eigh,
-    identity,
-    is_hermitian,
-    kron,
-    trace_distance,
-)
+from cohdist.linalg import DEFAULT_TOL, ConvergenceError, hermitian_eigh, identity
+from cohdist.states import DensityMatrix
+
+
+def jacobi_values(m) -> list[float]:
+    """The values-only Jacobi path DensityMatrix runs, sorted descending."""
+    vals, _ = linalg._jacobi(np.asarray(m, dtype=complex), want_vectors=False)
+    return sorted(vals, reverse=True)
 
 
 def test_jacobi_matches_numpy_across_sizes():
@@ -23,7 +21,7 @@ def test_jacobi_matches_numpy_across_sizes():
     for dim in (1, 2, 3, 4, 6, 8, 9):
         for _ in range(25):
             m = random_hermitian(rng, dim)
-            got = hermitian_eigenvalues(m)
+            got = jacobi_values(m)
             want = np.linalg.eigvalsh(m)[::-1]
             assert np.allclose(got, want, atol=1e-11, rtol=0.0)
 
@@ -33,7 +31,7 @@ def test_eigenvalue_sum_matches_trace():
     for dim in (2, 4, 8):
         for _ in range(10):
             m = random_hermitian(rng, dim)
-            vals = hermitian_eigenvalues(m)
+            vals = jacobi_values(m)
             assert abs(sum(vals) - m.trace().real) <= 10 * DEFAULT_TOL
 
 
@@ -41,7 +39,7 @@ def test_psd_spectrum_stays_above_negative_window():
     rng = np.random.default_rng(8)
     for _ in range(20):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        vals = hermitian_eigenvalues(g @ g.conj().T)
+        vals = jacobi_values(g @ g.conj().T)
         assert vals[-1] >= -10 * DEFAULT_TOL
 
 
@@ -64,7 +62,7 @@ def test_degenerate_spectra_at_the_largest_size():
     u = random_unitary(rng, 9)
     for m in (u @ np.diag(spectrum) @ u.conj().T, np.ones((9, 9), dtype=complex)):
         want = np.linalg.eigvalsh(m)[::-1]
-        assert np.allclose(hermitian_eigenvalues(m), want, atol=1e-12, rtol=0.0)
+        assert np.allclose(jacobi_values(m), want, atol=1e-12, rtol=0.0)
         vals, vecs = hermitian_eigh(m)
         assert np.allclose(vals, want, atol=1e-12, rtol=0.0)
         assert np.abs(vecs.conj().T @ vecs - np.eye(9)).max() < 1e-12
@@ -80,9 +78,9 @@ def test_nearly_hermitian_input_gives_the_hermitian_part_spectrum():
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         k = g - g.conj().T
         m = h + 1e-11 * k / np.abs(k).max()
-        assert is_hermitian(m)
+        assert linalg._rows_hermitian(m.tolist())
         want = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
-        assert np.allclose(hermitian_eigenvalues(m), want, atol=1e-10, rtol=0.0)
+        assert np.allclose(jacobi_values(m), want, atol=1e-10, rtol=0.0)
         assert np.allclose(hermitian_eigh(m)[0], want, atol=1e-10, rtol=0.0)
 
 
@@ -99,7 +97,7 @@ def test_eigh_vectors_satisfy_eigen_equation():
 def test_two_by_two_spectrum_properties(entries):
     a, b, c, d = entries
     m = np.array([[a, c + 1j * d], [c - 1j * d, b]])
-    vals = hermitian_eigenvalues(m)
+    vals = jacobi_values(m)
     assert vals[0] >= vals[1]
     assert abs(sum(vals) - (a + b)) <= 1e-9 * max(1.0, abs(a) + abs(b))
 
@@ -115,15 +113,19 @@ def test_two_by_two_values_path_is_bit_identical_to_the_loop(entries):
 
 def test_convergence_error_when_sweeps_exhausted(monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(ConvergenceError):
-        hermitian_eigenvalues(np.array([[1.0, 0.5], [0.5, -1.0]]))
+    for want_vectors in (False, True):
+        with pytest.raises(ConvergenceError):
+            linalg._jacobi(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex), want_vectors)
 
 
-def test_hermitian_input_is_required():
+def test_hermitian_input_is_required(monkeypatch):
+    """The solver trusts its input: DensityMatrix rejects a non-Hermitian
+    matrix before any Jacobi solve runs."""
+    calls = []
+    monkeypatch.setattr(linalg, "_jacobi", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="not square"):
-        hermitian_eigenvalues(np.zeros((2, 3)))
+        DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    assert calls == []
 
 
 def test_identity_is_cached_and_read_only():
@@ -143,34 +145,25 @@ def test_as_matrix_unwraps_mat_attribute():
         linalg.as_matrix([1.0, 2.0])
 
 
-def test_kron_shape_and_associativity():
-    # integer-valued entries keep the triple product exact
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 1j], [1, 0]], dtype=complex)
-    c = np.array([[2, 0, 1], [0, 1, 0], [1, 0, 2]], dtype=complex)
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    assert left.shape == (12, 12)
-    assert np.array_equal(left, right)
-
-
 def test_is_hermitian_tolerance_and_shape():
-    assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
-    assert not is_hermitian(np.zeros((2, 3)))
-    m = np.eye(2, dtype=complex)
-    m[0, 1] = 2.0 * DEFAULT_TOL
-    assert not is_hermitian(m)
-    m[0, 1] = 0.5 * DEFAULT_TOL
-    assert is_hermitian(m)
-    m[1, 1] = np.nan
-    assert not is_hermitian(m)
+    """The boundary check DensityMatrix runs on its rows: a square matrix
+    passes within DEFAULT_TOL, a NaN fails, and a non-square one is
+    rejected by its shape before the check."""
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix(np.zeros((2, 3)))
+    assert linalg._rows_hermitian([[1.0, 1j], [-1j, 2.0]])
+    m = [[1.0 + 0j, 2.0 * DEFAULT_TOL], [0j, 1.0 + 0j]]
+    assert not linalg._rows_hermitian(m)
+    m[0][1] = 0.5 * DEFAULT_TOL
+    assert linalg._rows_hermitian(m)
+    m[1][1] = complex(np.nan)
+    assert not linalg._rows_hermitian(m)
 
 
 def test_trace_distance_values():
+    """The test-side trace distance that bounds acceptance criterion 2."""
     zero = np.diag([1.0, 0.0])
     mixed = np.eye(2) / 2
     assert trace_distance(zero, mixed) == pytest.approx(0.5, abs=1e-12)
     assert trace_distance(zero, zero) == 0.0
     assert trace_distance(zero, mixed) == trace_distance(mixed, zero)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        trace_distance(zero, np.eye(3) / 3)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import random_unitary, trace_distance
 
 from cohdist.coherence import c_re, qi_relative_entropy
-from cohdist.linalg import DEFAULT_TOL, kron, trace_distance
+from cohdist.linalg import DEFAULT_TOL
 from cohdist.optimize import rate_werner_closed_form
 from cohdist.protocols import (
     ERASE_K1,
@@ -26,8 +26,6 @@ from cohdist.protocols import (
 )
 from cohdist.states import (
     DensityMatrix,
-    bloch_qubit,
-    maximally_coherent_qubit,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -87,7 +85,7 @@ class TestKrausChannel:
 
     def test_incoherence_property(self):
         assert _z_channel().is_incoherent
-        plus = maximally_coherent_qubit().mat
+        plus = pure_state([1.0, 1.0]).mat
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         assert not KrausChannel((plus, minus)).is_incoherent
 
@@ -112,7 +110,7 @@ class TestKrausChannel:
 
 class TestEnsemble:
     def test_properties(self):
-        ens = Ensemble(((0.5, maximally_coherent_qubit()), (0.5, maximally_mixed(2))))
+        ens = Ensemble(((0.5, pure_state([1.0, 1.0])), (0.5, maximally_mixed(2))))
         assert ens.probabilities == (0.5, 0.5)
         assert len(ens.states) == 2
         assert ens.labels == ("1", "2")
@@ -157,7 +155,7 @@ class TestMeasureLocalA:
         da, db = rho.dims
         out = []
         for k in ops:
-            lifted = kron(k, np.eye(db))
+            lifted = np.kron(k, np.eye(db))
             m = lifted @ rho.mat @ lifted.conj().T
             out.append(m.reshape(da, db, da, db).trace(axis1=0, axis2=2))
         return out
@@ -178,14 +176,14 @@ class TestMeasureLocalA:
                     assert np.abs(state.mat - want / want.trace().real).max() <= 1e-14
 
     def test_zero_probability_outcomes_are_dropped(self):
-        rho = DensityMatrix(kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))
+        rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))
         ens = measure_local_A(rho, _z_channel())
         assert ens.labels == ("0",)
         assert ens.probabilities == pytest.approx((1.0,), abs=1e-12)
         # A in |0>, measured in the reference basis: only outcome "1" survives
         for da, db in ((2, 2), (2, 3), (3, 2)):
             sigma = random_density_matrix(db, np.random.default_rng(63))
-            rho = DensityMatrix(kron(np.diag([1.0] + [0.0] * (da - 1)), sigma.mat), (da, db))
+            rho = DensityMatrix(np.kron(np.diag([1.0] + [0.0] * (da - 1)), sigma.mat), (da, db))
             ops = tuple(np.diag(np.eye(da)[a]) for a in range(da))
             ens = measure_local_A(rho, KrausChannel(ops))
             want = self._reference_branches(rho, ops)
@@ -238,7 +236,7 @@ class TestApplyCorrection:
 
 
 def test_ensemble_rate_hand_value():
-    ens = Ensemble(((0.5, maximally_coherent_qubit()), (0.5, pure_state([1.0, 0.0]))))
+    ens = Ensemble(((0.5, pure_state([1.0, 1.0])), (0.5, pure_state([1.0, 0.0]))))
     assert ensemble_rate(ens) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -248,7 +246,7 @@ class TestWernerProtocols:
     @staticmethod
     def _target(p: float) -> DensityMatrix:
         return DensityMatrix(
-            p * maximally_coherent_qubit().mat + (1.0 - p) * np.eye(2) / 2
+            p * pure_state([1.0, 1.0]).mat + (1.0 - p) * np.eye(2) / 2
         )
 
     @pytest.mark.parametrize("runner", (lqicc_werner_protocol, licc_erasing_protocol))
@@ -262,20 +260,23 @@ class TestWernerProtocols:
             assert result.rate == pytest.approx(rate_werner_closed_form(p), abs=1e-10)
 
     def test_transcripts(self):
+        """One correction per branch, in the ensemble's label order."""
         lq = lqicc_werner_protocol(0.5)
-        assert tuple(r.label for r in lq.transcript) == ("+1", "-1")
-        assert np.array_equal(lq.transcript[0].correction, IDENTITY_2)
-        assert np.array_equal(lq.transcript[1].correction, PAULI_Z)
-        assert lq.transcript[0].probability == pytest.approx(0.5, abs=1e-12)
+        assert lq.ensemble.labels == ("+1", "-1")
+        assert len(lq.corrections) == 2
+        assert np.array_equal(lq.corrections[0], IDENTITY_2)
+        assert np.array_equal(lq.corrections[1], PAULI_Z)
+        assert lq.ensemble.probabilities[0] == pytest.approx(0.5, abs=1e-12)
 
         li = licc_erasing_protocol(0.5)
-        assert tuple(r.label for r in li.transcript) == ("1", "2")
-        assert np.array_equal(li.transcript[0].correction, PHASE_MINUS_I @ PAULI_X)
-        assert np.array_equal(li.transcript[1].correction, PHASE_PLUS_I @ PAULI_X)
+        assert li.ensemble.labels == ("1", "2")
+        assert len(li.corrections) == 2
+        assert np.array_equal(li.corrections[0], PHASE_MINUS_I @ PAULI_X)
+        assert np.array_equal(li.corrections[1], PHASE_PLUS_I @ PAULI_X)
 
     def test_erasing_channel_is_incoherent_but_projective_x_is_not(self):
         assert KrausChannel((ERASE_K1, ERASE_K2)).is_incoherent
-        plus = maximally_coherent_qubit().mat
+        plus = pure_state([1.0, 1.0]).mat
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         assert not KrausChannel((plus, minus)).is_incoherent
 
@@ -311,10 +312,10 @@ def test_correction_aligns_the_minus_branch():
     """The Z fix maps the -1 branch onto the +1 branch exactly; the rate
     is unchanged because conjugation by Z only flips off-diagonal signs."""
     p = 0.8
-    plus = maximally_coherent_qubit().mat
+    plus = pure_state([1.0, 1.0]).mat
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
     raw = measure_local_A(werner(p), KrausChannel((plus, minus), ("+1", "-1")))
-    assert np.allclose(raw.states[1].mat, bloch_qubit(-p, 0.0, 0.0).mat, atol=1e-12)
+    assert np.allclose(raw.states[1].mat, np.array([[0.5, -0.5 * p], [-0.5 * p, 0.5]]), atol=1e-12)
     fixed = apply_correction(raw, (IDENTITY_2, PAULI_Z))
     assert trace_distance(fixed.states[1].mat, fixed.states[0].mat) < 1e-12
     assert ensemble_rate(fixed) == pytest.approx(ensemble_rate(raw), abs=1e-9)

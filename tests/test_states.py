@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from cohdist.linalg import kron
 from cohdist.states import (
-    BlochVector,
     DensityMatrix,
     ZeroDiscordSpec,
     bell_phi_plus,
-    bloch_qubit,
     density_matrix_from_dict,
     density_matrix_to_dict,
-    maximally_coherent_qubit,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -51,6 +47,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="dims must be integers"):
             DensityMatrix(np.eye(4) / 4, dims)
 
+    @pytest.mark.parametrize("dims", [(True, 4), (4, True), (True,)], ids=["first", "second", "single"])
+    def test_rejects_bool_dims(self, dims):
+        # operator.index reads True as 1, a valid factor of any dimension
+        with pytest.raises(ValueError, match="dims must be integers"):
+            DensityMatrix(np.eye(4) / 4 if len(dims) == 2 else np.eye(1), dims)
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):
@@ -82,19 +84,6 @@ class TestDensityMatrix:
         assert list(rho.eigenvalues) == sorted(rho.eigenvalues, reverse=True)
 
 
-class TestBlochVector:
-    def test_norm(self):
-        assert BlochVector(0.3, 0.0, 0.4).norm == 0.5
-
-    def test_rejects_points_outside_the_ball(self):
-        with pytest.raises(ValueError, match="norm"):
-            BlochVector(1.0, 1.0, 0.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="norm"):
-            BlochVector(float("nan"), 0.0, 0.0)
-
-
 def test_pure_state_normalizes():
     rho = pure_state([2.0, 0.0])
     assert np.allclose(rho.mat, np.diag([1.0, 0.0]))
@@ -109,7 +98,7 @@ def test_named_states():
     want[np.ix_((0, 3), (0, 3))] = 0.5
     assert np.allclose(bell.mat, want)
 
-    plus = maximally_coherent_qubit()
+    plus = pure_state([1.0, 1.0])
     assert np.allclose(plus.mat, np.full((2, 2), 0.5))
 
     assert np.allclose(maximally_mixed(3).mat, np.eye(3) / 3)
@@ -134,11 +123,13 @@ def test_werner_spectrum_for_sampled_p():
 
 
 def test_bloch_qubit_matrices():
-    assert np.allclose(bloch_qubit(0, 0, 1).mat, np.diag([1.0, 0.0]))
-    assert np.allclose(bloch_qubit(1, 0, 0).mat, np.full((2, 2), 0.5))
-    assert np.allclose(bloch_qubit(0, 1, 0).mat, np.array([[0.5, -0.5j], [0.5j, 0.5]]))
-    with pytest.raises(ValueError, match="norm"):
-        bloch_qubit(0.8, 0.8, 0.0)
+    """pure_state along the Bloch axes gives (I + n.sigma)/2; a Bloch
+    vector outside the unit ball is not a state."""
+    assert np.allclose(pure_state([1.0, 0.0]).mat, np.diag([1.0, 0.0]))
+    assert np.allclose(pure_state([1.0, 1.0]).mat, np.full((2, 2), 0.5))
+    assert np.allclose(pure_state([1.0, 1j]).mat, np.array([[0.5, -0.5j], [0.5j, 0.5]]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DensityMatrix(np.array([[0.5, 0.4 - 0.4j], [0.4 + 0.4j, 0.5]]))
 
 
 class TestPartialTrace:
@@ -147,7 +138,7 @@ class TestPartialTrace:
         for _ in range(20):
             a = random_density_matrix(2, rng)
             b = random_density_matrix(3, rng)
-            joint = DensityMatrix(kron(a.mat, b.mat), (2, 3))
+            joint = DensityMatrix(np.kron(a.mat, b.mat), (2, 3))
             assert np.abs(partial_trace(joint, "A").mat - a.mat).max() < 1e-12
             assert np.abs(partial_trace(joint, "B").mat - b.mat).max() < 1e-12
 
@@ -188,7 +179,7 @@ class TestZeroDiscordSpec:
     def test_assembled_state_is_the_weighted_kron_sum(self):
         spec = self._two_block()
         want = sum(
-            w * kron(a.mat, b.mat)
+            w * np.kron(a.mat, b.mat)
             for w, a, b in zip(spec.weights, spec.a_states, spec.b_states)
         )
         state = zero_discord_state(spec)
@@ -231,6 +222,17 @@ class TestZeroDiscordSpec:
             ZeroDiscordSpec((1.0,), (q,), ((3,),), (b0,))
         with pytest.raises(ValueError, match="overlap"):
             ZeroDiscordSpec((0.5, 0.5), (q, q), ((0, 1), (1, 2)), (b0, b2))
+
+    @pytest.mark.parametrize(
+        "blocks", [((0.9,), (1.2,)), ((0,), (True,)), ((0,), ("1",))], ids=["float", "bool", "string"]
+    )
+    def test_rejects_non_integer_block_indices(self, blocks):
+        # int() would truncate 0.9 and 1.2 to the valid split (0,), (1,)
+        q = pure_state([1.0, 0.0])
+        b0 = pure_state([1.0, 0.0], (2,))
+        b1 = pure_state([0.0, 1.0], (2,))
+        with pytest.raises(ValueError, match="block indices must be integers"):
+            ZeroDiscordSpec((0.5, 0.5), (q, q), blocks, (b0, b1))
 
     def test_support_leak_is_rejected(self):
         q = pure_state([1.0, 0.0])
@@ -278,11 +280,37 @@ class TestStateSerialization:
             lambda d: d.update(dims="xy"),
             lambda d: d.update(dims="2"),
             lambda d: d.update(dims=[2.9]),
+            lambda d: d.update(dims=[True, 2]),
+            lambda d: d.update(re=[["0.5", 0.0], [0.0, 0.5]]),
+            lambda d: d.update(im=[[False, 0.0], [0.0, 0.0]]),
+            lambda d: d.update(re=[[0.5, None], [0.0, 0.5]]),
+            lambda d: d.update(re=[0.5, 0.5]),
+            lambda d: d.update(re=[[10**400, 0.0], [0.0, 0.5]]),  # a JSON number no float holds
         ):
             payload = {k: v for k, v in good.items()}
             breakage(payload)
             with pytest.raises(ValueError):
                 density_matrix_from_dict(payload)
+
+    def test_bool_dim_is_not_read_as_one(self):
+        payload = density_matrix_to_dict(maximally_mixed(4))
+        payload["dims"] = [True, 4]
+        with pytest.raises(ValueError, match="malformed"):
+            density_matrix_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key, entry", [("re", "0.25"), ("im", False), ("im", None), ("re", [0.25])], ids=["string", "bool", "null", "list"]
+    )
+    def test_entries_must_be_numbers(self, key, entry):
+        # np.asarray(..., dtype=float) would convert the string and the bool
+        payload = density_matrix_to_dict(maximally_mixed(4))
+        payload[key][1][1] = entry
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            density_matrix_from_dict(payload)
+
+    def test_integer_entries_are_numbers(self):
+        payload = {"dims": [2], "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+        assert np.array_equal(density_matrix_from_dict(payload).mat, np.diag([1.0, 0.0]))
 
     def test_state_validation_still_applies(self):
         payload = density_matrix_to_dict(maximally_mixed(2))

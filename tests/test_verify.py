@@ -5,7 +5,6 @@ import pytest
 
 from cohdist import linalg
 from cohdist.coherence import qi_relative_entropy
-from cohdist.linalg import kron
 from cohdist.optimize import qi_werner_closed_form, rate_werner_closed_form
 from cohdist.states import (
     DensityMatrix,
@@ -22,7 +21,6 @@ from cohdist.verify import (
     SuiteResult,
     check_chain,
     check_theorem3,
-    check_theorem4,
     discord_report,
     figure_data,
     lemma1_suite,
@@ -35,8 +33,8 @@ from cohdist.verify import (
 
 def overlap_mixture() -> DensityMatrix:
     """Two-block mixture whose B factors share basis support."""
-    mat = 0.5 * kron(pure_state([1.0, 0.0]).mat, pure_state([1.0, 1.0]).mat)
-    mat = mat + 0.5 * kron(pure_state([0.0, 1.0]).mat, pure_state([1.0, 0.0]).mat)
+    mat = 0.5 * np.kron(pure_state([1.0, 0.0]).mat, pure_state([1.0, 1.0]).mat)
+    mat = mat + 0.5 * np.kron(pure_state([0.0, 1.0]).mat, pure_state([1.0, 0.0]).mat)
     return DensityMatrix(mat, (2, 2))
 
 
@@ -112,14 +110,15 @@ def test_check_theorem3_on_seeded_random_specs():
 
 
 def test_check_theorem4_single_point():
-    (rec,) = check_theorem4(p_grid=(0.5,), brute_grid=(60, 8))
-    assert rec.passed
-    assert rec.qi == pytest.approx(qi_werner_closed_form(0.5), abs=1e-15)
-    assert rec.rate == pytest.approx(rate_werner_closed_form(0.5), abs=1e-15)
-    assert rec.gap == pytest.approx(rec.qi - rec.rate, abs=1e-15)
-    assert abs(rec.lqicc_rate - rec.rate) <= 1e-10
-    assert abs(rec.licc_rate - rec.rate) <= 1e-10
-    assert abs(rec.brute_force_rate - rec.rate) <= 2e-4
+    line = theorem4_suite(p_grid=(0.5,), brute_grid=(60, 8)).checks[0]
+    assert line.passed
+    assert line.label == "p=0.5: protocols and sweep meet the closed form"
+    fields = dict(item.split("=") for item in line.detail.split())
+    assert list(fields) == ["rate", "lqicc", "licc", "brute", "gap"]
+    rate = rate_werner_closed_form(0.5)
+    assert fields["rate"] == fields["lqicc"] == fields["licc"] == f"{rate:.6f}"
+    assert fields["gap"] == f"{qi_werner_closed_form(0.5) - rate:.6f}"
+    assert float(fields["brute"]) <= float(fields["rate"])
 
 
 class TestCheckChain:
