@@ -119,6 +119,7 @@ def test_check_theorem4_single_point():
     assert fields["rate"] == fields["lqicc"] == fields["licc"] == f"{rate:.6f}"
     assert fields["gap"] == f"{qi_werner_closed_form(0.5) - rate:.6f}"
     assert float(fields["brute"]) <= float(fields["rate"])
+    assert abs(float(fields["brute"]) - rate) <= 2e-4
 
 
 class TestCheckChain:
