@@ -9,7 +9,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix, _index, partial_trace
 
 # Support handling for relative entropy: sigma eigenvalues below
 # SUPPORT_TOL count as outside the support; rho weight above WEIGHT_TOL
@@ -49,8 +49,12 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFA
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    return _relative_entropy_eig(rho, *linalg.hermitian_eigh(sigma.mat), tol)
+
+
+def _relative_entropy_eig(rho: DensityMatrix, vals, vecs: np.ndarray, tol: float) -> float:
+    """relative_entropy(rho, sigma) given sigma's eigenvalues and eigenvector columns."""
     first = sum(xlog2x(lam) for lam in _clamped_spectrum(rho, tol))
-    vals, vecs = linalg.hermitian_eigh(sigma.mat)
     # weight of rho along each sigma eigenvector
     weights = np.real(np.sum(vecs.conj() * (rho.mat @ vecs), axis=0))
     second = 0.0
@@ -80,19 +84,18 @@ def dephase(rho: DensityMatrix, subsystems=None) -> DensityMatrix:
     targeted subsystem.
 
     subsystems=None targets all of them (full dephasing); a sequence of
-    subsystem positions targets just those, e.g. (1,) on a bipartite
-    state kills B-coherences while keeping A-coherences between entries
-    with identical B indices.  Each dephasing is built once per state
-    and reused.
+    integer positions (a float or bool is refused) targets just those,
+    e.g. (1,) on a bipartite state kills B-coherences while keeping
+    A-coherences between entries with identical B indices.  Each
+    dephasing is built once per state and reused.
     """
     dims = rho.dims
-    if subsystems is None:
-        targets = tuple(range(len(dims)))
-    else:
-        targets = tuple(int(s) for s in subsystems)
-        for s in targets:
-            if not 0 <= s < len(dims):
-                raise ValueError(f"invalid subsystem {s} for dims {dims}")
+    try:
+        targets = tuple(range(len(dims))) if subsystems is None else tuple(map(_index, subsystems))
+    except TypeError as exc:
+        raise ValueError(f"subsystem positions must be integers, got {subsystems!r}") from exc
+    if subsystems is not None and not all(0 <= s < len(dims) for s in targets):
+        raise ValueError(f"invalid subsystems {targets} for dims {dims}")
     key = ("dephase", targets)
     cached = rho._derived.get(key)
     if cached is None:
@@ -117,14 +120,19 @@ def qi_relative_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     return von_neumann_entropy(dephase(rho, (1,)), tol) - von_neumann_entropy(rho, tol)
 
 
+def _kron_eigh(eig_a, eig_b):
+    """(values, vectors) of kron(a, b) from those of a and b, in A-major order."""
+    return np.outer(eig_a[0], eig_b[0]).ravel(), np.kron(eig_a[1], eig_b[1])
+
+
 def _discord_via_relative_entropies(rho: DensityMatrix, tol: float) -> float:
-    # S(rho || rhoA x rhoB) - S(dephase_B rho || rhoA x dephase(rhoB))
-    rho_a = partial_trace(rho, 0)
+    # S(rho || rhoA x rhoB) - S(dephase_B rho || rhoA x dephase(rhoB)); products never built
+    eig_a = linalg.hermitian_eigh(partial_trace(rho, 0).mat)
     rho_b = partial_trace(rho, 1)
-    product = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), rho.dims)
+    product = _kron_eigh(eig_a, linalg.hermitian_eigh(rho_b.mat))
+    product_deph = _kron_eigh(eig_a, linalg.hermitian_eigh(dephase(rho_b).mat))
     dephased = dephase(rho, (1,))
-    product_deph = DensityMatrix(np.kron(rho_a.mat, dephase(rho_b).mat), rho.dims)
-    return relative_entropy(rho, product, tol) - relative_entropy(dephased, product_deph, tol)
+    return _relative_entropy_eig(rho, *product, tol) - _relative_entropy_eig(dephased, *product_deph, tol)
 
 
 def basis_dependent_discord(rho: DensityMatrix, tol: float = DEFAULT_TOL, check: bool = False) -> float:

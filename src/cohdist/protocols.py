@@ -18,7 +18,7 @@ from .coherence import c_re
 from .linalg import DEFAULT_TOL
 from .states import DensityMatrix, werner
 
-# Single-qubit gates used for outcome corrections.
+# Single-qubit gates used for outcome corrections; read-only, as results share them.
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -29,6 +29,8 @@ PHASE_PLUS_I = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 # the input amplitudes folded into relative phases.
 ERASE_K1 = np.array([[1.0j, 1.0], [0.0, 0.0]], dtype=complex) / math.sqrt(2.0)
 ERASE_K2 = np.array([[-1.0j, 1.0], [0.0, 0.0]], dtype=complex) / math.sqrt(2.0)
+for _gate in (IDENTITY_2, PAULI_X, PAULI_Z, PHASE_MINUS_I, PHASE_PLUS_I, ERASE_K1, ERASE_K2):
+    _gate.setflags(write=False)
 
 # Measurement outcomes below this probability are dropped.
 PROB_FLOOR = 1e-14

@@ -121,12 +121,12 @@ def werner(p: float) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduce a bipartite state to one marginal.
 
-    keep selects the surviving subsystem: 0 / "A" or 1 / "B".  The
-    marginal is built once per state and reused.
+    keep selects the surviving subsystem: 0 / "A" or 1 / "B" (not a
+    bool).  The marginal is built once per state and reused.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"partial_trace needs a bipartite state, dims are {rho.dims}")
-    side = {0: 0, 1: 1, "A": 0, "B": 1, "a": 0, "b": 1}.get(keep)
+    side = None if isinstance(keep, bool) else {0: 0, 1: 1, "A": 0, "B": 1, "a": 0, "b": 1}.get(keep)
     if side is None:
         raise ValueError(f"keep must be 'A'/'B' or 0/1, got {keep!r}")
     key = ("partial_trace", side)

@@ -6,7 +6,10 @@ from conftest import random_monomial_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohdist import linalg
 from cohdist.coherence import (
+    _discord_via_relative_entropies,
+    _kron_eigh,
     basis_dependent_discord,
     c_re,
     dephase,
@@ -15,6 +18,7 @@ from cohdist.coherence import (
     von_neumann_entropy,
     xlog2x,
 )
+from cohdist.linalg import DEFAULT_TOL
 from cohdist.states import (
     DensityMatrix,
     bell_phi_plus,
@@ -131,6 +135,12 @@ class TestDephase:
         with pytest.raises(ValueError, match="invalid subsystem"):
             dephase(werner(0.5), (2,))
 
+    @pytest.mark.parametrize("subsystems", ((1.7,), (True,), ("1",)))
+    def test_positions_must_be_integers(self, subsystems):
+        # each of these once read as position 1 and dephased B
+        with pytest.raises(ValueError, match="integers"):
+            dephase(werner(0.5), subsystems)
+
 
 class TestDerivedStates:
     """dephase and partial_trace build each derived state once per state."""
@@ -138,6 +148,7 @@ class TestDerivedStates:
     def test_repeat_calls_return_the_same_object(self):
         rho = random_density_matrix(9, np.random.default_rng(41), (3, 3))
         assert dephase(rho, (1,)) is dephase(rho, (1,))
+        assert dephase(rho, (np.int64(1),)) is dephase(rho, (1,))
         assert dephase(rho) is dephase(rho)
         assert partial_trace(rho, "B") is partial_trace(rho, 1)
         assert partial_trace(rho, "a") is partial_trace(rho, 0)
@@ -238,3 +249,63 @@ class TestBasisDependentDiscord:
         assert qi_relative_entropy(rho) == pytest.approx(0.16354513343952748, abs=1e-9)
         assert c_re(partial_trace(rho, 1)) == pytest.approx(0.054082060166928625, abs=1e-9)
         assert basis_dependent_discord(rho) == pytest.approx(0.10946307327259885, abs=1e-9)
+
+
+def _explicit_discord_check(rho):
+    # the check route with both product states built and diagonalized whole
+    rho_a, rho_b = partial_trace(rho, 0), partial_trace(rho, 1)
+    product = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), rho.dims)
+    product_deph = DensityMatrix(np.kron(rho_a.mat, dephase(rho_b).mat), rho.dims)
+    return relative_entropy(rho, product) - relative_entropy(dephase(rho, (1,)), product_deph)
+
+
+class TestDiscordCheckRoute:
+    """The check route diagonalizes rho_A x rho_B and rho_A x dephase(rho_B)
+    from their factors' eigendecompositions."""
+
+    @pytest.mark.parametrize("dims", ((2, 2), (2, 3), (2, 4), (3, 3)))
+    def test_factor_eigendecomposition_reconstructs_the_kron(self, dims):
+        rng = np.random.default_rng(50)
+        n = dims[0] * dims[1]
+        for _ in range(5):
+            a = random_density_matrix(dims[0], rng)
+            b = random_density_matrix(dims[1], rng)
+            for b_mat in (b.mat, dephase(b).mat):
+                vals, vecs = _kron_eigh(linalg.hermitian_eigh(a.mat), linalg.hermitian_eigh(b_mat))
+                assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-13
+                assert np.abs((vecs * vals) @ vecs.conj().T - np.kron(a.mat, b_mat)).max() < 1e-13
+
+    def test_matches_the_explicit_route(self):
+        rng = np.random.default_rng(51)
+        for dims in ((2, 2), (2, 3), (2, 4), (3, 3)):
+            for _ in range(5):
+                ginibre = random_density_matrix(dims[0] * dims[1], rng, dims)
+                zero = zero_discord_state(random_zero_discord_spec(rng, *dims))
+                for rho in (ginibre, zero):
+                    alt = _discord_via_relative_entropies(rho, DEFAULT_TOL)
+                    assert abs(alt - _explicit_discord_check(rho)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "amplitudes, dims, finite",
+        (
+            # rho_A x rho_B has eigenvalue c^4 / (1 + c^2)^2 on |11>, below
+            # SUPPORT_TOL from c = 1e-3 down, and rho has weight c^2 / (1 + c^2)
+            # there, above WEIGHT_TOL
+            ([1.0, 0.0, 0.0, 1e-2], (2, 2), True),
+            ([1.0, 0.0, 0.0, 1e-3], (2, 2), False),
+            ([1.0, 0.0, 0.0, 1e-4], (2, 2), False),
+            ([1.0, 0.0, 0.0, 0.0, 0.0, 1e-3], (2, 3), False),
+        ),
+    )
+    def test_non_finite_where_the_explicit_route_is(self, amplitudes, dims, finite):
+        rho = pure_state(amplitudes, dims)
+        alt = _discord_via_relative_entropies(rho, DEFAULT_TOL)
+        explicit = _explicit_discord_check(rho)
+        assert math.isfinite(alt) == math.isfinite(explicit) == finite
+        if finite:
+            assert abs(alt - explicit) < 1e-12
+        else:
+            # both relative entropies are +inf, and their difference nan
+            assert math.isnan(alt) and math.isnan(explicit)
+            # the primary route stands: a non-finite check value is skipped
+            assert basis_dependent_discord(rho, check=True) == basis_dependent_discord(rho)

@@ -294,6 +294,14 @@ class TestWernerProtocols:
             assert rate <= qi + 1e-9
             assert qi - rate > 1e-3  # strict gap away from the endpoints
 
+    def test_returned_gates_are_read_only(self):
+        gate = lqicc_werner_protocol(0.5).corrections[0]
+        with pytest.raises(ValueError, match="read-only"):
+            gate[0, 0] = 2.0
+        assert lqicc_werner_protocol(0.5).rate == pytest.approx(rate_werner_closed_form(0.5), abs=1e-10)
+        for u in (IDENTITY_2, PAULI_X, PAULI_Z, PHASE_MINUS_I, PHASE_PLUS_I, ERASE_K1, ERASE_K2):
+            assert not u.flags.writeable
+
     def test_endpoints(self):
         assert lqicc_werner_protocol(0.0).rate == pytest.approx(0.0, abs=1e-12)
         assert licc_erasing_protocol(1.0).rate == pytest.approx(1.0, abs=1e-12)

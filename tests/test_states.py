@@ -153,6 +153,12 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="keep"):
             partial_trace(werner(0.5), 2)
 
+    @pytest.mark.parametrize("keep", (True, False))
+    def test_rejects_bool_keep(self, keep):
+        # True == 1 and False == 0 as dict keys, so a lookup alone would accept them
+        with pytest.raises(ValueError, match="keep"):
+            partial_trace(werner(0.5), keep)
+
 
 def test_random_density_matrix_is_seed_deterministic_and_full_rank():
     a = random_density_matrix(4, np.random.default_rng(9), (2, 2))

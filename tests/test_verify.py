@@ -77,11 +77,13 @@ class TestDiscordReport:
 
 
 def test_discord_report_builds_each_derived_state_once(monkeypatch):
-    """One report on a 3x3 state validates six derived states: the
-    B-dephased state, rho_B, its dephasing, rho_A and the two product
-    states.  With the two eigendecompositions of the relative-entropy
-    route that is eight Jacobi solves; a second report builds nothing
-    new but the two product states."""
+    """One report on a 3x3 state validates four derived states: the
+    B-dephased state, rho_B, its dephasing and rho_A.  The check route
+    never builds the product states rho_A x rho_B and rho_A x
+    dephase(rho_B): it diagonalizes them from the eigendecompositions of
+    rho_A, rho_B and dephase(rho_B).  With the four validations that is
+    seven Jacobi solves; a second report validates nothing new and
+    repeats only the three eigendecompositions."""
     rho = zero_discord_state(random_zero_discord_spec(np.random.default_rng(5), 3, 3))
     counts = {"validations": 0, "jacobi": 0}
     post_init = DensityMatrix.__post_init__
@@ -98,9 +100,9 @@ def test_discord_report_builds_each_derived_state_once(monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
     monkeypatch.setattr(linalg, "_jacobi", counting_jacobi)
     assert discord_report(rho).passed
-    assert counts == {"validations": 6, "jacobi": 8}
+    assert counts == {"validations": 4, "jacobi": 7}
     discord_report(rho)
-    assert counts == {"validations": 8, "jacobi": 12}
+    assert counts == {"validations": 4, "jacobi": 10}
 
 
 def test_check_theorem3_on_seeded_random_specs():
