@@ -122,7 +122,7 @@ def qi_relative_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
 
 def _kron_eigh(eig_a, eig_b):
     """(values, vectors) of kron(a, b) from those of a and b, in A-major order."""
-    return np.outer(eig_a[0], eig_b[0]).ravel(), np.kron(eig_a[1], eig_b[1])
+    return np.outer(eig_a[0], eig_b[0]).ravel(), linalg._kron(eig_a[1], eig_b[1])
 
 
 def _discord_via_relative_entropies(rho: DensityMatrix, tol: float) -> float:

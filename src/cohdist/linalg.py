@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small matrices.
 
-The largest matrix the package builds is 9x9 (a bipartite state of
-two qutrits), so the eigensolver favors determinism and robustness
-over asymptotic speed.
+The largest matrix the package builds is 9x9 (two qutrits), so the
+eigensolvers (cyclic Jacobi, and for eigenvalues alone Householder
+tridiagonalization and implicit QL) favor determinism over asymptotic speed.
 Composite indices are always A-major: |i>_A |j>_B sits at i * dim_b + j.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -17,14 +18,15 @@ import numpy as np
 # Kraus completeness and probability sums all hold to within DEFAULT_TOL.
 DEFAULT_TOL = 1e-10
 
-# Jacobi convergence contract: off-diagonal Frobenius norm below
-# JACOBI_OFF_TOL within JACOBI_MAX_SWEEPS cyclic sweeps, else error.
+# Convergence contracts, else ConvergenceError: Jacobi's off-diagonal Frobenius norm below
+# JACOBI_OFF_TOL within JACOBI_MAX_SWEEPS cyclic sweeps; QL_MAX_ITER QL steps per eigenvalue.
 JACOBI_OFF_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+QL_MAX_ITER = 30
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver hit the sweep cap before converging."""
+    """Eigensolver hit its sweep or iteration cap before converging."""
 
 
 @lru_cache(maxsize=None)
@@ -43,6 +45,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of square matrices, bit for bit, by one cheaper broadcast product."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
 def _rows_hermitian(rows: list[list[complex]]) -> bool:
     """Hermiticity within DEFAULT_TOL of a square matrix held as nested
     Python lists.
@@ -59,29 +67,27 @@ def _rows_hermitian(rows: list[list[complex]]) -> bool:
 
 
 def _jacobi(mat: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+    """Eigenvalues, and with want_vectors eigenvectors, of a Hermitian matrix.
 
     Reads only the diagonal and the upper triangle: callers have already
-    checked Hermiticity, so the lower triangle carries no information.
-    Each sweep annihilates every upper off-diagonal element in turn with
-    a complex plane rotation; sweeps repeat until the off-diagonal
-    Frobenius norm drops below JACOBI_OFF_TOL.  A rotation moves the
-    diagonal in closed form and updates the rest of rows and columns p
-    and q once each, on the upper triangle only.  Runs on plain Python
-    scalars: at these sizes interpreter arithmetic beats vectorized
-    calls, and the measurement sweeps hammer this routine on 2x2 input;
-    a 2x2 without vectors takes the unrolled _jacobi_2x2_values.
+    checked Hermiticity.  Runs on plain Python scalars, which at these
+    sizes beat vectorized calls.  Without vectors (every state's
+    positivity check) a 2x2, which the measurement sweeps hammer, takes
+    _jacobi_2x2_values and any other size _block_values.  With vectors,
+    or a sweep cap below 1, cyclic Jacobi: each sweep annihilates every
+    upper off-diagonal element in turn with a complex plane rotation,
+    until the off-diagonal Frobenius norm drops below JACOBI_OFF_TOL,
+    moving the diagonal in closed form and updating the rest of rows and
+    columns p and q once each, on the upper triangle only.
 
-    Returns (diagonal values unsorted, accumulated unitary or None).
+    Returns (values unsorted, accumulated unitary or None).
     """
-    n = mat.shape[0]
     a = mat.tolist()
-    if n == 2 and not want_vectors and JACOBI_MAX_SWEEPS > 0:
-        return _jacobi_2x2_values(a), None
+    if not want_vectors and JACOBI_MAX_SWEEPS > 0:
+        return (_jacobi_2x2_values(a) if len(a) == 2 else _block_values(a)), None
+    n = len(a)
     d = [a[i][i].real for i in range(n)]
-    v = None
-    if want_vectors:
-        v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
+    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off2 = 0.0
         for i in range(n):
@@ -134,12 +140,11 @@ def _jacobi(mat: np.ndarray, want_vectors: bool):
                     aqk = aq[k]
                     ap[k] = c * apk + se * aqk
                     aq[k] = c * aqk - sec * apk
-                if v is not None:
-                    for vi in v:
-                        vip = vi[p]
-                        viq = vi[q]
-                        vi[p] = c * vip + sec * viq
-                        vi[q] = c * viq - se * vip
+                for vi in v:
+                    vip = vi[p]
+                    viq = vi[q]
+                    vi[p] = c * vip + sec * viq
+                    vi[q] = c * viq - se * vip
     raise ConvergenceError(
         f"Jacobi did not reach off-norm {JACOBI_OFF_TOL} in {JACOBI_MAX_SWEEPS} sweeps"
     )
@@ -168,6 +173,91 @@ def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
         t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
     tr = t * r
     return [app + tr, aqq - tr]
+
+
+def _block_values(a: list[list[complex]]) -> list[float]:
+    """Eigenvalues of a Hermitian matrix held as nested lists, on each block
+    (connected component of the upper triangle's exact-nonzero pattern):
+    the cyclic loop's values, bit for bit and at its indices, on blocks
+    of size 1 and 2; _tridiagonal and _ql_values on larger ones."""
+    d = [row[i].real for i, row in enumerate(a)]  # the values of 1x1 blocks
+    rest = list(range(len(a)))
+    while rest:
+        blk = [rest.pop(0)]  # its least index, so a 2x2 block is (p, q) with p < q
+        for i in blk:  # grows while it is read: a breadth-first search
+            hit = [j for j in rest if (a[i][j] if i < j else a[j][i]) != 0]
+            rest = [j for j in rest if j not in hit]
+            blk += hit
+        if len(blk) == 2:
+            p, q = blk
+            d[p], d[q] = _jacobi_2x2_values([[a[p][p], a[p][q]], [None, a[q][q]]])
+        elif len(blk) > 2:  # the Hermitian completion of the block's upper triangle
+            h = [[a[i][j] if i < j else a[j][i].conjugate() if i > j else a[i][i].real for j in blk] for i in blk]
+            for i, lam in zip(blk, _ql_values(*_tridiagonal(h))):
+                d[i] = lam
+    return d
+
+
+def _tridiagonal(h: list[list[complex]]) -> tuple[list[float], list[float]]:
+    """(diagonal, off-diagonal) of a real tridiagonal matrix with the spectrum
+    of Hermitian h (full nested lists), by Householder reflections (Golub &
+    Van Loan, Matrix Computations, 8.3.1) that keep h exactly Hermitian."""
+    d, e = [], []
+    while len(h) > 2:
+        d.append(h[0][0].real)
+        x = [row[0] for row in h[1:]]
+        h = [row[1:] for row in h[1:]]
+        r0 = abs(x[0])
+        alpha = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in x))
+        e.append(alpha)  # the reflection maps x onto alpha times a unit-modulus phase
+        if alpha == 0.0:
+            continue
+        v = [x[0] + (x[0] / r0 if r0 else 1.0) * alpha, *x[1:]]  # reflection I - beta v v+
+        beta = 1.0 / (alpha * (alpha + r0))
+        p = [beta * sum(map(mul, row, v)) for row in h]
+        vc = [z.conjugate() for z in v]
+        k = 0.5 * beta * sum(map(mul, vc, p)).real
+        w = [pi - k * vi for pi, vi in zip(p, v)]
+        wc = [z.conjugate() for z in w]
+        h = [[hij - (vi * wcj + wi * vcj) for hij, wcj, vcj in zip(row, wc, vc)] for row, vi, wi in zip(h, v, w)]
+    return d + [h[0][0].real, h[1][1].real], e + [abs(h[0][1]), 0.0]
+
+
+def _ql_values(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the real symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e (e[i] couples d[i] and d[i + 1]; e[-1] is 0) by implicit QL
+    with Wilkinson shifts (Golub & Van Loan, 8.3.5), at most QL_MAX_ITER steps
+    each.  Overwrites d and e."""
+    n = len(d)
+    for l in range(n):
+        for it in range(QL_MAX_ITER + 1):
+            m = l  # the unreduced block runs from l to the first negligible e[m]
+            while m < n - 1 and abs(e[m]) + (abs(d[m]) + abs(d[m + 1])) != abs(d[m]) + abs(d[m + 1]):
+                m += 1
+            if m == l:
+                break
+            if it == QL_MAX_ITER:
+                raise ConvergenceError(f"QL did not deflate an eigenvalue in {QL_MAX_ITER} iterations")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, l - 1, -1):  # chase the bulge up from m to l
+                f, b = s * e[i], c * e[i]
+                e[i + 1] = r = math.hypot(f, g)
+                if r == 0.0:  # underflow split the block at i + 1: start a new step
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l], e[m] = g, 0.0
+    return d
 
 
 def hermitian_eigh(m: np.ndarray):

@@ -121,23 +121,21 @@ def werner(p: float) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduce a bipartite state to one marginal.
 
-    keep selects the surviving subsystem: 0 / "A" or 1 / "B" (not a
-    bool).  The marginal is built once per state and reused.
+    keep selects the surviving subsystem: 0 / "A" / "a" or 1 / "B" / "b",
+    an integer but not a bool or float.  Each marginal is built once.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"partial_trace needs a bipartite state, dims are {rho.dims}")
-    side = None if isinstance(keep, bool) else {0: 0, 1: 1, "A": 0, "B": 1, "a": 0, "b": 1}.get(keep)
-    if side is None:
-        raise ValueError(f"keep must be 'A'/'B' or 0/1, got {keep!r}")
+    try:
+        side = {"A": 0, "B": 1, "a": 0, "b": 1, 0: 0, 1: 1}[keep if isinstance(keep, str) else _index(keep)]
+    except (KeyError, TypeError):
+        raise ValueError(f"keep must be 'A'/'B' or 0/1, got {keep!r}") from None
     key = ("partial_trace", side)
     cached = rho._derived.get(key)
     if cached is None:
         da, db = rho.dims
         t = rho.mat.reshape(da, db, da, db)
-        if side == 0:
-            red = np.trace(t, axis1=1, axis2=3)
-        else:
-            red = np.trace(t, axis1=0, axis2=2)
+        red = t.trace(axis1=1, axis2=3) if side == 0 else t.trace(axis1=0, axis2=2)
         cached = rho._derived[key] = DensityMatrix(red, (rho.dims[side],))
     return cached
 
@@ -212,7 +210,7 @@ def zero_discord_state(spec: ZeroDiscordSpec) -> DensityMatrix:
     da, db = spec.dims
     mat = np.zeros((da * db, da * db), dtype=complex)
     for w, a, b in zip(spec.weights, spec.a_states, spec.b_states):
-        mat += w * np.kron(a.mat, b.mat)
+        mat += w * linalg._kron(a.mat, b.mat)
     return DensityMatrix(mat, (da, db))
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import basis_dependent_discord, c_re, qi_relative_entropy
+from .linalg import _kron
 from .optimize import (
     brute_force_measurement_opt,
     gap_analysis,
@@ -151,7 +152,7 @@ def _overlap_control_state() -> DensityMatrix:
     sigma1 = pure_state([0.0, 1.0])
     plus = pure_state([1.0, 1.0])
     zero = pure_state([1.0, 0.0])
-    mat = 0.5 * np.kron(sigma0.mat, plus.mat) + 0.5 * np.kron(sigma1.mat, zero.mat)
+    mat = 0.5 * _kron(sigma0.mat, plus.mat) + 0.5 * _kron(sigma1.mat, zero.mat)
     return DensityMatrix(mat, (2, 2))
 
 

@@ -5,8 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohdist import linalg
+from cohdist.coherence import dephase
 from cohdist.linalg import DEFAULT_TOL, ConvergenceError, hermitian_eigh, identity
-from cohdist.states import DensityMatrix
+from cohdist.states import (
+    DensityMatrix,
+    ZeroDiscordSpec,
+    pure_state,
+    random_density_matrix,
+    werner,
+    zero_discord_state,
+)
 
 
 def jacobi_values(m) -> list[float]:
@@ -16,14 +24,81 @@ def jacobi_values(m) -> list[float]:
 
 
 def test_jacobi_matches_numpy_across_sizes():
-    """The cyclic Jacobi spectrum agrees with the LAPACK oracle."""
+    """The values-only spectrum (closed forms at n <= 2, tridiagonal QL
+    above) and the cyclic Jacobi spectrum agree with the LAPACK oracle."""
     rng = np.random.default_rng(101)
-    for dim in (1, 2, 3, 4, 6, 8, 9):
+    for dim in range(1, 10):
         for _ in range(25):
             m = random_hermitian(rng, dim)
-            got = jacobi_values(m)
             want = np.linalg.eigvalsh(m)[::-1]
-            assert np.allclose(got, want, atol=1e-11, rtol=0.0)
+            assert np.allclose(jacobi_values(m), want, atol=1e-12, rtol=0.0)
+            assert np.allclose(hermitian_eigh(m)[0], want, atol=1e-11, rtol=0.0)
+
+
+def _structured_inputs(rng, dim):
+    """A permuted block-diagonal matrix, a rank-1 one, a degenerate one and
+    the all-ones matrix, each dim x dim."""
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(int(rng.integers(1, min(4, dim - sum(sizes)) + 1)))
+    blocks = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for k in sizes:
+        blocks[start : start + k, start : start + k] = random_hermitian(rng, k)
+        start += k
+    perm = rng.permutation(dim)
+    g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    u = random_unitary(rng, dim)
+    spectrum = np.repeat([0.7, -0.2, 0.1], [dim // 2, dim - dim // 2 - 1, 1])
+    return (
+        blocks[np.ix_(perm, perm)],
+        np.outer(g, g.conj()),
+        u @ np.diag(spectrum) @ u.conj().T,
+        np.ones((dim, dim), dtype=complex),
+    )
+
+
+def test_values_path_matches_numpy_on_structured_inputs():
+    rng = np.random.default_rng(103)
+    for dim in range(3, 10):
+        for _ in range(5):
+            for m in _structured_inputs(rng, dim):
+                want = np.linalg.eigvalsh(m)[::-1]
+                assert np.allclose(jacobi_values(m), want, atol=1e-12, rtol=0.0)
+
+
+def test_tridiagonal_reflects_past_a_zero_subdiagonal_entry():
+    """A column whose first entry below the diagonal is 0 still needs its
+    reflection.  _block_values never hands over such a first column (it
+    orders each block by discovery), so this calls the reduction itself."""
+    rng = np.random.default_rng(43)
+    for dim in (3, 5, 9):
+        m = random_hermitian(rng, dim)
+        m[0, 1] = m[1, 0] = 0.0
+        vals = linalg._ql_values(*linalg._tridiagonal(m.tolist()))
+        assert np.allclose(sorted(vals), np.linalg.eigvalsh(m), atol=1e-12, rtol=0.0)
+
+
+def test_values_path_is_bit_identical_to_the_loop_on_small_blocks():
+    """A matrix whose blocks all have size 1 or 2 gets the cyclic loop's
+    values bit for bit, each at the loop's index.  The loop with vectors
+    is that reference: its diagonal never depends on the vectors."""
+    rng = np.random.default_rng(107)
+    theorem3_states = (
+        ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), ((0, 1),), (pure_state([1.0, 1.0]),)),
+        ZeroDiscordSpec(
+            (0.6, 0.4),
+            (pure_state([1.0, 0.0]), pure_state([1.0, 1.0])),
+            ((0, 1), (2,)),
+            (pure_state([1.0, 1.0, 0.0], (3,)), pure_state([0.0, 0.0, 1.0], (3,))),
+        ),
+    )
+    states = [werner(float(p)) for p in rng.random(20)]
+    states += [zero_discord_state(spec) for spec in theorem3_states]
+    states += [dephase(random_density_matrix(2 * db, rng, (2, db)), (1,)) for db in (2, 3, 4) for _ in range(5)]
+    for rho in states:
+        assert rho.dim >= 3
+        assert linalg._jacobi(rho.mat, False)[0] == linalg._jacobi(rho.mat, True)[0]
 
 
 def test_eigenvalue_sum_matches_trace():
@@ -73,7 +148,7 @@ def test_nearly_hermitian_input_gives_the_hermitian_part_spectrum():
     """Anti-Hermitian noise inside the Hermiticity tolerance shifts the
     spectrum by no more than its own size."""
     rng = np.random.default_rng(31)
-    for dim in (2, 4, 9):
+    for dim in (2, 3, 4, 9):
         h = random_hermitian(rng, dim)
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         k = g - g.conj().T
@@ -82,6 +157,13 @@ def test_nearly_hermitian_input_gives_the_hermitian_part_spectrum():
         want = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
         assert np.allclose(jacobi_values(m), want, atol=1e-10, rtol=0.0)
         assert np.allclose(hermitian_eigh(m)[0], want, atol=1e-10, rtol=0.0)
+        # both paths read only the upper triangle: the spectrum is that of
+        # its Hermitian completion
+        upper = np.triu(m, 1)
+        completion = upper + upper.conj().T + np.diag(m.diagonal().real)
+        want = np.linalg.eigvalsh(completion)[::-1]
+        assert np.allclose(jacobi_values(m), want, atol=1e-12, rtol=0.0)
+        assert np.allclose(hermitian_eigh(m)[0], want, atol=1e-12, rtol=0.0)
 
 
 def test_eigh_vectors_satisfy_eigen_equation():
@@ -116,6 +198,27 @@ def test_convergence_error_when_sweeps_exhausted(monkeypatch):
     for want_vectors in (False, True):
         with pytest.raises(ConvergenceError):
             linalg._jacobi(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex), want_vectors)
+
+
+def test_convergence_error_when_ql_iterations_exhausted(monkeypatch):
+    """The cap binds on a block of size 3 or more; the vectors path and a
+    matrix that splits into smaller blocks do not run QL."""
+    m = random_hermitian(np.random.default_rng(37), 5)
+    for cap in (0, 1):
+        monkeypatch.setattr(linalg, "QL_MAX_ITER", cap)
+        with pytest.raises(ConvergenceError, match="QL"):
+            linalg._jacobi(m, False)
+    assert np.allclose(hermitian_eigh(m)[0], np.linalg.eigvalsh(m)[::-1], atol=1e-12, rtol=0.0)
+    w = werner(0.5).mat
+    assert linalg._jacobi(w, False)[0] == linalg._jacobi(w, True)[0]
+
+
+def test_kron_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(41)
+    for da, db in ((2, 2), (2, 3), (2, 4), (3, 3)):
+        a = random_hermitian(rng, da)
+        b = random_hermitian(rng, db)
+        assert np.array_equal(linalg._kron(a, b), np.kron(a, b))
 
 
 def test_hermitian_input_is_required(monkeypatch):

@@ -144,7 +144,7 @@ class TestPartialTrace:
 
     def test_keep_aliases_agree(self):
         rho = werner(0.4)
-        for keep in (0, "A", "a", 1, "B", "b"):
+        for keep in (0, "A", "a", np.int64(0), 1, "B", "b", np.int64(1)):
             assert np.abs(partial_trace(rho, keep).mat - np.eye(2) / 2).max() < 1e-15
 
     def test_rejects_bad_arguments(self):
@@ -156,6 +156,12 @@ class TestPartialTrace:
     @pytest.mark.parametrize("keep", (True, False))
     def test_rejects_bool_keep(self, keep):
         # True == 1 and False == 0 as dict keys, so a lookup alone would accept them
+        with pytest.raises(ValueError, match="keep"):
+            partial_trace(werner(0.5), keep)
+
+    @pytest.mark.parametrize("keep", (1.0, np.float64(0.0), [1], "AB", None))
+    def test_rejects_non_integer_keep(self, keep):
+        # a float equal to 0 or 1 is refused, as dephase and the dims check refuse it
         with pytest.raises(ValueError, match="keep"):
             partial_trace(werner(0.5), keep)
 
