@@ -66,97 +66,24 @@ def _rows_hermitian(rows: list[list[complex]]) -> bool:
     return True
 
 
-def _jacobi(mat: np.ndarray, want_vectors: bool):
-    """Eigenvalues, and with want_vectors eigenvectors, of a Hermitian matrix.
+def _jacobi(mat: np.ndarray) -> list[float]:
+    """Eigenvalues, unsorted, of a Hermitian matrix: every state's positivity check.
 
     Reads only the diagonal and the upper triangle: callers have already
     checked Hermiticity.  Runs on plain Python scalars, which at these
-    sizes beat vectorized calls.  Without vectors (every state's
-    positivity check) a 2x2, which the measurement sweeps hammer, takes
-    _jacobi_2x2_values and any other size _block_values.  With vectors,
-    or a sweep cap below 1, cyclic Jacobi: each sweep annihilates every
-    upper off-diagonal element in turn with a complex plane rotation,
-    until the off-diagonal Frobenius norm drops below JACOBI_OFF_TOL,
-    moving the diagonal in closed form and updating the rest of rows and
-    columns p and q once each, on the upper triangle only.
-
-    Returns (values unsorted, accumulated unitary or None).
+    sizes beat vectorized calls.  A 2x2, which the measurement sweeps
+    hammer, takes _jacobi_2x2_values and any other size _block_values.
     """
     a = mat.tolist()
-    if not want_vectors and JACOBI_MAX_SWEEPS > 0:
-        return (_jacobi_2x2_values(a) if len(a) == 2 else _block_values(a)), None
-    n = len(a)
-    d = [a[i][i].real for i in range(n)]
-    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off2 = 0.0
-        for i in range(n):
-            ai = a[i]
-            for j in range(i + 1, n):
-                x = ai[j]
-                off2 += x.real * x.real + x.imag * x.imag
-        if 2.0 * off2 < JACOBI_OFF_TOL * JACOBI_OFF_TOL:
-            return d, v
-        if sweep == JACOBI_MAX_SWEEPS:
-            break
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                dp = d[p]
-                dq = d[q]
-                if dp == dq:
-                    t = 1.0
-                else:
-                    tau = (dp - dq) / (2.0 * r)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                se = t * c * (apq / r)
-                sec = se.conjugate()
-                tr = t * r
-                d[p] = dp + tr
-                d[q] = dq - tr
-                ap[q] = 0.0j
-                aq = a[q]
-                # A <- V+ A V on the upper triangle, V the (p, q) rotation:
-                # column entries above p, then the mixed span, then row entries
-                for k in range(p):
-                    ak = a[k]
-                    akp = ak[p]
-                    akq = ak[q]
-                    ak[p] = c * akp + sec * akq
-                    ak[q] = c * akq - se * akp
-                for k in range(p + 1, q):
-                    ak = a[k]
-                    apk = ap[k]
-                    akq = ak[q]
-                    ap[k] = c * apk + se * akq.conjugate()
-                    ak[q] = c * akq - se * apk.conjugate()
-                for k in range(q + 1, n):
-                    apk = ap[k]
-                    aqk = aq[k]
-                    ap[k] = c * apk + se * aqk
-                    aq[k] = c * aqk - sec * apk
-                for vi in v:
-                    vip = vi[p]
-                    viq = vi[q]
-                    vi[p] = c * vip + sec * viq
-                    vi[q] = c * viq - se * vip
-    raise ConvergenceError(
-        f"Jacobi did not reach off-norm {JACOBI_OFF_TOL} in {JACOBI_MAX_SWEEPS} sweeps"
-    )
+    return _jacobi_2x2_values(a) if len(a) == 2 else _block_values(a)
 
 
 def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
-    """The cyclic loop of _jacobi unrolled for n == 2 without vectors.
+    """The cyclic loop of hermitian_eigh unrolled for n == 2 without vectors.
 
     On a 2x2 the first sweep is a single rotation that zeroes the
     off-diagonal entry, so the loop always ends at the convergence test
-    of the second sweep; _jacobi comes here only when JACOBI_MAX_SWEEPS
-    allows that one sweep.  This runs the same convergence test and the
+    of the second sweep.  This runs the same convergence test and the
     same closed-form diagonal update with every expression in the
     loop's order, so its values are bit-identical to the loop's.
     """
@@ -264,12 +191,77 @@ def hermitian_eigh(m: np.ndarray):
     """Full eigendecomposition via cyclic Jacobi.
 
     Like _jacobi, trusts its caller to have checked Hermiticity (it is
-    handed the matrix of a validated DensityMatrix).  Returns (values,
-    vectors) with values descending and vectors[:, k] the unit
+    handed the matrix of a validated DensityMatrix) and reads only the
+    diagonal and the upper triangle.  Each sweep annihilates every upper
+    off-diagonal element in turn with a complex plane rotation, until
+    the off-diagonal Frobenius norm drops below JACOBI_OFF_TOL, moving
+    the diagonal in closed form and updating the rest of rows and
+    columns p and q once each, on the upper triangle only.  Returns
+    (values, vectors) with values descending and vectors[:, k] the unit
     eigenvector belonging to values[k].
     """
-    vals, vecs = _jacobi(m, want_vectors=True)
-    order = sorted(range(len(vals)), key=lambda k: -vals[k])
-    w = [vals[k] for k in order]
-    u = np.array([[vecs[i][k] for k in order] for i in range(len(vals))], dtype=complex)
-    return w, u
+    a = m.tolist()
+    n = len(a)
+    d = [a[i][i].real for i in range(n)]
+    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        off2 = 0.0
+        for i in range(n):
+            ai = a[i]
+            for j in range(i + 1, n):
+                x = ai[j]
+                off2 += x.real * x.real + x.imag * x.imag
+        if 2.0 * off2 < JACOBI_OFF_TOL * JACOBI_OFF_TOL:
+            order = sorted(range(n), key=lambda k: -d[k])
+            return [d[k] for k in order], np.array([[vi[k] for k in order] for vi in v], dtype=complex)
+        if sweep == JACOBI_MAX_SWEEPS:
+            break
+        for p in range(n - 1):
+            ap = a[p]
+            for q in range(p + 1, n):
+                apq = ap[q]
+                r = abs(apq)
+                if r == 0.0:
+                    continue
+                dp = d[p]
+                dq = d[q]
+                if dp == dq:
+                    t = 1.0
+                else:
+                    tau = (dp - dq) / (2.0 * r)
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                se = t * c * (apq / r)
+                sec = se.conjugate()
+                tr = t * r
+                d[p] = dp + tr
+                d[q] = dq - tr
+                ap[q] = 0.0j
+                aq = a[q]
+                # A <- V+ A V on the upper triangle, V the (p, q) rotation:
+                # column entries above p, then the mixed span, then row entries
+                for k in range(p):
+                    ak = a[k]
+                    akp = ak[p]
+                    akq = ak[q]
+                    ak[p] = c * akp + sec * akq
+                    ak[q] = c * akq - se * akp
+                for k in range(p + 1, q):
+                    ak = a[k]
+                    apk = ap[k]
+                    akq = ak[q]
+                    ap[k] = c * apk + se * akq.conjugate()
+                    ak[q] = c * akq - se * apk.conjugate()
+                for k in range(q + 1, n):
+                    apk = ap[k]
+                    aqk = aq[k]
+                    ap[k] = c * apk + se * aqk
+                    aq[k] = c * aqk - sec * apk
+                for vi in v:
+                    vip = vi[p]
+                    viq = vi[q]
+                    vi[p] = c * vip + sec * viq
+                    vi[q] = c * viq - se * vip
+    raise ConvergenceError(
+        f"Jacobi did not reach off-norm {JACOBI_OFF_TOL} in {JACOBI_MAX_SWEEPS} sweeps"
+    )

@@ -11,7 +11,7 @@ from . import linalg
 # c_re is unused here, but perfbench's tracer test reads optimize.c_re
 from .coherence import c_re, xlog2x  # noqa: F401
 from .protocols import KrausChannel, ensemble_rate, measure_local_A
-from .states import _check_p, werner
+from .states import _check_p, _index, werner
 
 LN2 = math.log(2.0)
 
@@ -70,7 +70,10 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int] = (200, 400)) ->
     rounding noise of order 1e-16 would pick the reported azimuth.
     """
     p = _check_p(p)
-    n_theta, n_phi = int(grid[0]), int(grid[1])
+    try:
+        n_theta, n_phi = map(_index, grid)
+    except TypeError:
+        raise ValueError(f"grid sizes must be integers, got {grid}") from None
     if n_theta < 2 or n_phi < 1:
         raise ValueError(f"grid must be at least 2 x 1, got {grid}")
     rho = werner(p)
@@ -99,35 +102,3 @@ def gap_second_derivative(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return math.nan
     return (1.0 - 3.0 * p) / ((1.0 + 3.0 * p) * (1.0 - p * p) * LN2)
-
-
-@dataclass(frozen=True)
-class GapAnalysis:
-    """Closed-form snapshot of the distillation gap at one p."""
-
-    p: float
-    qi: float
-    rate: float
-    gap: float
-    second_derivative: float
-
-
-def gap_analysis(p: float) -> GapAnalysis:
-    """Closed forms at p plus the gap curvature.
-
-    On p in [0.05, 0.95] the analytic second derivative is cross-checked
-    against a central finite difference of the gap (step 1e-4, absolute
-    agreement 1e-4); a mismatch raises ArithmeticError.  At the
-    endpoints second_derivative is the nan sentinel.
-    """
-    p = _check_p(p)
-    qi = qi_werner_closed_form(p)
-    rate = rate_werner_closed_form(p)
-    gap = qi - rate
-    d2 = gap_second_derivative(p)
-    if 0.05 <= p <= 0.95:
-        h = 1e-4
-        fd = (gap_werner_closed_form(p + h) - 2.0 * gap_werner_closed_form(p) + gap_werner_closed_form(p - h)) / (h * h)
-        if abs(fd - d2) > 1e-4:
-            raise ArithmeticError(f"gap curvature mismatch at p={p}: {d2} vs {fd}")
-    return GapAnalysis(p, qi, rate, gap, d2)

@@ -61,7 +61,7 @@ class DensityMatrix:
         tr = sum(rows[i][i] for i in range(n))
         if abs(tr - 1.0) > DEFAULT_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
-        eigs, _ = linalg._jacobi(m, want_vectors=False)  # Hermiticity already checked
+        eigs = linalg._jacobi(m)  # Hermiticity already checked
         eigs.sort(reverse=True)
         if eigs[-1] < -DEFAULT_TOL:
             raise ValueError(f"not positive semidefinite: min eigenvalue {eigs[-1]}")
@@ -121,15 +121,17 @@ def werner(p: float) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduce a bipartite state to one marginal.
 
-    keep selects the surviving subsystem: 0 / "A" / "a" or 1 / "B" / "b",
-    an integer but not a bool or float.  Each marginal is built once.
+    keep selects the surviving subsystem, 0 for A or 1 for B: an integer,
+    not a bool, float or letter.  Each marginal is built once.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"partial_trace needs a bipartite state, dims are {rho.dims}")
     try:
-        side = {"A": 0, "B": 1, "a": 0, "b": 1, 0: 0, 1: 1}[keep if isinstance(keep, str) else _index(keep)]
-    except (KeyError, TypeError):
-        raise ValueError(f"keep must be 'A'/'B' or 0/1, got {keep!r}") from None
+        side = _index(keep)
+    except TypeError:
+        side = None
+    if side not in (0, 1):
+        raise ValueError(f"keep must be 0 or 1, got {keep!r}")
     key = ("partial_trace", side)
     cached = rho._derived.get(key)
     if cached is None:

@@ -270,6 +270,18 @@ class TestVerify:
         assert result.exit_code == 0
         assert result.output == THEOREM4_21_4
 
+    def test_shifted_curvature_fails_theorem4_with_exit_one(self, runner, monkeypatch):
+        """The negative control of the curvature line: gap_second_derivative
+        off by 1e-3 where verify reads it keeps both signs right and fails
+        only the central-difference check."""
+        d2 = verify_mod.gap_second_derivative
+        monkeypatch.setattr(verify_mod, "gap_second_derivative", lambda p: d2(p) + 1e-3)
+        result = runner.invoke(main, ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert lines[-2].startswith("[FAIL] theorem4: gap convex below 1/3, concave above (")
+        assert lines[-1] == "10/11 checks passed"
+
     def test_lemma1_random_specs_print_only_rounding_noise(self, runner):
         """The discord= digits of the random-spec lines are rounding noise,
         not part of the output contract; their size is."""

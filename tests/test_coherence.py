@@ -150,8 +150,8 @@ class TestDerivedStates:
         assert dephase(rho, (1,)) is dephase(rho, (1,))
         assert dephase(rho, (np.int64(1),)) is dephase(rho, (1,))
         assert dephase(rho) is dephase(rho)
-        assert partial_trace(rho, "B") is partial_trace(rho, 1)
-        assert partial_trace(rho, "a") is partial_trace(rho, 0)
+        assert partial_trace(rho, np.int64(1)) is partial_trace(rho, 1)
+        assert partial_trace(rho, 0) is partial_trace(rho, 0)
 
     def test_distinct_operations_are_distinct_objects(self):
         rho = random_density_matrix(9, np.random.default_rng(42), (3, 3))

@@ -19,13 +19,13 @@ from cohdist.states import (
 
 def jacobi_values(m) -> list[float]:
     """The values-only Jacobi path DensityMatrix runs, sorted descending."""
-    vals, _ = linalg._jacobi(np.asarray(m, dtype=complex), want_vectors=False)
-    return sorted(vals, reverse=True)
+    return sorted(linalg._jacobi(np.asarray(m, dtype=complex)), reverse=True)
 
 
 def test_jacobi_matches_numpy_across_sizes():
     """The values-only spectrum (closed forms at n <= 2, tridiagonal QL
-    above) and the cyclic Jacobi spectrum agree with the LAPACK oracle."""
+    above) and the cyclic Jacobi spectrum of hermitian_eigh agree with
+    the LAPACK oracle."""
     rng = np.random.default_rng(101)
     for dim in range(1, 10):
         for _ in range(25):
@@ -81,8 +81,8 @@ def test_tridiagonal_reflects_past_a_zero_subdiagonal_entry():
 
 def test_values_path_is_bit_identical_to_the_loop_on_small_blocks():
     """A matrix whose blocks all have size 1 or 2 gets the cyclic loop's
-    values bit for bit, each at the loop's index.  The loop with vectors
-    is that reference: its diagonal never depends on the vectors."""
+    values bit for bit.  hermitian_eigh runs that loop: its diagonal
+    never depends on the vectors."""
     rng = np.random.default_rng(107)
     theorem3_states = (
         ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), ((0, 1),), (pure_state([1.0, 1.0]),)),
@@ -98,7 +98,7 @@ def test_values_path_is_bit_identical_to_the_loop_on_small_blocks():
     states += [dephase(random_density_matrix(2 * db, rng, (2, db)), (1,)) for db in (2, 3, 4) for _ in range(5)]
     for rho in states:
         assert rho.dim >= 3
-        assert linalg._jacobi(rho.mat, False)[0] == linalg._jacobi(rho.mat, True)[0]
+        assert jacobi_values(rho.mat) == hermitian_eigh(rho.mat)[0]
 
 
 def test_eigenvalue_sum_matches_trace():
@@ -187,30 +187,30 @@ def test_two_by_two_spectrum_properties(entries):
 @settings(max_examples=200, derandomize=True)
 @given(st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
 def test_two_by_two_values_path_is_bit_identical_to_the_loop(entries):
-    """Without vectors a 2x2 takes the unrolled path; with them, the loop."""
+    """_jacobi takes the unrolled path on a 2x2; hermitian_eigh, the loop."""
     a, b, c, d = entries
     m = np.array([[a, c + 1j * d], [c - 1j * d, b]], dtype=complex)
-    assert linalg._jacobi(m, False)[0] == linalg._jacobi(m, True)[0]
+    assert jacobi_values(m) == hermitian_eigh(m)[0]
 
 
 def test_convergence_error_when_sweeps_exhausted(monkeypatch):
+    """The sweep cap binds on hermitian_eigh's cyclic loop."""
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    for want_vectors in (False, True):
-        with pytest.raises(ConvergenceError):
-            linalg._jacobi(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex), want_vectors)
+    with pytest.raises(ConvergenceError, match="sweeps"):
+        hermitian_eigh(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex))
 
 
 def test_convergence_error_when_ql_iterations_exhausted(monkeypatch):
-    """The cap binds on a block of size 3 or more; the vectors path and a
+    """The cap binds on a block of size 3 or more; hermitian_eigh and a
     matrix that splits into smaller blocks do not run QL."""
     m = random_hermitian(np.random.default_rng(37), 5)
     for cap in (0, 1):
         monkeypatch.setattr(linalg, "QL_MAX_ITER", cap)
         with pytest.raises(ConvergenceError, match="QL"):
-            linalg._jacobi(m, False)
+            linalg._jacobi(m)
     assert np.allclose(hermitian_eigh(m)[0], np.linalg.eigvalsh(m)[::-1], atol=1e-12, rtol=0.0)
     w = werner(0.5).mat
-    assert linalg._jacobi(w, False)[0] == linalg._jacobi(w, True)[0]
+    assert jacobi_values(w) == hermitian_eigh(w)[0]
 
 
 def test_kron_is_bit_identical_to_numpy():

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cohdist import optimize
 from cohdist.coherence import c_re
 from cohdist.optimize import (
     BruteForceResult,
     brute_force_measurement_opt,
-    gap_analysis,
     gap_second_derivative,
     gap_werner_closed_form,
     qi_werner_closed_form,
@@ -34,6 +32,15 @@ class TestClosedForms:
         assert qi_werner_closed_form(1.0) == pytest.approx(1.0, abs=1e-15)
         assert rate_werner_closed_form(1.0) == pytest.approx(1.0, abs=1e-15)
         assert gap_werner_closed_form(1.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_endpoint_gaps_are_tiny_but_positive(self):
+        """qi - rate, as theorem4_suite reads the gap."""
+        low = qi_werner_closed_form(1e-6) - rate_werner_closed_form(1e-6)
+        high = qi_werner_closed_form(1.0 - 1e-6) - rate_werner_closed_form(1.0 - 1e-6)
+        assert 0.0 < low < 1e-4
+        assert 0.0 < high < 1e-4
+        assert low == pytest.approx(7.214662064790973e-13, abs=1e-15)
+        assert high == pytest.approx(4.843565947987294e-06, rel=1e-9)
 
     def test_gap_is_the_difference_of_the_other_two(self):
         for p in np.linspace(0.0, 1.0, 21):
@@ -134,6 +141,16 @@ class TestBruteForce:
             with pytest.raises(ValueError, match="grid"):
                 brute_force_measurement_opt(0.5, bad)
 
+    @pytest.mark.parametrize("grid", [(21.9, 1.5), (21, True), (True, 4), (21, 4.0), (21, "4")])
+    def test_grid_sizes_must_be_integers(self, grid):
+        # each of these once ran a truncated sweep, (21.9, 1.5) and (21, True) a 21x1 one
+        with pytest.raises(ValueError, match="grid sizes must be integers"):
+            brute_force_measurement_opt(0.5, grid)
+
+    def test_numpy_integer_grid_sizes_pass(self):
+        res = brute_force_measurement_opt(0.5, (np.int64(21), np.int32(4)))
+        assert res == brute_force_measurement_opt(0.5, (21, 4))
+
 
 class TestGapCurvature:
     def test_sign_structure(self):
@@ -163,29 +180,3 @@ class TestGapCurvature:
                 + gap_werner_closed_form(p - h)
             ) / (h * h)
             assert abs(fd - gap_second_derivative(p)) <= 1e-4
-
-
-class TestGapAnalysis:
-    def test_fields_are_consistent(self):
-        g = gap_analysis(0.5)
-        assert g.p == 0.5
-        assert g.gap == g.qi - g.rate
-        assert g.qi == qi_werner_closed_form(0.5)
-        assert g.second_derivative == gap_second_derivative(0.5)
-
-    def test_endpoint_gaps_are_tiny_but_positive(self):
-        low = gap_analysis(1e-6).gap
-        high = gap_analysis(1.0 - 1e-6).gap
-        assert 0.0 < low < 1e-4
-        assert 0.0 < high < 1e-4
-        assert low == pytest.approx(7.214662064790973e-13, abs=1e-15)
-        assert high == pytest.approx(4.843565947987294e-06, rel=1e-9)
-
-    def test_endpoint_curvature_is_the_sentinel(self):
-        assert math.isnan(gap_analysis(0.0).second_derivative)
-        assert math.isnan(gap_analysis(1.0).second_derivative)
-
-    def test_curvature_crosscheck_guard_raises_on_mismatch(self, monkeypatch):
-        monkeypatch.setattr(optimize, "gap_second_derivative", lambda p: 99.0)
-        with pytest.raises(ArithmeticError, match="curvature"):
-            gap_analysis(0.5)
