@@ -180,3 +180,13 @@ class TestGapCurvature:
                 + gap_werner_closed_form(p - h)
             ) / (h * h)
             assert abs(fd - gap_second_derivative(p)) <= 1e-4
+
+
+class TestGapAnalysis:
+    def test_endpoint_curvature_is_the_sentinel(self):
+        """At p = 0 and 1 the gap, read as qi - rate, is a finite 0 while its
+        curvature is the nan sentinel."""
+        for p in (0.0, 1.0):
+            gap = qi_werner_closed_form(p) - rate_werner_closed_form(p)
+            assert gap == pytest.approx(0.0, abs=1e-15)
+            assert math.isnan(gap_second_derivative(p))
