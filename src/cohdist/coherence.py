@@ -43,7 +43,8 @@ def von_neumann_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """S(rho || sigma) = tr rho log2 rho - tr rho log2 sigma.
 
-    Both terms are evaluated through eigendecompositions.  When rho puts
+    The first term reads rho's spectrum, the second sigma's
+    eigendecomposition from linalg.hermitian_eigh.  When rho puts
     weight above WEIGHT_TOL on a direction where sigma's eigenvalue is
     below SUPPORT_TOL the divergence is +inf.
     """

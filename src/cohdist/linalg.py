@@ -1,8 +1,10 @@
 """Dense complex linear algebra for small matrices.
 
-The largest matrix the package builds is 9x9 (two qutrits), so the
-eigensolvers (cyclic Jacobi, and for eigenvalues alone Householder
-tridiagonalization and implicit QL) favor determinism over asymptotic speed.
+The largest matrix the package builds is 9x9 (two qutrits).  Spectra come
+from _jacobi, in pure Python (a 2x2 closed form, else Householder
+tridiagonalization and implicit QL), which favors determinism over
+asymptotic speed; the discord cross-check's eigenvectors come from
+numpy.linalg.eigh.
 Composite indices are always A-major: |i>_A |j>_B sits at i * dim_b + j.
 """
 
@@ -18,15 +20,14 @@ import numpy as np
 # Kraus completeness and probability sums all hold to within DEFAULT_TOL.
 DEFAULT_TOL = 1e-10
 
-# Convergence contracts, else ConvergenceError: Jacobi's off-diagonal Frobenius norm below
-# JACOBI_OFF_TOL within JACOBI_MAX_SWEEPS cyclic sweeps; QL_MAX_ITER QL steps per eigenvalue.
+# A 2x2 whose off-diagonal Frobenius norm is below JACOBI_OFF_TOL is already diagonal.
+# QL deflates each eigenvalue within QL_MAX_ITER steps, else ConvergenceError.
 JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 QL_MAX_ITER = 30
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver hit its sweep or iteration cap before converging."""
+    """Tridiagonal QL hit its iteration cap before deflating an eigenvalue."""
 
 
 @lru_cache(maxsize=None)
@@ -79,13 +80,12 @@ def _jacobi(mat: np.ndarray) -> list[float]:
 
 
 def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
-    """The cyclic loop of hermitian_eigh unrolled for n == 2 without vectors.
+    """Eigenvalues of a Hermitian 2x2 by the one Jacobi rotation that zeroes
+    its off-diagonal entry.
 
-    On a 2x2 the first sweep is a single rotation that zeroes the
-    off-diagonal entry, so the loop always ends at the convergence test
-    of the second sweep.  This runs the same convergence test and the
-    same closed-form diagonal update with every expression in the
-    loop's order, so its values are bit-identical to the loop's.
+    A matrix already diagonal within JACOBI_OFF_TOL returns its diagonal.
+    Otherwise the rotation's tangent t, the smaller root for stability,
+    moves the diagonal entries by +t|a01| and -t|a01| in closed form.
     """
     (a00, a01), (_, a11) = a
     if 2.0 * (a01.real * a01.real + a01.imag * a01.imag) < JACOBI_OFF_TOL * JACOBI_OFF_TOL:
@@ -104,9 +104,9 @@ def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
 
 def _block_values(a: list[list[complex]]) -> list[float]:
     """Eigenvalues of a Hermitian matrix held as nested lists, on each block
-    (connected component of the upper triangle's exact-nonzero pattern):
-    the cyclic loop's values, bit for bit and at its indices, on blocks
-    of size 1 and 2; _tridiagonal and _ql_values on larger ones."""
+    (connected component of the upper triangle's exact-nonzero pattern), at
+    its indices: the diagonal entry of a block of size 1, _jacobi_2x2_values
+    on size 2, and _tridiagonal and _ql_values on larger ones."""
     d = [row[i].real for i, row in enumerate(a)]  # the values of 1x1 blocks
     rest = list(range(len(a)))
     while rest:
@@ -188,80 +188,14 @@ def _ql_values(d: list[float], e: list[float]) -> list[float]:
 
 
 def hermitian_eigh(m: np.ndarray):
-    """Full eigendecomposition via cyclic Jacobi.
+    """Full eigendecomposition by numpy.linalg.eigh, a route independent of
+    _jacobi's arithmetic, for the discord cross-check.
 
     Like _jacobi, trusts its caller to have checked Hermiticity (it is
     handed the matrix of a validated DensityMatrix) and reads only the
-    diagonal and the upper triangle.  Each sweep annihilates every upper
-    off-diagonal element in turn with a complex plane rotation, until
-    the off-diagonal Frobenius norm drops below JACOBI_OFF_TOL, moving
-    the diagonal in closed form and updating the rest of rows and
-    columns p and q once each, on the upper triangle only.  Returns
-    (values, vectors) with values descending and vectors[:, k] the unit
-    eigenvector belonging to values[k].
+    diagonal and the upper triangle.  Returns (values, vectors) with
+    values descending and vectors[:, k] the unit eigenvector belonging
+    to values[k].
     """
-    a = m.tolist()
-    n = len(a)
-    d = [a[i][i].real for i in range(n)]
-    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off2 = 0.0
-        for i in range(n):
-            ai = a[i]
-            for j in range(i + 1, n):
-                x = ai[j]
-                off2 += x.real * x.real + x.imag * x.imag
-        if 2.0 * off2 < JACOBI_OFF_TOL * JACOBI_OFF_TOL:
-            order = sorted(range(n), key=lambda k: -d[k])
-            return [d[k] for k in order], np.array([[vi[k] for k in order] for vi in v], dtype=complex)
-        if sweep == JACOBI_MAX_SWEEPS:
-            break
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                dp = d[p]
-                dq = d[q]
-                if dp == dq:
-                    t = 1.0
-                else:
-                    tau = (dp - dq) / (2.0 * r)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                se = t * c * (apq / r)
-                sec = se.conjugate()
-                tr = t * r
-                d[p] = dp + tr
-                d[q] = dq - tr
-                ap[q] = 0.0j
-                aq = a[q]
-                # A <- V+ A V on the upper triangle, V the (p, q) rotation:
-                # column entries above p, then the mixed span, then row entries
-                for k in range(p):
-                    ak = a[k]
-                    akp = ak[p]
-                    akq = ak[q]
-                    ak[p] = c * akp + sec * akq
-                    ak[q] = c * akq - se * akp
-                for k in range(p + 1, q):
-                    ak = a[k]
-                    apk = ap[k]
-                    akq = ak[q]
-                    ap[k] = c * apk + se * akq.conjugate()
-                    ak[q] = c * akq - se * apk.conjugate()
-                for k in range(q + 1, n):
-                    apk = ap[k]
-                    aqk = aq[k]
-                    ap[k] = c * apk + se * aqk
-                    aq[k] = c * aqk - sec * apk
-                for vi in v:
-                    vip = vi[p]
-                    viq = vi[q]
-                    vi[p] = c * vip + sec * viq
-                    vi[q] = c * viq - se * vip
-    raise ConvergenceError(
-        f"Jacobi did not reach off-norm {JACOBI_OFF_TOL} in {JACOBI_MAX_SWEEPS} sweeps"
-    )
+    vals, vecs = np.linalg.eigh(m, UPLO="U")
+    return vals[::-1].tolist(), vecs[:, ::-1]

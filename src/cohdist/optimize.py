@@ -33,13 +33,6 @@ def rate_werner_closed_form(p: float) -> float:
     return 0.5 * (xlog2x(1.0 + p) + xlog2x(1.0 - p))
 
 
-def gap_werner_closed_form(p: float) -> float:
-    """qi_werner_closed_form - rate_werner_closed_form, simplified to
-    (1+3p)/4 log2(1+3p) - (1-p)/4 log2(1-p) - (1+p) log2(1+p)."""
-    p = _check_p(p)
-    return 0.25 * xlog2x(1.0 + 3.0 * p) - 0.25 * xlog2x(1.0 - p) - xlog2x(1.0 + p)
-
-
 @dataclass(frozen=True)
 class BruteForceResult:
     """Best projective measurement found by the exhaustive sweep: its
@@ -58,7 +51,7 @@ def _direction_projectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndar
     return up, linalg.identity(2) - up
 
 
-def brute_force_measurement_opt(p: float, grid: tuple[int, int] = (200, 400)) -> BruteForceResult:
+def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceResult:
     """Exhaustive sweep of rank-1 projective measurements on A.
 
     For every direction n on the (theta x phi) grid Alice measures
@@ -93,7 +86,7 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int] = (200, 400)) ->
 
 
 def gap_second_derivative(p: float) -> float:
-    """d^2/dp^2 of the gap: (1 - 3p) / ((1 + 3p)(1 - p^2) ln 2).
+    """d^2/dp^2 of the gap qi - rate: (1 - 3p) / ((1 + 3p)(1 - p^2) ln 2).
 
     Positive below p = 1/3, negative above; undefined (nan) at the
     endpoints where the log terms degenerate.

@@ -80,10 +80,6 @@ class KrausChannel:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
-    @property
-    def is_incoherent(self) -> bool:
-        return all(is_incoherent_kraus(k) for k in self.operators)
-
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
@@ -109,14 +105,6 @@ class Ensemble:
         if not abs(total - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"branch probabilities sum to {total}, expected 1")
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(q for q, _ in self.items)
-
-    @property
-    def states(self) -> tuple[DensityMatrix, ...]:
-        return tuple(s for _, s in self.items)
 
 
 @dataclass(frozen=True, eq=False)

@@ -216,9 +216,7 @@ def zero_discord_state(spec: ZeroDiscordSpec) -> DensityMatrix:
     return DensityMatrix(mat, (da, db))
 
 
-def random_zero_discord_spec(
-    rng: np.random.Generator, dim_a: int = 2, dim_b: int = 3
-) -> ZeroDiscordSpec:
+def random_zero_discord_spec(rng: np.random.Generator, dim_a: int, dim_b: int) -> ZeroDiscordSpec:
     """Sample a ZeroDiscordSpec: random block partition of the B basis,
     Ginibre factors on each block, Dirichlet weights."""
     if dim_a < 1 or dim_b < 1:

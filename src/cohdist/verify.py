@@ -12,7 +12,6 @@ from .linalg import _kron
 from .optimize import (
     brute_force_measurement_opt,
     gap_second_derivative,
-    gap_werner_closed_form,
     qi_werner_closed_form,
     rate_werner_closed_form,
 )
@@ -106,7 +105,7 @@ def check_chain(rho: DensityMatrix, rate: float) -> ChainReport:
     return ChainReport(rate, qi, qi - rate, rate <= qi + VERDICT_TOL)
 
 
-def figure_data(p_from: float = 0.0, p_to: float = 1.0, steps: int = 101) -> list[ScanRecord]:
+def figure_data(p_from: float, p_to: float, steps: int) -> list[ScanRecord]:
     """Uniform closed-form sweep of (qi, rate, gap) over [p_from, p_to]."""
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -189,7 +188,7 @@ def theorem3_suite() -> SuiteResult:
     return SuiteResult("theorem3", tuple(checks))
 
 
-def lemma1_suite(seed: int = 7) -> SuiteResult:
+def lemma1_suite(seed: int) -> SuiteResult:
     """100 randomized zero-discord constructions plus negative controls.
 
     The controls feed discordant states (Werner, overlapping-block
@@ -230,7 +229,7 @@ def lemma1_suite(seed: int = 7) -> SuiteResult:
     return SuiteResult("lemma1", tuple(checks))
 
 
-def theorem4_suite(brute_grid: tuple[int, int] = (200, 400)) -> SuiteResult:
+def theorem4_suite(brute_grid: tuple[int, int]) -> SuiteResult:
     """Protocol optimality sweep plus the gap shape facts.
 
     For each p of DEFAULT_P_GRID: both protocols hit the closed-form rate
@@ -261,7 +260,11 @@ def theorem4_suite(brute_grid: tuple[int, int] = (200, 400)) -> SuiteResult:
                 f"rate={rate:.6f} lqicc={lq:.6f} licc={li:.6f} brute={bf:.6f} gap={gap:.6f}",
             )
         )
-    gaps = [qi_werner_closed_form(k / 1000.0) - rate_werner_closed_form(k / 1000.0) for k in range(1, 1000)]
+
+    def f(p: float) -> float:  # the gap
+        return qi_werner_closed_form(p) - rate_werner_closed_form(p)
+
+    gaps = [f(k / 1000.0) for k in range(1, 1000)]
     # gap ~ p^2 / (2 ln 2) near p=0, so the first grid point sits below
     # 1e-6; it must still be strictly positive, and every later point
     # must clear the margin.
@@ -274,7 +277,7 @@ def theorem4_suite(brute_grid: tuple[int, int] = (200, 400)) -> SuiteResult:
         )
     )
     # the analytic curvature must match a central difference of the gap
-    f, h = gap_werner_closed_form, 1e-4
+    h = 1e-4
     fd_agrees = all(
         abs((f(p + h) - 2.0 * f(p) + f(p - h)) / (h * h) - gap_second_derivative(p)) <= 1e-4
         for p in (k / 1000.0 for k in range(50, 951))

@@ -14,7 +14,6 @@ from cohdist.coherence import c_re, dephase, qi_relative_entropy, relative_entro
 from cohdist.optimize import (
     brute_force_measurement_opt,
     gap_second_derivative,
-    gap_werner_closed_form,
     qi_werner_closed_form,
     rate_werner_closed_form,
 )
@@ -39,6 +38,11 @@ from cohdist.verify import discord_report
 from conftest import random_monomial_unitary, trace_distance
 
 
+def gap(p: float) -> float:
+    """The Werner gap qi - rate, as theorem4_suite reads it."""
+    return qi_werner_closed_form(p) - rate_werner_closed_form(p)
+
+
 def test_criterion_1_closed_form_matches_matrix_oracle():
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 50):
@@ -56,7 +60,7 @@ def test_criterion_2_protocols_hit_the_steered_state_and_rate():
         target = p * pure_state([1.0, 1.0]).mat + (1.0 - p) * np.eye(2) / 2
         for protocol in (lqicc_werner_protocol, licc_erasing_protocol):
             result = protocol(p)
-            for state in result.ensemble.states:
+            for _, state in result.ensemble.items:
                 worst_td = max(worst_td, trace_distance(state.mat, target))
             worst_rate = max(worst_rate, abs(result.rate - rate_werner_closed_form(p)))
     assert worst_td < 1e-12
@@ -80,14 +84,14 @@ def test_criterion_4_gap_is_positive_across_the_interior():
     # The quadratic behaviour near p=0 puts the first grid point at
     # ~7.2e-7, below a blanket 1e-6 margin; it is pinned exactly and
     # every later grid point must clear the margin.
-    gaps = [gap_werner_closed_form(k / 1000.0) for k in range(1, 1000)]
+    gaps = [gap(k / 1000.0) for k in range(1, 1000)]
     assert gaps[0] == pytest.approx(7.199071054715114e-07, abs=1e-12)
     assert min(gaps) > 0.0
     assert all(g > 1e-6 for g in gaps[1:])
     for p in (1e-6, 1.0 - 1e-6):
-        edge = gap_werner_closed_form(p)
+        edge = gap(p)
         assert 0.0 < edge < 1e-4
-    mid = gap_werner_closed_form(0.5)
+    mid = gap(0.5)
     assert abs(mid - 0.073761) < 1e-6
     print(
         "criterion 4: PASS (grid minimum "
@@ -111,11 +115,7 @@ def test_criterion_6_gap_curvature_matches_finite_differences():
     worst = 0.0
     for p in np.linspace(0.05, 0.95, 19):
         p = float(p)
-        numeric = (
-            gap_werner_closed_form(p + h)
-            - 2.0 * gap_werner_closed_form(p)
-            + gap_werner_closed_form(p - h)
-        ) / (h * h)
+        numeric = (gap(p + h) - 2.0 * gap(p) + gap(p - h)) / (h * h)
         worst = max(worst, abs(gap_second_derivative(p) - numeric))
     assert worst < 1e-4
     assert gap_second_derivative(1.0 / 3.0 - 1e-3) > 0.0

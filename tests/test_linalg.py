@@ -24,8 +24,7 @@ def jacobi_values(m) -> list[float]:
 
 def test_jacobi_matches_numpy_across_sizes():
     """The values-only spectrum (closed forms at n <= 2, tridiagonal QL
-    above) and the cyclic Jacobi spectrum of hermitian_eigh agree with
-    the LAPACK oracle."""
+    above) and hermitian_eigh's values agree with the LAPACK oracle."""
     rng = np.random.default_rng(101)
     for dim in range(1, 10):
         for _ in range(25):
@@ -79,10 +78,85 @@ def test_tridiagonal_reflects_past_a_zero_subdiagonal_entry():
         assert np.allclose(sorted(vals), np.linalg.eigvalsh(m), atol=1e-12, rtol=0.0)
 
 
+# float.hex of _jacobi's sorted values on the states of the test below, frozen
+# when they equalled, bit for bit, those of a cyclic Jacobi loop
+SMALL_BLOCK_GOLDENS = (
+    ("0x1.7909acce28792p-1", "0x1.67e6332f94124p-4", "0x1.67e6332f94124p-4", "0x1.67e6332f94124p-4"),
+    ("0x1.376eb2765d9b6p-1", "0x1.0b6c67622ddb8p-3", "0x1.0b6c67622ddb7p-3", "0x1.0b6c67622ddb7p-3"),
+    ("0x1.410d1878bad01p-1", "0x1.fd326968b87fap-4", "0x1.fd326968b87fap-4", "0x1.fd326968b87f8p-4"),
+    ("0x1.9a2831efee2eap-1", "0x1.0f94d02ada2e2p-4", "0x1.0f94d02ada2e2p-4", "0x1.0f94d02ada2e0p-4"),
+    ("0x1.3c9c4c4d504f4p-1", "0x1.0484ef98ea40ep-3", "0x1.0484ef98ea40ep-3", "0x1.0484ef98ea40ep-3"),
+    ("0x1.3ac6fe1046185p-2", "0x1.d8d0abf5269a7p-3", "0x1.d8d0abf5269a7p-3", "0x1.d8d0abf5269a6p-3"),
+    ("0x1.1f977a468ddc2p-1", "0x1.2b3607a1ed851p-3", "0x1.2b3607a1ed851p-3", "0x1.2b3607a1ed850p-3"),
+    ("0x1.fbff656c3ebbap-1", "0x1.5588dbeb16c00p-9", "0x1.5588dbeb16c00p-9", "0x1.5588dbeb16c00p-9"),
+    ("0x1.806a31c1fb34dp-2", "0x1.aa63ded403322p-3", "0x1.aa63ded403322p-3", "0x1.aa63ded403322p-3"),
+    ("0x1.b990dbb822e0ap-1", "0x1.77a616d49b518p-5", "0x1.77a616d49b514p-5", "0x1.77a616d49b514p-5"),
+    ("0x1.b024a138f3494p-2", "0x1.8a923f2f5dcf2p-3", "0x1.8a923f2f5dcf2p-3", "0x1.8a923f2f5dcf1p-3"),
+    ("0x1.a9b6eabe15fd8p-2", "0x1.8edb638146ac5p-3", "0x1.8edb638146ac5p-3", "0x1.8edb638146ac5p-3"),
+    ("0x1.1fe363d13f262p-2", "0x1.eabdbd7480914p-3", "0x1.eabdbd7480914p-3", "0x1.eabdbd7480914p-3"),
+    ("0x1.5260cba118329p-2", "0x1.c914cd949a88fp-3", "0x1.c914cd949a88fp-3", "0x1.c914cd949a88ep-3"),
+    ("0x1.91ec4307528dfp-1", "0x1.2589f7ec79300p-4", "0x1.2589f7ec79300p-4", "0x1.2589f7ec79300p-4"),
+    ("0x1.f749d62e2cfddp-1", "0x1.73b1a2f880580p-8", "0x1.73b1a2f880580p-8", "0x1.73b1a2f880580p-8"),
+    ("0x1.d706eb6439a54p-2", "0x1.70a60dbd2ee72p-3", "0x1.70a60dbd2ee72p-3", "0x1.70a60dbd2ee71p-3"),
+    ("0x1.f1cceaa5d91cep-2", "0x1.5eccb8e6c4976p-3", "0x1.5eccb8e6c4976p-3", "0x1.5eccb8e6c4975p-3"),
+    ("0x1.4d43afe4aadf6p-2", "0x1.cc7d8abce36b1p-3", "0x1.cc7d8abce36b1p-3", "0x1.cc7d8abce36b0p-3"),
+    ("0x1.e1627dfa84256p-1", "0x1.4690158fd3c50p-6", "0x1.4690158fd3c50p-6", "0x1.4690158fd3c50p-6"),
+    ("0x1.ffffffffffffep-1", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    (
+        "0x1.3333333333332p-1", "0x1.9999999999998p-2", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0",
+    ),
+    ("0x1.0c19c6d3434a0p-1", "0x1.21056ef6da0b7p-2", "0x1.2d7219570145cp-3", "0x1.806fb5b8f5ee8p-5"),
+    ("0x1.a8941f7027a66p-2", "0x1.8e44c05b26db4p-2", "0x1.04bfeb9b09423p-3", "0x1.1b1ca99cb3756p-4"),
+    ("0x1.68d2bb7611decp-2", "0x1.62b2b8a509bdbp-2", "0x1.957b93660dc55p-3", "0x1.a6f308c776037p-4"),
+    ("0x1.771e3be51cb80p-2", "0x1.72616c4e0a770p-2", "0x1.4150cfc5b30a1p-3", "0x1.d75fbfa7fd2fbp-4"),
+    ("0x1.97cde2eda31f5p-2", "0x1.4b4207d0119ddp-2", "0x1.6d96c3cc5bf76p-3", "0x1.9892cd70751c6p-4"),
+    (
+        "0x1.6e15f8968a5aep-2", "0x1.f0f4b9dfd77e8p-3", "0x1.cdaf0ecf6f54dp-3", "0x1.47f507a91cf5ap-4",
+        "0x1.9fecf6366a174p-5", "0x1.64ea1305eddabp-5",
+    ),
+    (
+        "0x1.de1190762ce8ap-3", "0x1.c8de88110b23fp-3", "0x1.9d358c78c1a15p-3", "0x1.23ab18c47cc3ap-3",
+        "0x1.02ef44a17d3d8p-3", "0x1.2a7ffb3418a1dp-4",
+    ),
+    (
+        "0x1.87a72dee6e819p-2", "0x1.f7788ae02af2ap-3", "0x1.49fcd8d6bbfd3p-3", "0x1.60814fb60d505p-4",
+        "0x1.2ce4fbedc24bfp-4", "0x1.a2246a6950f9bp-5",
+    ),
+    (
+        "0x1.5947202fe7d78p-2", "0x1.ce61ded1136b6p-3", "0x1.7006ada6265e4p-3", "0x1.bd65bd0174bf0p-4",
+        "0x1.98416b5f05f67p-4", "0x1.90d67be2e4b26p-5",
+    ),
+    (
+        "0x1.0bd265dd15db1p-2", "0x1.d180f7a40fdd6p-3", "0x1.bde58c2bb98c1p-3", "0x1.f9dcbca54662cp-4",
+        "0x1.821d089368b9ap-4", "0x1.35ef9bb366a49p-4",
+    ),
+    (
+        "0x1.ea60327ba4557p-3", "0x1.715a84145bb31p-3", "0x1.6bd9713c008cfp-3", "0x1.baf186d80e39ap-4",
+        "0x1.412a20f0f7547p-4", "0x1.2875c88a04724p-4", "0x1.278098cfc34c2p-4", "0x1.24c5a74531882p-4",
+    ),
+    (
+        "0x1.c81a456ed0159p-3", "0x1.976f63ba29ef3p-3", "0x1.619737250f38bp-3", "0x1.0ba968cc466bep-3",
+        "0x1.ac9edf5ea5906p-4", "0x1.18be1195fd9fep-4", "0x1.c84aa7b793d88p-5", "0x1.79d251f5e721dp-5",
+    ),
+    (
+        "0x1.698c9fc478b38p-3", "0x1.3d5918c79773ap-3", "0x1.369af25f02347p-3", "0x1.21b85a580e568p-3",
+        "0x1.8e1851a92157ep-4", "0x1.85e050404445ep-4", "0x1.847421a9ec2e9p-4", "0x1.692131e66cd02p-4",
+    ),
+    (
+        "0x1.12c7fc30946e0p-2", "0x1.5fb97a85b72c8p-3", "0x1.4fcc9916751e4p-3", "0x1.43e5317d25b51p-3",
+        "0x1.35594a087ffccp-4", "0x1.e156cf1690226p-5", "0x1.c0c805797a736p-5", "0x1.8f41a1750a021p-5",
+    ),
+    (
+        "0x1.e2086b2cc7c43p-3", "0x1.dcb29afd4bfa8p-3", "0x1.159e1f7e77bd7p-3", "0x1.0cd12d99b32ecp-3",
+        "0x1.b4dfc58f9f91cp-4", "0x1.2042726e6f385p-4", "0x1.8604be192bb90p-5", "0x1.4b0d84e1bc074p-5",
+    ),
+)
+
+
 def test_values_path_is_bit_identical_to_the_loop_on_small_blocks():
-    """A matrix whose blocks all have size 1 or 2 gets the cyclic loop's
-    values bit for bit.  hermitian_eigh runs that loop: its diagonal
-    never depends on the vectors."""
+    """A matrix whose blocks all have size 1 or 2 gets the frozen values,
+    bit for bit: the closed form on each 2x2 block, at its indices."""
     rng = np.random.default_rng(107)
     theorem3_states = (
         ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), ((0, 1),), (pure_state([1.0, 1.0]),)),
@@ -96,9 +170,10 @@ def test_values_path_is_bit_identical_to_the_loop_on_small_blocks():
     states = [werner(float(p)) for p in rng.random(20)]
     states += [zero_discord_state(spec) for spec in theorem3_states]
     states += [dephase(random_density_matrix(2 * db, rng, (2, db)), (1,)) for db in (2, 3, 4) for _ in range(5)]
-    for rho in states:
+    assert len(states) == len(SMALL_BLOCK_GOLDENS)
+    for rho, golden in zip(states, SMALL_BLOCK_GOLDENS):
         assert rho.dim >= 3
-        assert jacobi_values(rho.mat) == hermitian_eigh(rho.mat)[0]
+        assert tuple(x.hex() for x in jacobi_values(rho.mat)) == golden
 
 
 def test_eigenvalue_sum_matches_trace():
@@ -146,7 +221,9 @@ def test_degenerate_spectra_at_the_largest_size():
 
 def test_nearly_hermitian_input_gives_the_hermitian_part_spectrum():
     """Anti-Hermitian noise inside the Hermiticity tolerance shifts the
-    spectrum by no more than its own size."""
+    spectrum by no more than its own size.  Both paths read only the upper
+    triangle, so one whose strict lower triangle is NaN gets the spectrum
+    of the upper triangle's Hermitian completion too."""
     rng = np.random.default_rng(31)
     for dim in (2, 3, 4, 9):
         h = random_hermitian(rng, dim)
@@ -157,13 +234,13 @@ def test_nearly_hermitian_input_gives_the_hermitian_part_spectrum():
         want = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
         assert np.allclose(jacobi_values(m), want, atol=1e-10, rtol=0.0)
         assert np.allclose(hermitian_eigh(m)[0], want, atol=1e-10, rtol=0.0)
-        # both paths read only the upper triangle: the spectrum is that of
-        # its Hermitian completion
         upper = np.triu(m, 1)
         completion = upper + upper.conj().T + np.diag(m.diagonal().real)
         want = np.linalg.eigvalsh(completion)[::-1]
-        assert np.allclose(jacobi_values(m), want, atol=1e-12, rtol=0.0)
-        assert np.allclose(hermitian_eigh(m)[0], want, atol=1e-12, rtol=0.0)
+        nan_below = np.where(np.tril(np.ones((dim, dim), dtype=bool), -1), np.nan, m)
+        for read in (m, nan_below):
+            assert np.allclose(jacobi_values(read), want, atol=1e-12, rtol=0.0)
+            assert np.allclose(hermitian_eigh(read)[0], want, atol=1e-12, rtol=0.0)
 
 
 def test_eigh_vectors_satisfy_eigen_equation():
@@ -184,33 +261,18 @@ def test_two_by_two_spectrum_properties(entries):
     assert abs(sum(vals) - (a + b)) <= 1e-9 * max(1.0, abs(a) + abs(b))
 
 
-@settings(max_examples=200, derandomize=True)
-@given(st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
-def test_two_by_two_values_path_is_bit_identical_to_the_loop(entries):
-    """_jacobi takes the unrolled path on a 2x2; hermitian_eigh, the loop."""
-    a, b, c, d = entries
-    m = np.array([[a, c + 1j * d], [c - 1j * d, b]], dtype=complex)
-    assert jacobi_values(m) == hermitian_eigh(m)[0]
-
-
-def test_convergence_error_when_sweeps_exhausted(monkeypatch):
-    """The sweep cap binds on hermitian_eigh's cyclic loop."""
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(ConvergenceError, match="sweeps"):
-        hermitian_eigh(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex))
-
-
 def test_convergence_error_when_ql_iterations_exhausted(monkeypatch):
     """The cap binds on a block of size 3 or more; hermitian_eigh and a
-    matrix that splits into smaller blocks do not run QL."""
+    matrix that splits into smaller blocks do not run QL: at cap 0,
+    werner(0.5) still gets its frozen values."""
     m = random_hermitian(np.random.default_rng(37), 5)
     for cap in (0, 1):
         monkeypatch.setattr(linalg, "QL_MAX_ITER", cap)
         with pytest.raises(ConvergenceError, match="QL"):
             linalg._jacobi(m)
     assert np.allclose(hermitian_eigh(m)[0], np.linalg.eigvalsh(m)[::-1], atol=1e-12, rtol=0.0)
-    w = werner(0.5).mat
-    assert jacobi_values(w) == hermitian_eigh(w)[0]
+    values = tuple(x.hex() for x in jacobi_values(werner(0.5).mat))
+    assert values == ("0x1.3ffffffffffffp-1", "0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.0000000000000p-3")
 
 
 def test_kron_is_bit_identical_to_numpy():

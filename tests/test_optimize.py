@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from cohdist.coherence import c_re
+from cohdist.coherence import c_re, xlog2x
 from cohdist.optimize import (
     BruteForceResult,
     brute_force_measurement_opt,
     gap_second_derivative,
-    gap_werner_closed_form,
     qi_werner_closed_form,
     rate_werner_closed_form,
 )
 from cohdist.states import DensityMatrix
+
+
+def gap(p: float) -> float:
+    """The Werner gap as theorem4_suite reads it."""
+    return qi_werner_closed_form(p) - rate_werner_closed_form(p)
 
 
 class TestClosedForms:
@@ -22,16 +26,16 @@ class TestClosedForms:
         assert rate_werner_closed_form(0.5) == pytest.approx(0.18872187554086717, abs=1e-12)
         assert rate_werner_closed_form(0.1) == pytest.approx(0.007225546012191789, abs=1e-12)
         assert rate_werner_closed_form(0.9) == pytest.approx(0.7136030428840436, abs=1e-12)
-        assert gap_werner_closed_form(0.5) == pytest.approx(0.0737613082228672, abs=1e-12)
-        assert gap_werner_closed_form(1.0 / 3.0) == pytest.approx(0.044110417748401104, abs=1e-12)
+        assert gap(0.5) == pytest.approx(0.0737613082228672, abs=1e-12)
+        assert gap(1.0 / 3.0) == pytest.approx(0.044110417748401104, abs=1e-12)
 
     def test_endpoints(self):
         assert qi_werner_closed_form(0.0) == 0.0
         assert rate_werner_closed_form(0.0) == 0.0
-        assert gap_werner_closed_form(0.0) == 0.0
+        assert gap(0.0) == 0.0
         assert qi_werner_closed_form(1.0) == pytest.approx(1.0, abs=1e-15)
         assert rate_werner_closed_form(1.0) == pytest.approx(1.0, abs=1e-15)
-        assert gap_werner_closed_form(1.0) == pytest.approx(0.0, abs=1e-15)
+        assert gap(1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_endpoint_gaps_are_tiny_but_positive(self):
         """qi - rate, as theorem4_suite reads the gap."""
@@ -43,14 +47,13 @@ class TestClosedForms:
         assert high == pytest.approx(4.843565947987294e-06, rel=1e-9)
 
     def test_gap_is_the_difference_of_the_other_two(self):
+        """qi - rate equals the simplified gap
+        (1+3p)/4 log2(1+3p) - (1-p)/4 log2(1-p) - (1+p) log2(1+p)."""
         for p in np.linspace(0.0, 1.0, 21):
-            diff = qi_werner_closed_form(p) - rate_werner_closed_form(p)
-            assert gap_werner_closed_form(p) == pytest.approx(diff, abs=1e-12)
+            simplified = 0.25 * xlog2x(1.0 + 3.0 * p) - 0.25 * xlog2x(1.0 - p) - xlog2x(1.0 + p)
+            assert gap(p) == pytest.approx(simplified, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "fn",
-        (qi_werner_closed_form, rate_werner_closed_form, gap_werner_closed_form),
-    )
+    @pytest.mark.parametrize("fn", (qi_werner_closed_form, rate_werner_closed_form))
     def test_domain(self, fn):
         for bad in (-0.01, 1.01):
             with pytest.raises(ValueError, match="mixing parameter"):
@@ -174,11 +177,7 @@ class TestGapCurvature:
     def test_matches_central_differences(self):
         h = 1e-4
         for p in np.linspace(0.05, 0.95, 19):
-            fd = (
-                gap_werner_closed_form(p + h)
-                - 2.0 * gap_werner_closed_form(p)
-                + gap_werner_closed_form(p - h)
-            ) / (h * h)
+            fd = (gap(p + h) - 2.0 * gap(p) + gap(p - h)) / (h * h)
             assert abs(fd - gap_second_derivative(p)) <= 1e-4
 
 
@@ -187,6 +186,5 @@ class TestGapAnalysis:
         """At p = 0 and 1 the gap, read as qi - rate, is a finite 0 while its
         curvature is the nan sentinel."""
         for p in (0.0, 1.0):
-            gap = qi_werner_closed_form(p) - rate_werner_closed_form(p)
-            assert gap == pytest.approx(0.0, abs=1e-15)
+            assert gap(p) == pytest.approx(0.0, abs=1e-15)
             assert math.isnan(gap_second_derivative(p))

@@ -84,10 +84,10 @@ class TestKrausChannel:
         assert KrausChannel(ch.operators).labels == ("1", "2")
 
     def test_incoherence_property(self):
-        assert _z_channel().is_incoherent
+        assert all(map(is_incoherent_kraus, _z_channel().operators))
         plus = pure_state([1.0, 1.0]).mat
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        assert not KrausChannel((plus, minus)).is_incoherent
+        assert not all(map(is_incoherent_kraus, KrausChannel((plus, minus)).operators))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -111,8 +111,8 @@ class TestKrausChannel:
 class TestEnsemble:
     def test_properties(self):
         ens = Ensemble(((0.5, pure_state([1.0, 1.0])), (0.5, maximally_mixed(2))))
-        assert ens.probabilities == (0.5, 0.5)
-        assert len(ens.states) == 2
+        assert tuple(q for q, _ in ens.items) == (0.5, 0.5)
+        assert len(ens.items) == 2
         assert ens.labels == ("1", "2")
 
     def test_validation(self):
@@ -137,9 +137,9 @@ class TestMeasureLocalA:
     def test_z_measurement_on_werner(self):
         ens = measure_local_A(werner(0.7), _z_channel())
         assert ens.labels == ("0", "1")
-        assert ens.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
-        assert np.abs(ens.states[0].mat - np.diag([0.85, 0.15])).max() < 1e-12
-        assert np.abs(ens.states[1].mat - np.diag([0.15, 0.85])).max() < 1e-12
+        assert tuple(q for q, _ in ens.items) == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert np.abs(ens.items[0][1].mat - np.diag([0.85, 0.15])).max() < 1e-12
+        assert np.abs(ens.items[1][1].mat - np.diag([0.15, 0.85])).max() < 1e-12
 
     def test_probabilities_sum_to_one_for_complete_channels(self):
         rng = np.random.default_rng(60)
@@ -147,7 +147,7 @@ class TestMeasureLocalA:
             u = random_unitary(rng, 2)
             ops = tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(2))
             ens = measure_local_A(random_density_matrix(6, rng, (2, 3)), KrausChannel(ops))
-            assert abs(sum(ens.probabilities) - 1.0) <= 1e-10
+            assert abs(sum(q for q, _ in ens.items) - 1.0) <= 1e-10
 
     @staticmethod
     def _reference_branches(rho, ops):
@@ -179,7 +179,7 @@ class TestMeasureLocalA:
         rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))
         ens = measure_local_A(rho, _z_channel())
         assert ens.labels == ("0",)
-        assert ens.probabilities == pytest.approx((1.0,), abs=1e-12)
+        assert tuple(q for q, _ in ens.items) == pytest.approx((1.0,), abs=1e-12)
         # A in |0>, measured in the reference basis: only outcome "1" survives
         for da, db in ((2, 2), (2, 3), (3, 2)):
             sigma = random_density_matrix(db, np.random.default_rng(63))
@@ -189,8 +189,8 @@ class TestMeasureLocalA:
             want = self._reference_branches(rho, ops)
             assert [w.trace().real for w in want[1:]] == [0.0] * (da - 1)
             assert ens.labels == ("1",)
-            assert abs(ens.probabilities[0] - 1.0) <= 1e-14
-            assert np.abs(ens.states[0].mat - want[0]).max() <= 1e-14
+            assert abs(ens.items[0][0] - 1.0) <= 1e-14
+            assert np.abs(ens.items[0][1].mat - want[0]).max() <= 1e-14
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="bipartite"):
@@ -211,7 +211,7 @@ class TestApplyCorrection:
     def test_conjugation(self):
         ens = measure_local_A(werner(0.7), _z_channel())
         fixed = apply_correction(ens, (IDENTITY_2, PAULI_X))
-        assert np.abs(fixed.states[1].mat - np.diag([0.85, 0.15])).max() < 1e-12
+        assert np.abs(fixed.items[1][1].mat - np.diag([0.85, 0.15])).max() < 1e-12
 
     def test_rejects_non_unitary_gates(self):
         ens = measure_local_A(werner(0.7), _z_channel())
@@ -254,8 +254,8 @@ class TestWernerProtocols:
         for p in self.TARGET_P:
             result = runner(p)
             target = self._target(p)
-            assert result.ensemble.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
-            for state in result.ensemble.states:
+            assert tuple(q for q, _ in result.ensemble.items) == pytest.approx((0.5, 0.5), abs=1e-12)
+            for _, state in result.ensemble.items:
                 assert trace_distance(state.mat, target.mat) < 1e-12
             assert result.rate == pytest.approx(rate_werner_closed_form(p), abs=1e-10)
 
@@ -266,7 +266,7 @@ class TestWernerProtocols:
         assert len(lq.corrections) == 2
         assert np.array_equal(lq.corrections[0], IDENTITY_2)
         assert np.array_equal(lq.corrections[1], PAULI_Z)
-        assert lq.ensemble.probabilities[0] == pytest.approx(0.5, abs=1e-12)
+        assert lq.ensemble.items[0][0] == pytest.approx(0.5, abs=1e-12)
 
         li = licc_erasing_protocol(0.5)
         assert li.ensemble.labels == ("1", "2")
@@ -275,10 +275,10 @@ class TestWernerProtocols:
         assert np.array_equal(li.corrections[1], PHASE_PLUS_I @ PAULI_X)
 
     def test_erasing_channel_is_incoherent_but_projective_x_is_not(self):
-        assert KrausChannel((ERASE_K1, ERASE_K2)).is_incoherent
+        assert all(map(is_incoherent_kraus, KrausChannel((ERASE_K1, ERASE_K2)).operators))
         plus = pure_state([1.0, 1.0]).mat
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        assert not KrausChannel((plus, minus)).is_incoherent
+        assert not all(map(is_incoherent_kraus, KrausChannel((plus, minus)).operators))
 
     def test_rates_agree_for_sampled_p(self):
         rng = np.random.default_rng(63)
@@ -323,8 +323,8 @@ def test_correction_aligns_the_minus_branch():
     plus = pure_state([1.0, 1.0]).mat
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
     raw = measure_local_A(werner(p), KrausChannel((plus, minus), ("+1", "-1")))
-    assert np.allclose(raw.states[1].mat, np.array([[0.5, -0.5 * p], [-0.5 * p, 0.5]]), atol=1e-12)
+    assert np.allclose(raw.items[1][1].mat, np.array([[0.5, -0.5 * p], [-0.5 * p, 0.5]]), atol=1e-12)
     fixed = apply_correction(raw, (IDENTITY_2, PAULI_Z))
-    assert trace_distance(fixed.states[1].mat, fixed.states[0].mat) < 1e-12
+    assert trace_distance(fixed.items[1][1].mat, fixed.items[0][1].mat) < 1e-12
     assert ensemble_rate(fixed) == pytest.approx(ensemble_rate(raw), abs=1e-9)
     assert ensemble_rate(fixed) == pytest.approx(rate_werner_closed_form(p), abs=1e-10)
