@@ -14,7 +14,7 @@ import click
 from . import verify as verify_mod
 from .coherence import basis_dependent_discord, c_re, qi_relative_entropy, von_neumann_entropy
 from .protocols import licc_erasing_protocol, lqicc_werner_protocol
-from .states import _check_p, density_matrix_from_dict, partial_trace, werner
+from .states import _check_p, density_matrix_from_dict, werner
 
 
 def _checked_p(p: float) -> float:
@@ -63,7 +63,7 @@ def measures(werner_p, path):
         if len(rho.dims) != 2:
             raise click.UsageError(f"state must be bipartite, dims are {list(rho.dims)}")
     click.echo(f"S(rho) = {von_neumann_entropy(rho):.6f}")
-    click.echo(f"C_re(rho_B) = {c_re(partial_trace(rho, 1)):.6f}")
+    click.echo(f"C_re(rho_B) = {c_re(rho.marginal_b):.6f}")
     click.echo(f"C_re^A|B(rho) = {qi_relative_entropy(rho):.6f}")
     click.echo(f"D^A|B(rho) = {basis_dependent_discord(rho):.6f}")
 

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL
-from .states import DensityMatrix, _index, partial_trace
+from .states import DensityMatrix
 
 # Support handling for relative entropy: sigma eigenvalues below
 # SUPPORT_TOL count as outside the support; rho weight above WEIGHT_TOL
@@ -68,57 +67,18 @@ def _relative_entropy_eig(rho: DensityMatrix, vals, vecs: np.ndarray, tol: float
     return first - second
 
 
-@lru_cache(maxsize=None)
-def _dephase_mask(dims: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
-    n = math.prod(dims)
-    keep = np.ones((n, n), dtype=bool)
-    for s in targets:
-        stride = math.prod(dims[s + 1 :])
-        digit = (np.arange(n) // stride) % dims[s]
-        keep &= digit[:, None] == digit[None, :]
-    keep.setflags(write=False)
-    return keep
-
-
-def dephase(rho: DensityMatrix, subsystems=None) -> DensityMatrix:
-    """Zero every element off-diagonal in the reference basis of each
-    targeted subsystem.
-
-    subsystems=None targets all of them (full dephasing); a sequence of
-    integer positions (a float or bool is refused) targets just those,
-    e.g. (1,) on a bipartite state kills B-coherences while keeping
-    A-coherences between entries with identical B indices.  Each
-    dephasing is built once per state and reused.
-    """
-    dims = rho.dims
-    try:
-        targets = tuple(range(len(dims))) if subsystems is None else tuple(map(_index, subsystems))
-    except TypeError as exc:
-        raise ValueError(f"subsystem positions must be integers, got {subsystems!r}") from exc
-    if subsystems is not None and not all(0 <= s < len(dims) for s in targets):
-        raise ValueError(f"invalid subsystems {targets} for dims {dims}")
-    key = ("dephase", targets)
-    cached = rho._derived.get(key)
-    if cached is None:
-        keep = _dephase_mask(dims, targets)
-        cached = rho._derived[key] = DensityMatrix(np.where(keep, rho.mat, 0.0), dims)
-    return cached
-
-
 def c_re(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
-    """Relative entropy of coherence: S(dephase(rho)) - S(rho)."""
-    return von_neumann_entropy(dephase(rho), tol) - von_neumann_entropy(rho, tol)
+    """Relative entropy of coherence: S(rho.dephased) - S(rho)."""
+    return von_neumann_entropy(rho.dephased, tol) - von_neumann_entropy(rho, tol)
 
 
 def qi_relative_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
-    """Quantum-incoherent relative entropy S(dephase_B(rho)) - S(rho).
+    """Quantum-incoherent relative entropy S(rho.dephased_b) - S(rho).
 
     The second subsystem of the bipartite state is the incoherent
     (reference-basis) side.
     """
-    if len(rho.dims) != 2:
-        raise ValueError(f"needs a bipartite state, dims are {rho.dims}")
-    return von_neumann_entropy(dephase(rho, (1,)), tol) - von_neumann_entropy(rho, tol)
+    return von_neumann_entropy(rho.dephased_b, tol) - von_neumann_entropy(rho, tol)
 
 
 def _kron_eigh(eig_a, eig_b):
@@ -128,12 +88,11 @@ def _kron_eigh(eig_a, eig_b):
 
 def _discord_via_relative_entropies(rho: DensityMatrix, tol: float) -> float:
     # S(rho || rhoA x rhoB) - S(dephase_B rho || rhoA x dephase(rhoB)); products never built
-    eig_a = linalg.hermitian_eigh(partial_trace(rho, 0).mat)
-    rho_b = partial_trace(rho, 1)
+    eig_a = linalg.hermitian_eigh(rho.marginal_a.mat)
+    rho_b = rho.marginal_b
     product = _kron_eigh(eig_a, linalg.hermitian_eigh(rho_b.mat))
-    product_deph = _kron_eigh(eig_a, linalg.hermitian_eigh(dephase(rho_b).mat))
-    dephased = dephase(rho, (1,))
-    return _relative_entropy_eig(rho, *product, tol) - _relative_entropy_eig(dephased, *product_deph, tol)
+    product_deph = _kron_eigh(eig_a, linalg.hermitian_eigh(rho_b.dephased.mat))
+    return _relative_entropy_eig(rho, *product, tol) - _relative_entropy_eig(rho.dephased_b, *product_deph, tol)
 
 
 def basis_dependent_discord(rho: DensityMatrix, tol: float = DEFAULT_TOL, check: bool = False) -> float:
@@ -143,7 +102,7 @@ def basis_dependent_discord(rho: DensityMatrix, tol: float = DEFAULT_TOL, check:
     check=True the double-relative-entropy route is evaluated as well
     and an ArithmeticError is raised if the two disagree beyond 1e-8.
     """
-    d = qi_relative_entropy(rho, tol) - c_re(partial_trace(rho, 1), tol)
+    d = qi_relative_entropy(rho, tol) - c_re(rho.marginal_b, tol)
     if check:
         alt = _discord_via_relative_entropies(rho, tol)
         if math.isfinite(alt) and abs(alt - d) > 1e-8:

@@ -93,11 +93,8 @@ def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
     r = abs(a01)
     app = a00.real
     aqq = a11.real
-    if app == aqq:
-        t = 1.0
-    else:
-        tau = (app - aqq) / (2.0 * r)
-        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    tau = (app - aqq) / (2.0 * r)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
     tr = t * r
     return [app + tr, aqq - tr]
 

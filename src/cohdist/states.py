@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +22,15 @@ def _index(x) -> int:
     return operator.index(x)
 
 
+@lru_cache(maxsize=None)
+def _same_residue(n: int, base: int) -> np.ndarray:
+    """Read-only n x n mask of the index pairs (i, j) with i == j modulo base."""
+    r = np.arange(n) % base
+    keep = r[:, None] == r[None, :]
+    keep.setflags(write=False)
+    return keep
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix with an ordered subsystem split.
@@ -33,10 +43,9 @@ class DensityMatrix:
     check.  Each dim must be an integer: a float, a string or a bool is
     rejected, not truncated or read as 1.
 
-    The instance is frozen and its matrix read-only, so a state derived
-    from it (a partial trace, a dephasing) depends on the instance alone:
-    such states are built once and kept in the private _derived dict,
-    keyed by the operation and its arguments.
+    The instance is frozen and its matrix read-only, so the states derived
+    from it (its marginals and dephasings) depend on the instance alone:
+    each is a cached attribute, validated when first read.
     """
 
     mat: np.ndarray
@@ -70,7 +79,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_eigs", tuple(eigs))
-        object.__setattr__(self, "_derived", {})
 
     @property
     def dim(self) -> int:
@@ -80,6 +88,35 @@ class DensityMatrix:
     def eigenvalues(self) -> tuple[float, ...]:
         """Spectrum in descending order (cached at construction)."""
         return self._eigs
+
+    def _bipartite(self) -> tuple[int, int]:
+        if len(self.dims) != 2:
+            raise ValueError(f"needs a bipartite state, dims are {self.dims}")
+        return self.dims
+
+    @cached_property
+    def marginal_a(self) -> DensityMatrix:
+        """rho_A = tr_B rho of a bipartite state."""
+        da, db = self._bipartite()
+        return DensityMatrix(self.mat.reshape(da, db, da, db).trace(axis1=1, axis2=3), (da,))
+
+    @cached_property
+    def marginal_b(self) -> DensityMatrix:
+        """rho_B = tr_A rho of a bipartite state."""
+        da, db = self._bipartite()
+        return DensityMatrix(self.mat.reshape(da, db, da, db).trace(axis1=0, axis2=2), (db,))
+
+    @cached_property
+    def dephased(self) -> DensityMatrix:
+        """The diagonal of rho in the reference basis, with rho's dims."""
+        return DensityMatrix(np.where(_same_residue(self.dim, self.dim), self.mat, 0.0), self.dims)
+
+    @cached_property
+    def dephased_b(self) -> DensityMatrix:
+        """rho with every entry whose two B indices differ zeroed: B's
+        coherences go, A's between equal B indices stay."""
+        db = self._bipartite()[1]
+        return DensityMatrix(np.where(_same_residue(self.dim, db), self.mat, 0.0), self.dims)
 
 
 def pure_state(amplitudes, dims: tuple[int, ...] = ()) -> DensityMatrix:
@@ -116,30 +153,6 @@ def werner(p: float) -> DensityMatrix:
     p = _check_p(p)
     mat = p * bell_phi_plus().mat + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
     return DensityMatrix(mat, (2, 2))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduce a bipartite state to one marginal.
-
-    keep selects the surviving subsystem, 0 for A or 1 for B: an integer,
-    not a bool, float or letter.  Each marginal is built once.
-    """
-    if len(rho.dims) != 2:
-        raise ValueError(f"partial_trace needs a bipartite state, dims are {rho.dims}")
-    try:
-        side = _index(keep)
-    except TypeError:
-        side = None
-    if side not in (0, 1):
-        raise ValueError(f"keep must be 0 or 1, got {keep!r}")
-    key = ("partial_trace", side)
-    cached = rho._derived.get(key)
-    if cached is None:
-        da, db = rho.dims
-        t = rho.mat.reshape(da, db, da, db)
-        red = t.trace(axis1=1, axis2=3) if side == 0 else t.trace(axis1=0, axis2=2)
-        cached = rho._derived[key] = DensityMatrix(red, (rho.dims[side],))
-    return cached
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, dims: tuple[int, ...] = ()) -> DensityMatrix:

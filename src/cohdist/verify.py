@@ -19,7 +19,7 @@ from .protocols import licc_erasing_protocol, lqicc_werner_protocol
 from .states import (
     DensityMatrix,
     ZeroDiscordSpec,
-    partial_trace,
+    _index,
     pure_state,
     random_zero_discord_spec,
     werner,
@@ -76,17 +76,13 @@ class SuiteResult:
     name: str
     checks: tuple[CheckLine, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def discord_report(rho: DensityMatrix) -> DiscordReport:
     """Evaluate discord and the equality qi == c_re(rho_B) on any
     bipartite state; passes only when the discord vanishes within
     VERDICT_TOL."""
     qi = qi_relative_entropy(rho)
-    cb = c_re(partial_trace(rho, 1))
+    cb = c_re(rho.marginal_b)
     d = basis_dependent_discord(rho, check=True)
     passed = abs(d) <= VERDICT_TOL and abs(qi - cb - d) <= VERDICT_TOL
     return DiscordReport(d, qi, cb, passed)
@@ -107,6 +103,10 @@ def check_chain(rho: DensityMatrix, rate: float) -> ChainReport:
 
 def figure_data(p_from: float, p_to: float, steps: int) -> list[ScanRecord]:
     """Uniform closed-form sweep of (qi, rate, gap) over [p_from, p_to]."""
+    try:
+        steps = _index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     # the CSV prints p to 6 decimals: no more distinct rows fit in [0, 1]

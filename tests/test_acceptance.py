@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from cohdist.cli import main
-from cohdist.coherence import c_re, dephase, qi_relative_entropy, relative_entropy
+from cohdist.coherence import c_re, qi_relative_entropy, relative_entropy
 from cohdist.optimize import (
     brute_force_measurement_opt,
     gap_second_derivative,
@@ -26,7 +26,6 @@ from cohdist.protocols import (
 )
 from cohdist.states import (
     DensityMatrix,
-    partial_trace,
     pure_state,
     random_density_matrix,
     random_zero_discord_spec,
@@ -158,7 +157,7 @@ def test_criterion_8_entropy_identity_and_monomial_invariance():
         dims = (2,) if i % 2 == 0 else (2, 2)
         dim = 2 if i % 2 == 0 else 4
         rho = random_density_matrix(dim, rng, dims)
-        worst_id = max(worst_id, abs(c_re(rho) - relative_entropy(rho, dephase(rho))))
+        worst_id = max(worst_id, abs(c_re(rho) - relative_entropy(rho, rho.dephased)))
         u = random_monomial_unitary(rng, dim)
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T, dims)
         worst_inv = max(worst_inv, abs(c_re(rotated) - c_re(rho)))

@@ -12,7 +12,6 @@ from cohdist.coherence import (
     _kron_eigh,
     basis_dependent_discord,
     c_re,
-    dephase,
     qi_relative_entropy,
     relative_entropy,
     von_neumann_entropy,
@@ -23,7 +22,6 @@ from cohdist.states import (
     DensityMatrix,
     bell_phi_plus,
     maximally_mixed,
-    partial_trace,
     pure_state,
     random_density_matrix,
     random_zero_discord_spec,
@@ -91,11 +89,11 @@ class TestRelativeEntropy:
         # S(rho || rhoA x rhoB) == S(A) + S(B) - S(AB)
         rho = werner(0.5)
         marginals = DensityMatrix(
-            np.kron(partial_trace(rho, 0).mat, partial_trace(rho, 1).mat), (2, 2)
+            np.kron(rho.marginal_a.mat, rho.marginal_b.mat), (2, 2)
         )
         want = (
-            von_neumann_entropy(partial_trace(rho, 0))
-            + von_neumann_entropy(partial_trace(rho, 1))
+            von_neumann_entropy(rho.marginal_a)
+            + von_neumann_entropy(rho.marginal_b)
             - von_neumann_entropy(rho)
         )
         assert relative_entropy(rho, marginals) == pytest.approx(want, abs=1e-9)
@@ -108,60 +106,59 @@ class TestRelativeEntropy:
 class TestDephase:
     def test_full_dephasing_keeps_only_the_diagonal(self):
         rho = random_density_matrix(4, np.random.default_rng(3), (2, 2))
-        out = dephase(rho)
+        out = rho.dephased
         assert np.array_equal(out.mat, np.diag(np.diag(rho.mat)))
 
     def test_single_subsystem_dephasing_keeps_matching_digits(self):
         # |+>_A x |0>_B carries only A-coherence; dephasing B leaves it intact
         rho = DensityMatrix(np.kron(pure_state([1.0, 1.0]).mat, np.diag([1.0, 0.0])), (2, 2))
-        assert np.array_equal(dephase(rho, (1,)).mat, rho.mat)
-        assert dephase(rho).mat[0, 2] == 0.0
+        assert np.array_equal(rho.dephased_b.mat, rho.mat)
+        assert rho.dephased.mat[0, 2] == 0.0
+        # on unequal dims, only the entries whose B indices agree survive
+        rho = random_density_matrix(6, np.random.default_rng(5), (2, 3))
+        same_b = np.arange(3)[None, :, None, None] == np.arange(3)[None, None, None, :]
+        want = np.where(same_b, rho.mat.reshape(2, 3, 2, 3), 0.0).reshape(6, 6)
+        assert np.array_equal(rho.dephased_b.mat, want)
 
     def test_dephasing_b_zeroes_the_werner_corners(self):
-        out = dephase(werner(0.7), (1,))
+        out = werner(0.7).dephased_b
         assert np.array_equal(out.mat, np.diag(np.diag(werner(0.7).mat)))
 
     def test_idempotent_and_trace_preserving(self):
         rho = random_density_matrix(6, np.random.default_rng(4), (2, 3))
-        once = dephase(rho, (0,))
-        assert np.array_equal(dephase(once, (0,)).mat, once.mat)
-        assert once.mat.trace() == rho.mat.trace()
-
-    def test_no_targets_is_the_identity_map(self):
-        rho = werner(0.2)
-        assert np.array_equal(dephase(rho, ()).mat, rho.mat)
+        for once, twice in ((rho.dephased, rho.dephased.dephased), (rho.dephased_b, rho.dephased_b.dephased_b)):
+            assert np.array_equal(twice.mat, once.mat)
+            assert once.mat.trace() == rho.mat.trace()
+            assert once.dims == rho.dims
 
     def test_invalid_subsystem(self):
-        with pytest.raises(ValueError, match="invalid subsystem"):
-            dephase(werner(0.5), (2,))
-
-    @pytest.mark.parametrize("subsystems", ((1.7,), (True,), ("1",)))
-    def test_positions_must_be_integers(self, subsystems):
-        # each of these once read as position 1 and dephased B
-        with pytest.raises(ValueError, match="integers"):
-            dephase(werner(0.5), subsystems)
+        # B's dephasing needs a second subsystem, and exactly two
+        for rho in (maximally_mixed(4), maximally_mixed(8, (2, 2, 2))):
+            with pytest.raises(ValueError, match="needs a bipartite state"):
+                rho.dephased_b
+            assert np.array_equal(rho.dephased.mat, rho.mat)
 
 
 class TestDerivedStates:
-    """dephase and partial_trace build each derived state once per state."""
+    """A state's marginals and dephasings are each built once per state."""
 
     def test_repeat_calls_return_the_same_object(self):
         rho = random_density_matrix(9, np.random.default_rng(41), (3, 3))
-        assert dephase(rho, (1,)) is dephase(rho, (1,))
-        assert dephase(rho, (np.int64(1),)) is dephase(rho, (1,))
-        assert dephase(rho) is dephase(rho)
-        assert partial_trace(rho, np.int64(1)) is partial_trace(rho, 1)
-        assert partial_trace(rho, 0) is partial_trace(rho, 0)
+        assert rho.dephased_b is rho.dephased_b
+        assert rho.dephased is rho.dephased
+        assert rho.marginal_b is rho.marginal_b
+        assert rho.marginal_a is rho.marginal_a
+        assert rho.marginal_b.dephased is rho.marginal_b.dephased
 
     def test_distinct_operations_are_distinct_objects(self):
         rho = random_density_matrix(9, np.random.default_rng(42), (3, 3))
-        assert dephase(rho) is not dephase(rho, (1,))
-        assert partial_trace(rho, 0) is not partial_trace(rho, 1)
+        assert rho.dephased is not rho.dephased_b
+        assert rho.marginal_a is not rho.marginal_b
 
     def test_memoized_results_equal_fresh_states(self):
         rho = random_density_matrix(6, np.random.default_rng(43), (2, 3))
-        rho_b = partial_trace(rho, 1)
-        for derived in (dephase(rho), dephase(rho, (1,)), partial_trace(rho, 0), rho_b, dephase(rho_b)):
+        rho_b = rho.marginal_b
+        for derived in (rho.dephased, rho.dephased_b, rho.marginal_a, rho_b, rho_b.dephased):
             fresh = DensityMatrix(derived.mat.copy(), derived.dims)
             assert np.array_equal(derived.mat, fresh.mat)
             assert derived.dims == fresh.dims
@@ -180,9 +177,9 @@ def test_c_re_equals_relative_entropy_to_the_dephased_state():
     rng = np.random.default_rng(21)
     for _ in range(25):
         rho = random_density_matrix(2, rng)
-        assert abs(c_re(rho) - relative_entropy(rho, dephase(rho))) < 1e-9
+        assert abs(c_re(rho) - relative_entropy(rho, rho.dephased)) < 1e-9
         rho2 = random_density_matrix(4, rng, (2, 2))
-        assert abs(c_re(rho2) - relative_entropy(rho2, dephase(rho2))) < 1e-9
+        assert abs(c_re(rho2) - relative_entropy(rho2, rho2.dephased)) < 1e-9
 
 
 def test_c_re_is_invariant_under_monomial_unitaries():
@@ -210,7 +207,7 @@ class TestQiRelativeEntropy:
         for dims in ((2, 2), (2, 3)):
             for _ in range(15):
                 rho = random_density_matrix(dims[0] * dims[1], rng, dims)
-                assert qi_relative_entropy(rho) >= c_re(partial_trace(rho, 1)) - 1e-9
+                assert qi_relative_entropy(rho) >= c_re(rho.marginal_b) - 1e-9
 
 
 class TestBasisDependentDiscord:
@@ -247,16 +244,16 @@ class TestBasisDependentDiscord:
     def test_frozen_random_state_values(self):
         rho = random_density_matrix(4, np.random.default_rng(42), (2, 2))
         assert qi_relative_entropy(rho) == pytest.approx(0.16354513343952748, abs=1e-9)
-        assert c_re(partial_trace(rho, 1)) == pytest.approx(0.054082060166928625, abs=1e-9)
+        assert c_re(rho.marginal_b) == pytest.approx(0.054082060166928625, abs=1e-9)
         assert basis_dependent_discord(rho) == pytest.approx(0.10946307327259885, abs=1e-9)
 
 
 def _explicit_discord_check(rho):
     # the check route with both product states built and diagonalized whole
-    rho_a, rho_b = partial_trace(rho, 0), partial_trace(rho, 1)
+    rho_a, rho_b = rho.marginal_a, rho.marginal_b
     product = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), rho.dims)
-    product_deph = DensityMatrix(np.kron(rho_a.mat, dephase(rho_b).mat), rho.dims)
-    return relative_entropy(rho, product) - relative_entropy(dephase(rho, (1,)), product_deph)
+    product_deph = DensityMatrix(np.kron(rho_a.mat, rho_b.dephased.mat), rho.dims)
+    return relative_entropy(rho, product) - relative_entropy(rho.dephased_b, product_deph)
 
 
 class TestDiscordCheckRoute:
@@ -270,7 +267,7 @@ class TestDiscordCheckRoute:
         for _ in range(5):
             a = random_density_matrix(dims[0], rng)
             b = random_density_matrix(dims[1], rng)
-            for b_mat in (b.mat, dephase(b).mat):
+            for b_mat in (b.mat, b.dephased.mat):
                 vals, vecs = _kron_eigh(linalg.hermitian_eigh(a.mat), linalg.hermitian_eigh(b_mat))
                 assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-13
                 assert np.abs((vecs * vals) @ vecs.conj().T - np.kron(a.mat, b_mat)).max() < 1e-13

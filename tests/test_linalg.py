@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohdist import linalg
-from cohdist.coherence import dephase
 from cohdist.linalg import DEFAULT_TOL, ConvergenceError, hermitian_eigh, identity
 from cohdist.states import (
     DensityMatrix,
@@ -169,7 +168,7 @@ def test_values_path_is_bit_identical_to_the_loop_on_small_blocks():
     )
     states = [werner(float(p)) for p in rng.random(20)]
     states += [zero_discord_state(spec) for spec in theorem3_states]
-    states += [dephase(random_density_matrix(2 * db, rng, (2, db)), (1,)) for db in (2, 3, 4) for _ in range(5)]
+    states += [random_density_matrix(2 * db, rng, (2, db)).dephased_b for db in (2, 3, 4) for _ in range(5)]
     assert len(states) == len(SMALL_BLOCK_GOLDENS)
     for rho, golden in zip(states, SMALL_BLOCK_GOLDENS):
         assert rho.dim >= 3

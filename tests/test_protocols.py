@@ -27,7 +27,6 @@ from cohdist.protocols import (
 from cohdist.states import (
     DensityMatrix,
     maximally_mixed,
-    partial_trace,
     pure_state,
     random_density_matrix,
     werner,
@@ -204,7 +203,7 @@ class TestMeasureLocalA:
         for _ in range(10):
             rho = random_density_matrix(4, rng, (2, 2))
             rate = ensemble_rate(measure_local_A(rho, trivial))
-            assert rate >= c_re(partial_trace(rho, 1)) - 1e-9
+            assert rate >= c_re(rho.marginal_b) - 1e-9
 
 
 class TestApplyCorrection:
@@ -288,7 +287,7 @@ class TestWernerProtocols:
     def test_rate_never_exceeds_the_qi_measure(self):
         for p in self.TARGET_P:
             rho = werner(p)
-            assert c_re(partial_trace(rho, 1)) == pytest.approx(0.0, abs=1e-12)
+            assert c_re(rho.marginal_b) == pytest.approx(0.0, abs=1e-12)
             rate = lqicc_werner_protocol(p).rate
             qi = qi_relative_entropy(rho)
             assert rate <= qi + 1e-9

@@ -8,7 +8,6 @@ from cohdist.states import (
     density_matrix_from_dict,
     density_matrix_to_dict,
     maximally_mixed,
-    partial_trace,
     pure_state,
     random_density_matrix,
     random_zero_discord_spec,
@@ -139,32 +138,16 @@ class TestPartialTrace:
             a = random_density_matrix(2, rng)
             b = random_density_matrix(3, rng)
             joint = DensityMatrix(np.kron(a.mat, b.mat), (2, 3))
-            assert np.abs(partial_trace(joint, 0).mat - a.mat).max() < 1e-12
-            assert np.abs(partial_trace(joint, 1).mat - b.mat).max() < 1e-12
-
-    def test_keep_aliases_agree(self):
-        rho = werner(0.4)
-        for keep in (0, np.int64(0), 1, np.int64(1)):
-            assert np.abs(partial_trace(rho, keep).mat - np.eye(2) / 2).max() < 1e-15
+            assert np.abs(joint.marginal_a.mat - a.mat).max() < 1e-12
+            assert np.abs(joint.marginal_b.mat - b.mat).max() < 1e-12
+            assert (joint.marginal_a.dims, joint.marginal_b.dims) == ((2,), (3,))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="bipartite"):
-            partial_trace(maximally_mixed(4), 0)
-        with pytest.raises(ValueError, match="keep"):
-            partial_trace(werner(0.5), 2)
-
-    @pytest.mark.parametrize("keep", (True, False))
-    def test_rejects_bool_keep(self, keep):
-        # True == 1 and False == 0 as dict keys, so a lookup alone would accept them
-        with pytest.raises(ValueError, match="keep"):
-            partial_trace(werner(0.5), keep)
-
-    @pytest.mark.parametrize("keep", (1.0, np.float64(0.0), [1], "AB", None, "B"))
-    def test_rejects_non_integer_keep(self, keep):
-        # a float equal to 0 or 1 is refused, as dephase and the dims check
-        # refuse it; so is a subsystem letter
-        with pytest.raises(ValueError, match="keep"):
-            partial_trace(werner(0.5), keep)
+        # a marginal needs exactly two subsystems
+        for rho in (maximally_mixed(4), maximally_mixed(8, (2, 2, 2))):
+            for side in ("marginal_a", "marginal_b"):
+                with pytest.raises(ValueError, match="needs a bipartite state"):
+                    getattr(rho, side)
 
 
 def test_random_density_matrix_is_seed_deterministic_and_full_rank():

@@ -16,8 +16,6 @@ from cohdist.states import (
 from cohdist.verify import (
     CSV_HEADER,
     MAX_SCAN_STEPS,
-    CheckLine,
-    SuiteResult,
     check_chain,
     check_theorem3,
     discord_report,
@@ -35,13 +33,6 @@ def overlap_mixture() -> DensityMatrix:
     mat = 0.5 * np.kron(pure_state([1.0, 0.0]).mat, pure_state([1.0, 1.0]).mat)
     mat = mat + 0.5 * np.kron(pure_state([0.0, 1.0]).mat, pure_state([1.0, 0.0]).mat)
     return DensityMatrix(mat, (2, 2))
-
-
-def test_suite_result_passed_property():
-    good = CheckLine("ok", True, "")
-    bad = CheckLine("no", False, "")
-    assert SuiteResult("s", (good, good)).passed
-    assert not SuiteResult("s", (good, bad)).passed
 
 
 class TestDiscordReport:
@@ -150,6 +141,10 @@ class TestFigureData:
             figure_data(0.8, 0.2, 5)
         with pytest.raises(ValueError, match="0 <= from <= to <= 1"):
             figure_data(0.0, 1.2, 5)
+        # a float once reached range() as a TypeError; a string or bool is no count either
+        for steps in (3.0, "3", True):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                figure_data(0.0, 1.0, steps)
 
     def test_step_count_is_capped_before_any_record_is_built(self):
         with pytest.raises(ValueError, match="at most 1000001"):
@@ -180,13 +175,13 @@ def test_json_round_trip_keeps_full_precision():
 def test_theorem3_suite_passes():
     suite = theorem3_suite()
     assert suite.name == "theorem3"
-    assert suite.passed
+    assert all(c.passed for c in suite.checks)
     assert len(suite.checks) == 2
 
 
 def test_lemma1_suite_randomized_and_negative_controls():
     suite = lemma1_suite(seed=3)
-    assert suite.passed
+    assert all(c.passed for c in suite.checks)
     assert len(suite.checks) == 104  # 100 random + 3 werner controls + 1 overlap
     labels = [c.label for c in suite.checks]
     assert sum("must fail" in s for s in labels) == 4
@@ -199,7 +194,7 @@ def test_lemma1_suite_is_seed_deterministic():
 def test_theorem4_suite_small_grid():
     # an odd theta count puts the optimal equator on the grid
     suite = theorem4_suite(brute_grid=(21, 4))
-    assert suite.passed
+    assert all(c.passed for c in suite.checks)
     assert len(suite.checks) == 11  # 9 p values + positivity + curvature
     by_label = {c.label: c for c in suite.checks}
     gap_line = by_label["gap positive on the interior grid"]
