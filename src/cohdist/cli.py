@@ -29,6 +29,11 @@ def _fmt_complex(v: complex) -> str:
     return f"{v.real + 0.0:.6f}{v.imag + 0.0:+.6f}j"
 
 
+def _fmt_real(x: float) -> str:
+    # the :.6f digits, except that a value rounding to zero prints without a sign
+    return f"{round(x, 6) + 0.0:.6f}"
+
+
 def _fmt_matrix(m) -> list[str]:
     return ["  [" + ", ".join(_fmt_complex(v) for v in row) + "]" for row in m]
 
@@ -62,10 +67,10 @@ def measures(werner_p, path):
             raise click.UsageError(str(exc))
         if len(rho.dims) != 2:
             raise click.UsageError(f"state must be bipartite, dims are {list(rho.dims)}")
-    click.echo(f"S(rho) = {von_neumann_entropy(rho):.6f}")
-    click.echo(f"C_re(rho_B) = {c_re(rho.marginal_b):.6f}")
-    click.echo(f"C_re^A|B(rho) = {qi_relative_entropy(rho):.6f}")
-    click.echo(f"D^A|B(rho) = {basis_dependent_discord(rho):.6f}")
+    click.echo(f"S(rho) = {_fmt_real(von_neumann_entropy(rho))}")
+    click.echo(f"C_re(rho_B) = {_fmt_real(c_re(rho.marginal_b))}")
+    click.echo(f"C_re^A|B(rho) = {_fmt_real(qi_relative_entropy(rho))}")
+    click.echo(f"D^A|B(rho) = {_fmt_real(basis_dependent_discord(rho))}")
 
 
 @main.command()

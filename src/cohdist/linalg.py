@@ -1,10 +1,9 @@
 """Dense complex linear algebra for small matrices.
 
 The largest matrix the package builds is 9x9 (two qutrits).  Spectra come
-from _jacobi, in pure Python (a 2x2 closed form, else Householder
-tridiagonalization and implicit QL), which favors determinism over
-asymptotic speed; the discord cross-check's eigenvectors come from
-numpy.linalg.eigh.
+from _jacobi: a 2x2 closed form in pure Python, else a split into decoupled
+blocks with numpy.linalg.eigvalsh on each block larger than 2x2; the discord
+cross-check's eigenvectors come from numpy.linalg.eigh.
 Composite indices are always A-major: |i>_A |j>_B sits at i * dim_b + j.
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -21,13 +19,7 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 # A 2x2 whose off-diagonal Frobenius norm is below JACOBI_OFF_TOL is already diagonal.
-# QL deflates each eigenvalue within QL_MAX_ITER steps, else ConvergenceError.
 JACOBI_OFF_TOL = 1e-12
-QL_MAX_ITER = 30
-
-
-class ConvergenceError(RuntimeError):
-    """Tridiagonal QL hit its iteration cap before deflating an eigenvalue."""
 
 
 @lru_cache(maxsize=None)
@@ -71,9 +63,9 @@ def _jacobi(mat: np.ndarray) -> list[float]:
     """Eigenvalues, unsorted, of a Hermitian matrix: every state's positivity check.
 
     Reads only the diagonal and the upper triangle: callers have already
-    checked Hermiticity.  Runs on plain Python scalars, which at these
-    sizes beat vectorized calls.  A 2x2, which the measurement sweeps
-    hammer, takes _jacobi_2x2_values and any other size _block_values.
+    checked Hermiticity.  A 2x2, which the measurement sweeps hammer,
+    takes _jacobi_2x2_values on plain Python scalars, which at that size
+    beat a LAPACK call; any other size takes _block_values.
     """
     a = mat.tolist()
     return _jacobi_2x2_values(a) if len(a) == 2 else _block_values(a)
@@ -103,7 +95,7 @@ def _block_values(a: list[list[complex]]) -> list[float]:
     """Eigenvalues of a Hermitian matrix held as nested lists, on each block
     (connected component of the upper triangle's exact-nonzero pattern), at
     its indices: the diagonal entry of a block of size 1, _jacobi_2x2_values
-    on size 2, and _tridiagonal and _ql_values on larger ones."""
+    on size 2, and numpy.linalg.eigvalsh (LAPACK) on larger ones."""
     d = [row[i].real for i, row in enumerate(a)]  # the values of 1x1 blocks
     rest = list(range(len(a)))
     while rest:
@@ -117,76 +109,15 @@ def _block_values(a: list[list[complex]]) -> list[float]:
             d[p], d[q] = _jacobi_2x2_values([[a[p][p], a[p][q]], [None, a[q][q]]])
         elif len(blk) > 2:  # the Hermitian completion of the block's upper triangle
             h = [[a[i][j] if i < j else a[j][i].conjugate() if i > j else a[i][i].real for j in blk] for i in blk]
-            for i, lam in zip(blk, _ql_values(*_tridiagonal(h))):
+            for i, lam in zip(blk, np.linalg.eigvalsh(h).tolist()):
                 d[i] = lam
     return d
 
 
-def _tridiagonal(h: list[list[complex]]) -> tuple[list[float], list[float]]:
-    """(diagonal, off-diagonal) of a real tridiagonal matrix with the spectrum
-    of Hermitian h (full nested lists), by Householder reflections (Golub &
-    Van Loan, Matrix Computations, 8.3.1) that keep h exactly Hermitian."""
-    d, e = [], []
-    while len(h) > 2:
-        d.append(h[0][0].real)
-        x = [row[0] for row in h[1:]]
-        h = [row[1:] for row in h[1:]]
-        r0 = abs(x[0])
-        alpha = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in x))
-        e.append(alpha)  # the reflection maps x onto alpha times a unit-modulus phase
-        if alpha == 0.0:
-            continue
-        v = [x[0] + (x[0] / r0 if r0 else 1.0) * alpha, *x[1:]]  # reflection I - beta v v+
-        beta = 1.0 / (alpha * (alpha + r0))
-        p = [beta * sum(map(mul, row, v)) for row in h]
-        vc = [z.conjugate() for z in v]
-        k = 0.5 * beta * sum(map(mul, vc, p)).real
-        w = [pi - k * vi for pi, vi in zip(p, v)]
-        wc = [z.conjugate() for z in w]
-        h = [[hij - (vi * wcj + wi * vcj) for hij, wcj, vcj in zip(row, wc, vc)] for row, vi, wi in zip(h, v, w)]
-    return d + [h[0][0].real, h[1][1].real], e + [abs(h[0][1]), 0.0]
-
-
-def _ql_values(d: list[float], e: list[float]) -> list[float]:
-    """Eigenvalues of the real symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e (e[i] couples d[i] and d[i + 1]; e[-1] is 0) by implicit QL
-    with Wilkinson shifts (Golub & Van Loan, 8.3.5), at most QL_MAX_ITER steps
-    each.  Overwrites d and e."""
-    n = len(d)
-    for l in range(n):
-        for it in range(QL_MAX_ITER + 1):
-            m = l  # the unreduced block runs from l to the first negligible e[m]
-            while m < n - 1 and abs(e[m]) + (abs(d[m]) + abs(d[m + 1])) != abs(d[m]) + abs(d[m + 1]):
-                m += 1
-            if m == l:
-                break
-            if it == QL_MAX_ITER:
-                raise ConvergenceError(f"QL did not deflate an eigenvalue in {QL_MAX_ITER} iterations")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
-            s, c, p = 1.0, 1.0, 0.0
-            for i in range(m - 1, l - 1, -1):  # chase the bulge up from m to l
-                f, b = s * e[i], c * e[i]
-                e[i + 1] = r = math.hypot(f, g)
-                if r == 0.0:  # underflow split the block at i + 1: start a new step
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s, c = f / r, g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l], e[m] = g, 0.0
-    return d
-
-
 def hermitian_eigh(m: np.ndarray):
-    """Full eigendecomposition by numpy.linalg.eigh, a route independent of
-    _jacobi's arithmetic, for the discord cross-check.
+    """Full eigendecomposition by numpy.linalg.eigh, for the discord
+    cross-check, which is independent of the route it checks by its formula
+    (relative entropies to product states), not by its eigensolver.
 
     Like _jacobi, trusts its caller to have checked Hermiticity (it is
     handed the matrix of a validated DensityMatrix) and reads only the

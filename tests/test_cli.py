@@ -4,14 +4,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import cohdist
 import cohdist.verify as verify_mod
+from cohdist import cli
 from cohdist.cli import main
 from cohdist.optimize import qi_werner_closed_form, rate_werner_closed_form
-from cohdist.states import density_matrix_to_dict, maximally_mixed, werner
+from cohdist.states import (
+    density_matrix_to_dict,
+    maximally_mixed,
+    random_zero_discord_spec,
+    werner,
+    zero_discord_state,
+)
 
 MEASURES_WERNER_05 = (
     "S(rho) = 1.548795\n"
@@ -70,6 +78,26 @@ class TestMeasures:
         result = runner.invoke(main, ["measures", "--file", str(path)])
         assert result.exit_code == 0
         assert result.output == MEASURES_WERNER_05
+
+    def test_values_that_round_to_zero_print_without_a_sign(self, runner, tmp_path, monkeypatch):
+        """Zero-discord states often compute a discord of order -1e-16 to
+        -1e-15; none of the four lines may read -0.000000, while a value
+        that rounds to a nonzero negative keeps its sign."""
+        rng = np.random.default_rng(0)
+        outputs = []
+        for da, db in ((2, 2), (2, 3), (2, 4), (3, 3)) * 6:
+            path = tmp_path / "state.json"
+            rho = zero_discord_state(random_zero_discord_spec(rng, da, db))
+            path.write_text(json.dumps(density_matrix_to_dict(rho)))
+            outputs.append(runner.invoke(main, ["measures", "--file", str(path)]))
+        monkeypatch.setattr(cli, "basis_dependent_discord", lambda rho: -1e-15)
+        outputs.append(runner.invoke(main, ["measures", "--werner", "0.5"]))
+        assert outputs[-1].output.endswith("D^A|B(rho) = 0.000000\n")
+        monkeypatch.setattr(cli, "basis_dependent_discord", lambda rho: -6e-7)
+        assert runner.invoke(main, ["measures", "--werner", "0.5"]).output.endswith("D^A|B(rho) = -0.000001\n")
+        for result in outputs:
+            assert result.exit_code == 0
+            assert "-0.000000" not in result.output
 
     def test_missing_file_is_an_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["measures", "--file", str(tmp_path / "nope.json")])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohdist import linalg
-from cohdist.linalg import DEFAULT_TOL, ConvergenceError, hermitian_eigh, identity
+from cohdist.linalg import DEFAULT_TOL, hermitian_eigh, identity
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,
@@ -22,8 +22,8 @@ def jacobi_values(m) -> list[float]:
 
 
 def test_jacobi_matches_numpy_across_sizes():
-    """The values-only spectrum (closed forms at n <= 2, tridiagonal QL
-    above) and hermitian_eigh's values agree with the LAPACK oracle."""
+    """The values-only spectrum (closed forms at n <= 2, eigvalsh on each
+    block above) and hermitian_eigh's values agree with the LAPACK oracle."""
     rng = np.random.default_rng(101)
     for dim in range(1, 10):
         for _ in range(25):
@@ -35,14 +35,16 @@ def test_jacobi_matches_numpy_across_sizes():
 
 def _structured_inputs(rng, dim):
     """A permuted block-diagonal matrix, a rank-1 one, a degenerate one and
-    the all-ones matrix, each dim x dim."""
+    the all-ones matrix, each dim x dim.  Every other block is tridiagonal,
+    a chain, so the permutation leaves its indices out of order."""
     sizes = []
     while sum(sizes) < dim:
         sizes.append(int(rng.integers(1, min(4, dim - sum(sizes)) + 1)))
     blocks = np.zeros((dim, dim), dtype=complex)
     start = 0
-    for k in sizes:
-        blocks[start : start + k, start : start + k] = random_hermitian(rng, k)
+    for n, k in enumerate(sizes):
+        h = random_hermitian(rng, k)
+        blocks[start : start + k, start : start + k] = np.triu(np.tril(h, 1), -1) if n % 2 else h
         start += k
     perm = rng.permutation(dim)
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -57,24 +59,19 @@ def _structured_inputs(rng, dim):
 
 
 def test_values_path_matches_numpy_on_structured_inputs():
+    """Each permuted block-diagonal input is also fed with its strict lower
+    triangle NaN: a block must be the completion of the upper triangle, not
+    a permuted submatrix, whose upper triangle mixes in lower entries."""
     rng = np.random.default_rng(103)
     for dim in range(3, 10):
+        below = np.tril(np.ones((dim, dim), dtype=bool), -1)
         for _ in range(5):
-            for m in _structured_inputs(rng, dim):
+            blocks, *others = _structured_inputs(rng, dim)
+            for m in (blocks, *others):
                 want = np.linalg.eigvalsh(m)[::-1]
                 assert np.allclose(jacobi_values(m), want, atol=1e-12, rtol=0.0)
-
-
-def test_tridiagonal_reflects_past_a_zero_subdiagonal_entry():
-    """A column whose first entry below the diagonal is 0 still needs its
-    reflection.  _block_values never hands over such a first column (it
-    orders each block by discovery), so this calls the reduction itself."""
-    rng = np.random.default_rng(43)
-    for dim in (3, 5, 9):
-        m = random_hermitian(rng, dim)
-        m[0, 1] = m[1, 0] = 0.0
-        vals = linalg._ql_values(*linalg._tridiagonal(m.tolist()))
-        assert np.allclose(sorted(vals), np.linalg.eigvalsh(m), atol=1e-12, rtol=0.0)
+            want = np.linalg.eigvalsh(blocks)[::-1]
+            assert np.allclose(jacobi_values(np.where(below, np.nan, blocks)), want, atol=1e-12, rtol=0.0)
 
 
 # float.hex of _jacobi's sorted values on the states of the test below, frozen
@@ -155,7 +152,10 @@ SMALL_BLOCK_GOLDENS = (
 
 def test_values_path_is_bit_identical_to_the_loop_on_small_blocks():
     """A matrix whose blocks all have size 1 or 2 gets the frozen values,
-    bit for bit: the closed form on each 2x2 block, at its indices."""
+    bit for bit: the closed form on each 2x2 block, at its indices.
+    werner(0.5) is also pinned on its own."""
+    values = tuple(x.hex() for x in jacobi_values(werner(0.5).mat))
+    assert values == ("0x1.3ffffffffffffp-1", "0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.0000000000000p-3")
     rng = np.random.default_rng(107)
     theorem3_states = (
         ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), ((0, 1),), (pure_state([1.0, 1.0]),)),
@@ -204,8 +204,8 @@ def test_eigh_reconstructs_input():
 
 
 def test_degenerate_spectra_at_the_largest_size():
-    """Repeated eigenvalues, and a constant diagonal, on which the first
-    rotation takes the equal-diagonal branch."""
+    """Repeated eigenvalues, and the all-ones matrix, whose spectrum is
+    one 9 and eight 0s."""
     rng = np.random.default_rng(29)
     spectrum = np.array([0.4, 0.4, 0.4, 0.1, 0.1, 0.0, 0.0, 0.0, -0.2])
     u = random_unitary(rng, 9)
@@ -258,20 +258,6 @@ def test_two_by_two_spectrum_properties(entries):
     vals = jacobi_values(m)
     assert vals[0] >= vals[1]
     assert abs(sum(vals) - (a + b)) <= 1e-9 * max(1.0, abs(a) + abs(b))
-
-
-def test_convergence_error_when_ql_iterations_exhausted(monkeypatch):
-    """The cap binds on a block of size 3 or more; hermitian_eigh and a
-    matrix that splits into smaller blocks do not run QL: at cap 0,
-    werner(0.5) still gets its frozen values."""
-    m = random_hermitian(np.random.default_rng(37), 5)
-    for cap in (0, 1):
-        monkeypatch.setattr(linalg, "QL_MAX_ITER", cap)
-        with pytest.raises(ConvergenceError, match="QL"):
-            linalg._jacobi(m)
-    assert np.allclose(hermitian_eigh(m)[0], np.linalg.eigvalsh(m)[::-1], atol=1e-12, rtol=0.0)
-    values = tuple(x.hex() for x in jacobi_values(werner(0.5).mat))
-    assert values == ("0x1.3ffffffffffffp-1", "0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.0000000000000p-3")
 
 
 def test_kron_is_bit_identical_to_numpy():
