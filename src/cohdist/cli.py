@@ -59,7 +59,7 @@ def measures(werner_p, path):
         except OSError as exc:
             click.echo(f"cannot read state file: {exc}", err=True)
             sys.exit(3)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise click.UsageError(f"state file is not valid JSON: {exc}")
         try:
             rho = density_matrix_from_dict(payload)

@@ -1,9 +1,8 @@
 """Dense complex linear algebra for small matrices.
 
 The largest matrix the package builds is 9x9 (two qutrits).  Spectra come
-from _jacobi: a 2x2 closed form in pure Python, else a split into decoupled
-blocks with numpy.linalg.eigvalsh on each block larger than 2x2; the discord
-cross-check's eigenvectors come from numpy.linalg.eigh.
+from _jacobi: a 2x2 closed form in pure Python, else numpy.linalg.eigvalsh;
+the discord cross-check's eigenvectors come from numpy.linalg.eigh.
 Composite indices are always A-major: |i>_A |j>_B sits at i * dim_b + j.
 """
 
@@ -65,10 +64,11 @@ def _jacobi(mat: np.ndarray) -> list[float]:
     Reads only the diagonal and the upper triangle: callers have already
     checked Hermiticity.  A 2x2, which the measurement sweeps hammer,
     takes _jacobi_2x2_values on plain Python scalars, which at that size
-    beat a LAPACK call; any other size takes _block_values.
+    beat a LAPACK call; any other size takes numpy.linalg.eigvalsh.
     """
-    a = mat.tolist()
-    return _jacobi_2x2_values(a) if len(a) == 2 else _block_values(a)
+    if mat.shape[0] == 2:
+        return _jacobi_2x2_values(mat.tolist())
+    return np.linalg.eigvalsh(mat, UPLO="U").tolist()
 
 
 def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
@@ -89,29 +89,6 @@ def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
     t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
     tr = t * r
     return [app + tr, aqq - tr]
-
-
-def _block_values(a: list[list[complex]]) -> list[float]:
-    """Eigenvalues of a Hermitian matrix held as nested lists, on each block
-    (connected component of the upper triangle's exact-nonzero pattern), at
-    its indices: the diagonal entry of a block of size 1, _jacobi_2x2_values
-    on size 2, and numpy.linalg.eigvalsh (LAPACK) on larger ones."""
-    d = [row[i].real for i, row in enumerate(a)]  # the values of 1x1 blocks
-    rest = list(range(len(a)))
-    while rest:
-        blk = [rest.pop(0)]  # its least index, so a 2x2 block is (p, q) with p < q
-        for i in blk:  # grows while it is read: a breadth-first search
-            hit = [j for j in rest if (a[i][j] if i < j else a[j][i]) != 0]
-            rest = [j for j in rest if j not in hit]
-            blk += hit
-        if len(blk) == 2:
-            p, q = blk
-            d[p], d[q] = _jacobi_2x2_values([[a[p][p], a[p][q]], [None, a[q][q]]])
-        elif len(blk) > 2:  # the Hermitian completion of the block's upper triangle
-            h = [[a[i][j] if i < j else a[j][i].conjugate() if i > j else a[i][i].real for j in blk] for i in blk]
-            for i, lam in zip(blk, np.linalg.eigvalsh(h).tolist()):
-                d[i] = lam
-    return d
 
 
 def hermitian_eigh(m: np.ndarray):

@@ -142,7 +142,9 @@ def bell_phi_plus() -> DensityMatrix:
 
 
 def _check_p(p: float) -> float:
-    """The Werner mixing parameter as a float, or ValueError outside [0, 1]."""
+    """The Werner mixing parameter as a float; ValueError on a bool or outside [0, 1]."""
+    if isinstance(p, (bool, np.bool_)):
+        raise ValueError(f"mixing parameter must be a number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
     return float(p)

@@ -109,6 +109,15 @@ class TestMeasures:
         path.write_text("{not json")
         assert runner.invoke(main, ["measures", "--file", str(path)]).exit_code == 2
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00{", b"[" * 100000], ids=["non-utf8", "deeply-nested"])
+    def test_undecodable_file_is_a_usage_error(self, runner, tmp_path, content):
+        # json.load raises UnicodeDecodeError and RecursionError, not JSONDecodeError
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        result = runner.invoke(main, ["measures", "--file", str(path)])
+        assert result.exit_code == 2
+        assert "state file is not valid JSON" in result.stderr
+
     def test_malformed_payload_is_a_usage_error(self, runner, tmp_path):
         path = tmp_path / "payload.json"
         path.write_text(json.dumps({"dims": [2, 2]}))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohdist.optimize import brute_force_measurement_opt, qi_werner_closed_form, rate_werner_closed_form
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,
@@ -111,6 +112,21 @@ def test_werner_endpoints_and_domain():
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError, match="mixing parameter"):
             werner(bad)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+def test_bool_mixing_parameter_is_rejected(flag):
+    """A bool is not read as p = 1 or 0 by werner, the closed forms or the
+    sweep, which share one check; the integers 0 and 1 stay valid."""
+    for fn in (
+        werner,
+        qi_werner_closed_form,
+        rate_werner_closed_form,
+        lambda p: brute_force_measurement_opt(p, (3, 1)),
+    ):
+        with pytest.raises(ValueError, match="mixing parameter must be a number"):
+            fn(flag)
+    assert np.array_equal(werner(int(flag)).mat, werner(float(flag)).mat)
 
 
 def test_werner_spectrum_for_sampled_p():
