@@ -1,17 +1,22 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cohdist import optimize
 from cohdist.coherence import c_re, xlog2x
 from cohdist.optimize import (
+    RECHECK_POINTS,
+    SWEEP_TIE_TOL,
     BruteForceResult,
     brute_force_measurement_opt,
     gap_second_derivative,
     qi_werner_closed_form,
     rate_werner_closed_form,
 )
-from cohdist.states import DensityMatrix
+from cohdist.protocols import KrausChannel, ensemble_rate, measure_local_A
+from cohdist.states import DensityMatrix, werner
 
 
 def gap(p: float) -> float:
@@ -153,6 +158,105 @@ class TestBruteForce:
     def test_numpy_integer_grid_sizes_pass(self):
         res = brute_force_measurement_opt(0.5, (np.int64(21), np.int32(4)))
         assert res == brute_force_measurement_opt(0.5, (21, 4))
+
+
+def scalar_landscape_winner(p: float, grid: tuple[int, int]) -> tuple[float, float, float]:
+    """(rate, theta, phi) of the sweep done point by point on the scalar
+    route, every grid point through measure_local_A, under the tie rule."""
+    rho = werner(p)
+    landscape = []
+    for theta in np.linspace(0.0, math.pi, grid[0]).tolist():
+        for phi in np.linspace(0.0, 2.0 * math.pi, grid[1], endpoint=False).tolist():
+            st = math.sin(theta)
+            nx, ny, nz = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+            off = 0.5 * (nx - 1j * ny)
+            up = np.array([[0.5 * (1.0 + nz), off], [off.conjugate(), 0.5 * (1.0 - nz)]])
+            rate = ensemble_rate(measure_local_A(rho, KrausChannel((up, np.eye(2) - up))))
+            landscape.append((rate, theta, phi))
+    floor = max(rate for rate, _, _ in landscape) - SWEEP_TIE_TOL
+    return next(point for point in landscape if point[0] >= floor)
+
+
+def count_scalar_calls(monkeypatch) -> list[bytes]:
+    """Record the +n projector of every scalar-route measurement the sweep
+    makes.  The poles' projectors repeat across phi, so this is a list."""
+    seen = []
+
+    def counting(rho, channel):
+        seen.append(channel.operators[0].tobytes())
+        return measure_local_A(rho, channel)
+
+    monkeypatch.setattr(optimize, "measure_local_A", counting)
+    return seen
+
+
+# dividing a non-finite conditional state by its probability warns before it is rejected
+QUIET_NONFINITE = pytest.mark.filterwarnings("ignore:invalid value")
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("grid", [(12, 6), (21, 20), (24, 8), (60, 8)])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.37, 0.5, 1.0])
+    def test_matches_the_full_scalar_landscape(self, p, grid):
+        res = brute_force_measurement_opt(p, grid)
+        assert (res.rate, res.theta, res.phi) == scalar_landscape_winner(p, grid)
+
+    @pytest.mark.parametrize("grid, point", [((6, 4), 5), ((21, 20), None)])
+    def test_a_batched_rate_off_by_1e_11_raises(self, monkeypatch, grid, point):
+        """Point 5 of a 24-point grid is rechecked because every point is; the
+        winner of a larger grid is rechecked because it always is."""
+        orig = optimize._sweep_rates
+
+        def shifted(mat, pairs, by):
+            rates = orig(mat, pairs)
+            at = int(np.argmax(rates >= rates.max() - SWEEP_TIE_TOL)) if point is None else point
+            rates[at] += by
+            return rates
+
+        monkeypatch.setattr(optimize, "_sweep_rates", lambda mat, pairs: shifted(mat, pairs, 1e-13))
+        brute_force_measurement_opt(0.5, grid)  # within SWEEP_TIE_TOL passes
+        monkeypatch.setattr(optimize, "_sweep_rates", lambda mat, pairs: shifted(mat, pairs, 1e-11))
+        with pytest.raises(ArithmeticError, match="sweep routes disagree"):
+            brute_force_measurement_opt(0.5, grid)
+
+    def test_a_non_psd_conditional_state_raises_before_any_scalar_call(self, monkeypatch):
+        # Hermitian with unit trace, but each |n>-outcome leaves Bob in diag(1.2, -0.2)
+        bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+        seen = count_scalar_calls(monkeypatch)
+        monkeypatch.setattr(optimize, "werner", lambda p: SimpleNamespace(mat=bad, dims=(2, 2)))
+        with pytest.raises(ValueError, match="not a state"):
+            brute_force_measurement_opt(0.5, (6, 4))
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            pytest.param(np.diag([0.5, np.nan, 0.25, 0.25]), marks=QUIET_NONFINITE),
+            pytest.param(np.diag([0.5, np.inf, 0.25, 0.25]), marks=QUIET_NONFINITE),
+            np.eye(4) / 4 + 0.1j * np.eye(4)[::-1],  # anti-diagonal i/10: not Hermitian
+        ],
+        ids=["nan", "inf", "non-hermitian"],
+    )
+    def test_the_batched_pass_rejects_what_a_density_matrix_would(self, mat):
+        pairs = optimize._measurement_pairs(np.linspace(0.0, math.pi, 3), np.zeros(1))
+        with pytest.raises(ValueError, match="not a state"):
+            optimize._sweep_rates(mat.astype(complex), pairs)
+
+    def test_a_small_grid_is_rechecked_at_every_point(self, monkeypatch):
+        seen = count_scalar_calls(monkeypatch)
+        brute_force_measurement_opt(0.5, (6, 4))
+        assert len(seen) == 24
+
+    def test_a_large_grid_rechecks_the_same_64_points_every_run(self, monkeypatch):
+        runs = []
+        for _ in range(2):
+            seen = count_scalar_calls(monkeypatch)
+            res = brute_force_measurement_opt(0.5, (21, 20))
+            assert len(seen) == RECHECK_POINTS == 64
+            runs.append(sorted(seen))
+        assert runs[0] == runs[1]
+        winner = optimize._measurement_pairs(np.array([res.theta]), np.array([res.phi]))[0, 0]
+        assert winner.tobytes() in runs[0]
 
 
 class TestGapCurvature:
