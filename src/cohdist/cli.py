@@ -2,18 +2,17 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 I/O error.  Output is deterministic for fixed inputs and seed.
+Each subcommand imports the layers only it runs, so that a command
+starts without loading (or compiling) the rest.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
 
-from . import verify as verify_mod
 from .coherence import basis_dependent_discord, c_re, qi_relative_entropy, von_neumann_entropy
-from .protocols import licc_erasing_protocol, lqicc_werner_protocol
 from .states import _check_p, density_matrix_from_dict, werner
 
 
@@ -53,6 +52,8 @@ def measures(werner_p, path):
     if werner_p is not None:
         rho = werner(_checked_p(werner_p))
     else:
+        import json
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -78,8 +79,10 @@ def measures(werner_p, path):
 @click.option("--p", "p", type=float, required=True, help="Werner mixing parameter in [0, 1].")
 def protocol(name, p):
     """Run one Werner distillation protocol and print its transcript."""
+    from . import protocols
+
     p = _checked_p(p)
-    result = lqicc_werner_protocol(p) if name == "lqicc" else licc_erasing_protocol(p)
+    result = protocols.lqicc_werner_protocol(p) if name == "lqicc" else protocols.licc_erasing_protocol(p)
     click.echo(f"protocol = {name}")
     click.echo(f"p = {p:.6f}")
     ensemble = result.ensemble
@@ -102,6 +105,8 @@ def protocol(name, p):
 @click.option("--out", type=str, default=None, help="Output path (stdout when omitted).")
 def scan(p_from, p_to, steps, fmt, out):
     """Sweep the closed-form qi, rate, and gap over a range of p."""
+    from . import verify as verify_mod
+
     try:
         records = verify_mod.figure_data(p_from, p_to, steps)
     except ValueError as exc:
@@ -126,6 +131,8 @@ def scan(p_from, p_to, steps, fmt, out):
 @click.option("--brute-phi", type=click.IntRange(min=1), default=400, show_default=True, help="Azimuthal grid size of the measurement sweep.")
 def verify(suite, seed, brute_theta, brute_phi):
     """Run a verification suite; exit 0 on pass, 1 on any failure."""
+    from . import verify as verify_mod
+
     suites = []
     if suite in ("theorem3", "all"):
         suites.append(verify_mod.theorem3_suite())

@@ -120,15 +120,9 @@ class ProtocolResult:
 
 def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     """Measure subsystem A with {K_l x I_B}; return Bob's conditional
-    ensemble {(q_l, tr_A[(K_l x I) rho (K_l x I)+] / q_l)}.
-
-    The lifted operator K_l x I_B is never built.  Its left factor is
-    one product of K_l with rho's A index; the right factor and the
-    trace over A contract that with conj(K_l) block by block:
-    bob_{bb'} = sum_x sum_a' [(K x I) rho]_{xb,a'b'} conj(K_{xa'}).
-    Products are taken in that order, left then right, as the lifted
-    route took them.  Outcomes with probability below PROB_FLOOR are
-    dropped.
+    ensemble {(q_l, tr_A[(K_l x I) rho (K_l x I)+] / q_l)}, formed in
+    one contraction without building K_l x I.  Outcomes with probability
+    below PROB_FLOOR are dropped.
     """
     if len(rho.dims) != 2:
         raise ValueError(f"needs a bipartite state, dims are {rho.dims}")
@@ -136,14 +130,11 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     if channel.dim != da:
         raise ValueError(f"channel acts on dimension {channel.dim}, A has {da}")
     ops = np.array(channel.operators)
-    # left[l, x, b, b', a'] = [(K_l x I) rho]_{xb,a'b'}
-    left = (ops @ rho.mat.reshape(da, -1)).reshape(-1, da, db, da, db).transpose(0, 1, 2, 4, 3)
-    m = (left @ ops.conj()[:, :, None, :, None])[..., 0]
-    # q_l sums the diagonal in the lifted matrix's (x, b) order
-    probs = m.diagonal(0, 2, 3).reshape(len(ops), -1).sum(axis=1).real.tolist()
+    bobs = np.einsum("lxa,abcd,lxc->lbd", ops, rho.mat.reshape(da, db, da, db), ops.conj())
+    probs = np.trace(bobs, axis1=1, axis2=2).real.tolist()
     items = []
     labels = []
-    for q, bob, label in zip(probs, m.sum(axis=1), channel.labels):
+    for q, bob, label in zip(probs, bobs, channel.labels):
         if q < PROB_FLOOR:
             continue
         items.append((q, DensityMatrix(bob / q, (db,))))

@@ -361,10 +361,9 @@ class TestVerify:
         assert "0/1 checks passed" in result.output
 
 
-def test_importing_the_cli_does_not_load_scipy():
+def _fresh_python(code: str) -> str:
     src = str(Path(cohdist.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, cohdist.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -372,4 +371,28 @@ def test_importing_the_cli_does_not_load_scipy():
         text=True,
         check=True,
     )
-    assert out.stdout == "False\n"
+    return out.stdout
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    assert _fresh_python("import sys, cohdist.cli; print('scipy' in sys.modules)") == "False\n"
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    code = """
+import sys
+from cohdist.cli import main
+lazy = ("cohdist.verify", "cohdist.optimize", "cohdist.protocols", "json")
+print("loaded", [m for m in lazy if m in sys.modules])
+main(["measures", "--werner", "0.5"], standalone_mode=False)
+print("loaded", [m for m in lazy if m in sys.modules])
+main(["protocol", "lqicc", "--p", "0.5"], standalone_mode=False)
+print("loaded", [m for m in lazy if m in sys.modules])
+"""
+    lines = [line for line in _fresh_python(code).splitlines() if line.startswith("loaded")]
+    at_import, after_measures, after_protocol = lines
+    assert at_import == "loaded []"
+    assert after_measures == "loaded []"
+    assert "'cohdist.protocols'" in after_protocol
+    assert "'cohdist.verify'" not in after_protocol
+    assert "'cohdist.optimize'" not in after_protocol

@@ -15,6 +15,7 @@ from cohdist.protocols import (
     PAULI_Z,
     PHASE_MINUS_I,
     PHASE_PLUS_I,
+    PROB_FLOOR,
     Ensemble,
     KrausChannel,
     apply_correction,
@@ -173,6 +174,33 @@ class TestMeasureLocalA:
                 for want, (q, state) in zip(self._reference_branches(rho, ops), ens.items):
                     assert abs(q - want.trace().real) <= 1e-14
                     assert np.abs(state.mat - want / want.trace().real).max() <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-10])
+    def test_kron_lift_with_an_outcome_near_the_floor(self, dims, eps):
+        """A 3-outcome channel cut from a random isometry whose third
+        operator kills A's |0>, on a Ginibre state weighted eps away from
+        A in |0>: the third outcome is kept exactly when the lifted
+        reference puts its probability at or above PROB_FLOOR."""
+        da, db = dims
+        rng = np.random.default_rng(64)
+        k3 = np.zeros((da, da), dtype=complex)
+        k3[:, 1] = rng.standard_normal(da) / (2 * math.sqrt(da))
+        root = np.diag(np.sqrt(1.0 - (np.abs(k3) ** 2).sum(axis=0)))
+        iso = random_unitary(rng, 2 * da)[:, :da]
+        ops = (iso[:da] @ root, iso[da:] @ root, k3)
+        sigma = random_density_matrix(db, rng).mat
+        g = random_density_matrix(da * db, rng, dims).mat
+        a0 = np.kron(np.diag([1.0] + [0.0] * (da - 1)), sigma)
+        rho = DensityMatrix((1.0 - eps) * a0 + eps * g, dims)
+        ens = measure_local_A(rho, KrausChannel(ops))
+        want = self._reference_branches(rho, ops)
+        kept = [w for w in want if w.trace().real >= PROB_FLOOR]
+        assert len(kept) == (2 if eps < PROB_FLOOR else 3)
+        assert ens.labels == ("1", "2", "3")[: len(kept)]
+        for w, (q, state) in zip(kept, ens.items):
+            assert abs(q - w.trace().real) <= 1e-14
+            assert np.abs(state.mat - w / w.trace().real).max() <= 1e-14
 
     def test_zero_probability_outcomes_are_dropped(self):
         rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))

@@ -96,7 +96,7 @@ def test_every_public_name_is_reached_from_the_cli_or_the_documented_api():
 
 # Lines of src/cohdist/*.py, as `wc -l` counts them.  Lower it when code
 # is deleted; the budget the roadmap aims for is 1400.
-MAX_SOURCE_LINES = 1329
+MAX_SOURCE_LINES = 1327
 
 
 def test_source_line_count_does_not_grow():
