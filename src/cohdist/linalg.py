@@ -48,8 +48,9 @@ def _rows_hermitian(rows: list[list[complex]]) -> bool:
     Python lists.
 
     Entries are compared one pair at a time on plain scalars, which on
-    the 2x2 inputs of the measurement sweeps costs a fraction of the
-    equivalent array expression.  Written as `not <=` so a NaN fails.
+    the 2x2 states of the sweep recheck, protocols and qubit marginals
+    costs a fraction of the equivalent array expression.  Written as
+    `not <=` so a NaN fails.
     """
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
@@ -62,7 +63,7 @@ def _jacobi(mat: np.ndarray) -> list[float]:
     """Eigenvalues, unsorted, of a Hermitian matrix: every state's positivity check.
 
     Reads only the diagonal and the upper triangle: callers have already
-    checked Hermiticity.  A 2x2, which the measurement sweeps hammer,
+    checked Hermiticity.  A 2x2 (sweep recheck, protocols, qubit marginals)
     takes _jacobi_2x2_values on plain Python scalars, which at that size
     beat a LAPACK call; any other size takes numpy.linalg.eigvalsh.
     """

@@ -1,4 +1,4 @@
-"""Closed forms and optimization sweeps for the Werner distillation gap."""
+"""Exhaustive sweep of projective measurements on A of a Werner state."""
 
 from __future__ import annotations
 
@@ -9,12 +9,10 @@ import numpy as np
 
 from . import linalg
 # c_re is unused here, but perfbench's tracer test reads optimize.c_re
-from .coherence import c_re, xlog2x  # noqa: F401
+from .coherence import c_re  # noqa: F401
 from .linalg import DEFAULT_TOL
 from .protocols import PROB_FLOOR, KrausChannel, ensemble_rate, measure_local_A
 from .states import _check_p, _index, werner
-
-LN2 = math.log(2.0)
 
 # Sweep rates this close to the grid maximum count as tied with it, and
 # the batched and scalar routes must agree this closely at a rechecked point.
@@ -22,20 +20,6 @@ SWEEP_TIE_TOL = 1e-12
 
 # Grid points the scalar route recomputes, the winner among them.
 RECHECK_POINTS = 64
-
-
-def qi_werner_closed_form(p: float) -> float:
-    """Quantum-incoherent relative entropy of werner(p):
-    (1-p)/4 log2(1-p) - (1+p)/2 log2(1+p) + (1+3p)/4 log2(1+3p)."""
-    p = _check_p(p)
-    return 0.25 * xlog2x(1.0 - p) - 0.5 * xlog2x(1.0 + p) + 0.25 * xlog2x(1.0 + 3.0 * p)
-
-
-def rate_werner_closed_form(p: float) -> float:
-    """Distillation rate of both Werner protocols, c_re(p|+><+| + (1-p)I/2):
-    (1+p)/2 log2(1+p) + (1-p)/2 log2(1-p)."""
-    p = _check_p(p)
-    return 0.5 * (xlog2x(1.0 + p) + xlog2x(1.0 - p))
 
 
 @dataclass(frozen=True)
@@ -147,15 +131,3 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceRe
         if i == best:
             best_rate = rate
     return BruteForceResult(best_rate, float(thetas[best // n_phi]), float(phis[best % n_phi]))
-
-
-def gap_second_derivative(p: float) -> float:
-    """d^2/dp^2 of the gap qi - rate: (1 - 3p) / ((1 + 3p)(1 - p^2) ln 2).
-
-    Positive below p = 1/3, negative above; undefined (nan) at the
-    endpoints where the log terms degenerate.
-    """
-    p = _check_p(p)
-    if p == 0.0 or p == 1.0:
-        return math.nan
-    return (1.0 - 3.0 * p) / ((1.0 + 3.0 * p) * (1.0 - p * p) * LN2)

@@ -61,16 +61,9 @@ class KrausChannel:
         labels = tuple(self.labels) or tuple(str(i + 1) for i in range(len(ops)))
         if len(labels) != len(ops):
             raise ValueError("one label per Kraus operator")
-        # sum K+ K - I is Hermitian, so its upper triangle holds the defect;
-        # plain scalars beat array calls at the 2x2 size the sweeps use
-        rows = [row for k in ops for row in k.tolist()]
-        defects = [
-            abs(sum([r[a].conjugate() * r[b] for r in rows]) - (a == b))
-            for a in range(d)
-            for b in range(a, d)
-        ]
-        if not all(x <= DEFAULT_TOL for x in defects):
-            raise ValueError(f"Kraus completeness violated by {max(defects)}")
+        defect = float(np.abs(np.einsum("lxa,lxb->ab", np.conj(ops), ops) - linalg.identity(d)).max())
+        if not defect <= DEFAULT_TOL:
+            raise ValueError(f"Kraus completeness violated by {defect}")
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "operators", ops)

@@ -1,24 +1,21 @@
-"""Certification suites tying quantifiers, protocols, and closed forms together."""
+"""Certification suites, and the Werner closed forms they hold the
+matrix-level routes to.  The forms sit in this top layer, out of reach of
+the routes they certify; only theorem4_suite loads the sweep and protocols."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import basis_dependent_discord, c_re, qi_relative_entropy
+from .coherence import basis_dependent_discord, c_re, qi_relative_entropy, xlog2x
 from .linalg import _kron
-from .optimize import (
-    brute_force_measurement_opt,
-    gap_second_derivative,
-    qi_werner_closed_form,
-    rate_werner_closed_form,
-)
-from .protocols import licc_erasing_protocol, lqicc_werner_protocol
 from .states import (
     DensityMatrix,
     ZeroDiscordSpec,
+    _check_p,
     _index,
     pure_state,
     random_zero_discord_spec,
@@ -30,6 +27,34 @@ DEFAULT_P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # Verdict tolerance of the discord and chain checks.
 VERDICT_TOL = 1e-9
 MAX_SCAN_STEPS = 1_000_001
+
+LN2 = math.log(2.0)
+
+
+def qi_werner_closed_form(p: float) -> float:
+    """Quantum-incoherent relative entropy of werner(p):
+    (1-p)/4 log2(1-p) - (1+p)/2 log2(1+p) + (1+3p)/4 log2(1+3p)."""
+    p = _check_p(p)
+    return 0.25 * xlog2x(1.0 - p) - 0.5 * xlog2x(1.0 + p) + 0.25 * xlog2x(1.0 + 3.0 * p)
+
+
+def rate_werner_closed_form(p: float) -> float:
+    """Distillation rate of both Werner protocols, c_re(p|+><+| + (1-p)I/2):
+    (1+p)/2 log2(1+p) + (1-p)/2 log2(1-p)."""
+    p = _check_p(p)
+    return 0.5 * (xlog2x(1.0 + p) + xlog2x(1.0 - p))
+
+
+def gap_second_derivative(p: float) -> float:
+    """d^2/dp^2 of the gap qi - rate: (1 - 3p) / ((1 + 3p)(1 - p^2) ln 2).
+
+    Positive below p = 1/3, negative above; undefined (nan) at the
+    endpoints where the log terms degenerate.
+    """
+    p = _check_p(p)
+    if p == 0.0 or p == 1.0:
+        return math.nan
+    return (1.0 - 3.0 * p) / ((1.0 + 3.0 * p) * (1.0 - p * p) * LN2)
 
 
 @dataclass(frozen=True)
@@ -239,6 +264,9 @@ def theorem4_suite(brute_grid: tuple[int, int]) -> SuiteResult:
     match a central difference of the gap (step 1e-4, within 1e-4) at
     every k/1000 in [0.05, 0.95].
     """
+    from .optimize import brute_force_measurement_opt
+    from .protocols import licc_erasing_protocol, lqicc_werner_protocol
+
     checks = []
     for p in DEFAULT_P_GRID:
         rate = rate_werner_closed_form(p)

@@ -11,12 +11,7 @@ from click.testing import CliRunner
 
 from cohdist.cli import main
 from cohdist.coherence import c_re, qi_relative_entropy, relative_entropy
-from cohdist.optimize import (
-    brute_force_measurement_opt,
-    gap_second_derivative,
-    qi_werner_closed_form,
-    rate_werner_closed_form,
-)
+from cohdist.optimize import brute_force_measurement_opt
 from cohdist.protocols import (
     ERASE_K1,
     ERASE_K2,
@@ -32,7 +27,12 @@ from cohdist.states import (
     werner,
     zero_discord_state,
 )
-from cohdist.verify import discord_report
+from cohdist.verify import (
+    discord_report,
+    gap_second_derivative,
+    qi_werner_closed_form,
+    rate_werner_closed_form,
+)
 
 from conftest import random_monomial_unitary, trace_distance
 

@@ -12,7 +12,6 @@ import cohdist
 import cohdist.verify as verify_mod
 from cohdist import cli
 from cohdist.cli import main
-from cohdist.optimize import qi_werner_closed_form, rate_werner_closed_form
 from cohdist.states import (
     density_matrix_to_dict,
     maximally_mixed,
@@ -20,6 +19,7 @@ from cohdist.states import (
     werner,
     zero_discord_state,
 )
+from cohdist.verify import qi_werner_closed_form, rate_werner_closed_form
 
 MEASURES_WERNER_05 = (
     "S(rho) = 1.548795\n"
@@ -396,3 +396,24 @@ print("loaded", [m for m in lazy if m in sys.modules])
     assert "'cohdist.protocols'" in after_protocol
     assert "'cohdist.verify'" not in after_protocol
     assert "'cohdist.optimize'" not in after_protocol
+    # only theorem4 loads the measurement sweep and the protocols it certifies
+    code = """
+import sys
+import cohdist.verify
+from cohdist.cli import main
+sweep = ("cohdist.optimize", "cohdist.protocols")
+print("loaded", [m for m in sweep if m in sys.modules])
+for args in (
+    ["scan", "--steps", "3"],
+    ["scan", "--steps", "3", "--format", "json"],
+    ["verify", "theorem3"],
+    ["verify", "lemma1"],
+):
+    main(args, standalone_mode=False)
+    print("loaded", [m for m in sweep if m in sys.modules])
+main(["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"], standalone_mode=False)
+print("loaded", [m for m in sweep if m in sys.modules])
+"""
+    lines = [line for line in _fresh_python(code).splitlines() if line.startswith("loaded")]
+    assert lines == ["loaded []"] * 5 + ["loaded ['cohdist.optimize', 'cohdist.protocols']"]
+

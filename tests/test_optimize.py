@@ -11,12 +11,10 @@ from cohdist.optimize import (
     SWEEP_TIE_TOL,
     BruteForceResult,
     brute_force_measurement_opt,
-    gap_second_derivative,
-    qi_werner_closed_form,
-    rate_werner_closed_form,
 )
 from cohdist.protocols import KrausChannel, ensemble_rate, measure_local_A
 from cohdist.states import DensityMatrix, werner
+from cohdist.verify import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
 
 
 def gap(p: float) -> float:

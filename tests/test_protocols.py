@@ -6,7 +6,6 @@ from conftest import random_unitary, trace_distance
 
 from cohdist.coherence import c_re, qi_relative_entropy
 from cohdist.linalg import DEFAULT_TOL
-from cohdist.optimize import rate_werner_closed_form
 from cohdist.protocols import (
     ERASE_K1,
     ERASE_K2,
@@ -32,6 +31,7 @@ from cohdist.states import (
     random_density_matrix,
     werner,
 )
+from cohdist.verify import rate_werner_closed_form
 
 ALL_GATES = (
     IDENTITY_2,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohdist.optimize import brute_force_measurement_opt, qi_werner_closed_form, rate_werner_closed_form
+from cohdist.optimize import brute_force_measurement_opt
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,
@@ -15,6 +15,7 @@ from cohdist.states import (
     werner,
     zero_discord_state,
 )
+from cohdist.verify import qi_werner_closed_form, rate_werner_closed_form
 
 
 class TestDensityMatrix:

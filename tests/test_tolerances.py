@@ -30,6 +30,11 @@ def _incomplete_kraus(defect):
     return KrausChannel((np.diag([math.sqrt(1.0 + defect), 1.0]),))
 
 
+def _off_diagonal_kraus(defect):
+    # K+ K = [[1, d], [d, 1 + d^2]]: every diagonal entry of the defect is O(d^2)
+    return KrausChannel((np.array([[1.0, defect], [0.0, 1.0]]),))
+
+
 def _probabilities_off_one(defect):
     q = pure_state([1.0, 0.0])
     return Ensemble(((0.5, q), (0.5 + defect, q)))
@@ -54,6 +59,7 @@ def _block_leak(defect):
         (_off_trace, "trace"),
         (_negative_eigenvalue, "positive semidefinite"),
         (_incomplete_kraus, "completeness"),
+        (_off_diagonal_kraus, "completeness"),
         (_probabilities_off_one, "sum to"),
         (_weights_off_one, "sum to"),
         (_block_leak, "leaks"),
@@ -63,6 +69,7 @@ def _block_leak(defect):
         "state-trace",
         "state-min-eigenvalue",
         "kraus-completeness",
+        "kraus-off-diagonal-completeness",
         "ensemble-probability-sum",
         "spec-weight-sum",
         "spec-block-leak",
@@ -72,3 +79,8 @@ def test_validation_tolerance_edges(build, message):
     build(0.5 * DEFAULT_TOL)
     with pytest.raises(ValueError, match=message):
         build(2.0 * DEFAULT_TOL)
+
+
+def test_a_nan_kraus_operator_fails_completeness():
+    with pytest.raises(ValueError, match="completeness"):
+        KrausChannel((np.array([[1.0, math.nan], [0.0, 1.0]]),))

@@ -5,7 +5,6 @@ import pytest
 
 from cohdist import linalg, verify
 from cohdist.coherence import qi_relative_entropy
-from cohdist.optimize import qi_werner_closed_form, rate_werner_closed_form
 from cohdist.states import (
     DensityMatrix,
     pure_state,
@@ -21,6 +20,8 @@ from cohdist.verify import (
     discord_report,
     figure_data,
     lemma1_suite,
+    qi_werner_closed_form,
+    rate_werner_closed_form,
     records_to_csv,
     records_to_json,
     theorem3_suite,
