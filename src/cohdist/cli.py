@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 I/O error.  Output is deterministic for fixed inputs and seed.
-Each subcommand imports the layers only it runs, so that a command
-starts without loading (or compiling) the rest.
+Each subcommand imports the layers only it runs, and only once its
+input has passed the checks that need no matrix, so that `scan` and
+rejected input start without numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import sys
 
 import click
 
-from .coherence import basis_dependent_discord, c_re, qi_relative_entropy, von_neumann_entropy
-from .states import _check_p, density_matrix_from_dict, werner
+from .scalars import _check_p
 
 
 def _checked_p(p: float) -> float:
@@ -50,7 +50,10 @@ def measures(werner_p, path):
     if (werner_p is None) == (path is None):
         raise click.UsageError("provide exactly one of --werner or --file")
     if werner_p is not None:
-        rho = werner(_checked_p(werner_p))
+        p = _checked_p(werner_p)
+        from .states import werner
+
+        rho = werner(p)
     else:
         import json
 
@@ -62,12 +65,16 @@ def measures(werner_p, path):
             sys.exit(3)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise click.UsageError(f"state file is not valid JSON: {exc}")
+        from .states import density_matrix_from_dict
+
         try:
             rho = density_matrix_from_dict(payload)
         except ValueError as exc:
             raise click.UsageError(str(exc))
         if len(rho.dims) != 2:
             raise click.UsageError(f"state must be bipartite, dims are {list(rho.dims)}")
+    from .coherence import basis_dependent_discord, c_re, qi_relative_entropy, von_neumann_entropy
+
     click.echo(f"S(rho) = {_fmt_real(von_neumann_entropy(rho))}")
     click.echo(f"C_re(rho_B) = {_fmt_real(c_re(rho.marginal_b))}")
     click.echo(f"C_re^A|B(rho) = {_fmt_real(qi_relative_entropy(rho))}")
@@ -79,9 +86,9 @@ def measures(werner_p, path):
 @click.option("--p", "p", type=float, required=True, help="Werner mixing parameter in [0, 1].")
 def protocol(name, p):
     """Run one Werner distillation protocol and print its transcript."""
+    p = _checked_p(p)
     from . import protocols
 
-    p = _checked_p(p)
     result = protocols.lqicc_werner_protocol(p) if name == "lqicc" else protocols.licc_erasing_protocol(p)
     click.echo(f"protocol = {name}")
     click.echo(f"p = {p:.6f}")
@@ -105,13 +112,13 @@ def protocol(name, p):
 @click.option("--out", type=str, default=None, help="Output path (stdout when omitted).")
 def scan(p_from, p_to, steps, fmt, out):
     """Sweep the closed-form qi, rate, and gap over a range of p."""
-    from . import verify as verify_mod
+    from . import closed_forms
 
     try:
-        records = verify_mod.figure_data(p_from, p_to, steps)
+        records = closed_forms.figure_data(p_from, p_to, steps)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    text = verify_mod.records_to_csv(records) if fmt == "csv" else verify_mod.records_to_json(records)
+    text = closed_forms.records_to_csv(records) if fmt == "csv" else closed_forms.records_to_json(records)
     if out is None:
         click.echo(text, nl=False)
         return

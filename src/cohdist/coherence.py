@@ -8,6 +8,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL
+from .scalars import xlog2x
 from .states import DensityMatrix
 
 # Support handling for relative entropy: sigma eigenvalues below
@@ -15,13 +16,6 @@ from .states import DensityMatrix
 # on such a direction makes the divergence infinite.
 SUPPORT_TOL = 1e-12
 WEIGHT_TOL = 1e-10
-
-
-def xlog2x(x: float) -> float:
-    """x log2 x with the 0 log 0 := 0 convention."""
-    if x <= 0.0:
-        return 0.0
-    return x * math.log2(x)
 
 
 def _clamped_spectrum(rho: DensityMatrix, tol: float) -> list[float]:

@@ -12,7 +12,8 @@ from . import linalg
 from .coherence import c_re  # noqa: F401
 from .linalg import DEFAULT_TOL
 from .protocols import PROB_FLOOR, KrausChannel, ensemble_rate, measure_local_A
-from .states import _check_p, _index, werner
+from .scalars import _check_p, _index
+from .states import werner
 
 # Sweep rates this close to the grid maximum count as tied with it, and
 # the batched and scalar routes must agree this closely at a rechecked point.

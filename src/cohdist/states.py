@@ -5,7 +5,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -13,13 +12,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL
-
-
-def _index(x) -> int:
-    """operator.index that also rejects bool, which it would read as 0 or 1."""
-    if isinstance(x, bool):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return operator.index(x)
+from .scalars import _check_p, _index
 
 
 @lru_cache(maxsize=None)
@@ -139,15 +132,6 @@ def maximally_mixed(dim: int, dims: tuple[int, ...] = ()) -> DensityMatrix:
 def bell_phi_plus() -> DensityMatrix:
     """(|00> + |11>) / sqrt(2) as a two-qubit density matrix."""
     return pure_state([1.0, 0.0, 0.0, 1.0], (2, 2))
-
-
-def _check_p(p: float) -> float:
-    """The Werner mixing parameter as a float; ValueError on a bool or outside [0, 1]."""
-    if isinstance(p, (bool, np.bool_)):
-        raise ValueError(f"mixing parameter must be a number, got {p!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
-    return float(p)
 
 
 def werner(p: float) -> DensityMatrix:

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from cohdist.cli import main
+from cohdist.closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
 from cohdist.coherence import c_re, qi_relative_entropy, relative_entropy
 from cohdist.optimize import brute_force_measurement_opt
 from cohdist.protocols import (
@@ -27,12 +28,7 @@ from cohdist.states import (
     werner,
     zero_discord_state,
 )
-from cohdist.verify import (
-    discord_report,
-    gap_second_derivative,
-    qi_werner_closed_form,
-    rate_werner_closed_form,
-)
+from cohdist.verify import discord_report
 
 from conftest import random_monomial_unitary, trace_distance
 

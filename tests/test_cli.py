@@ -10,8 +10,9 @@ from click.testing import CliRunner
 
 import cohdist
 import cohdist.verify as verify_mod
-from cohdist import cli
+from cohdist import coherence
 from cohdist.cli import main
+from cohdist.closed_forms import qi_werner_closed_form, rate_werner_closed_form
 from cohdist.states import (
     density_matrix_to_dict,
     maximally_mixed,
@@ -19,7 +20,6 @@ from cohdist.states import (
     werner,
     zero_discord_state,
 )
-from cohdist.verify import qi_werner_closed_form, rate_werner_closed_form
 
 MEASURES_WERNER_05 = (
     "S(rho) = 1.548795\n"
@@ -90,10 +90,10 @@ class TestMeasures:
             rho = zero_discord_state(random_zero_discord_spec(rng, da, db))
             path.write_text(json.dumps(density_matrix_to_dict(rho)))
             outputs.append(runner.invoke(main, ["measures", "--file", str(path)]))
-        monkeypatch.setattr(cli, "basis_dependent_discord", lambda rho: -1e-15)
+        monkeypatch.setattr(coherence, "basis_dependent_discord", lambda rho: -1e-15)
         outputs.append(runner.invoke(main, ["measures", "--werner", "0.5"]))
         assert outputs[-1].output.endswith("D^A|B(rho) = 0.000000\n")
-        monkeypatch.setattr(cli, "basis_dependent_discord", lambda rho: -6e-7)
+        monkeypatch.setattr(coherence, "basis_dependent_discord", lambda rho: -6e-7)
         assert runner.invoke(main, ["measures", "--werner", "0.5"]).output.endswith("D^A|B(rho) = -0.000001\n")
         for result in outputs:
             assert result.exit_code == 0
@@ -382,7 +382,17 @@ def test_each_command_loads_only_the_layers_it_runs():
     code = """
 import sys
 from cohdist.cli import main
-lazy = ("cohdist.verify", "cohdist.optimize", "cohdist.protocols", "json")
+lazy = (
+    "numpy",
+    "cohdist.linalg",
+    "cohdist.states",
+    "cohdist.coherence",
+    "cohdist.closed_forms",
+    "cohdist.verify",
+    "cohdist.optimize",
+    "cohdist.protocols",
+    "json",
+)
 print("loaded", [m for m in lazy if m in sys.modules])
 main(["measures", "--werner", "0.5"], standalone_mode=False)
 print("loaded", [m for m in lazy if m in sys.modules])
@@ -390,30 +400,70 @@ main(["protocol", "lqicc", "--p", "0.5"], standalone_mode=False)
 print("loaded", [m for m in lazy if m in sys.modules])
 """
     lines = [line for line in _fresh_python(code).splitlines() if line.startswith("loaded")]
-    at_import, after_measures, after_protocol = lines
-    assert at_import == "loaded []"
-    assert after_measures == "loaded []"
-    assert "'cohdist.protocols'" in after_protocol
-    assert "'cohdist.verify'" not in after_protocol
-    assert "'cohdist.optimize'" not in after_protocol
-    # only theorem4 loads the measurement sweep and the protocols it certifies
+    matrix = "'numpy', 'cohdist.linalg', 'cohdist.states', 'cohdist.coherence'"
+    assert lines == [
+        "loaded []",
+        f"loaded [{matrix}]",
+        f"loaded [{matrix}, 'cohdist.protocols']",
+    ]
+    # scan loads the closed forms alone; only theorem4 loads the
+    # measurement sweep and the protocols it certifies
     code = """
 import sys
-import cohdist.verify
 from cohdist.cli import main
-sweep = ("cohdist.optimize", "cohdist.protocols")
-print("loaded", [m for m in sweep if m in sys.modules])
+lazy = ("numpy", "cohdist.closed_forms", "cohdist.verify", "cohdist.optimize", "cohdist.protocols")
 for args in (
     ["scan", "--steps", "3"],
     ["scan", "--steps", "3", "--format", "json"],
     ["verify", "theorem3"],
     ["verify", "lemma1"],
+    ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"],
 ):
     main(args, standalone_mode=False)
-    print("loaded", [m for m in sweep if m in sys.modules])
-main(["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"], standalone_mode=False)
-print("loaded", [m for m in sweep if m in sys.modules])
+    print("loaded", [m for m in lazy if m in sys.modules])
 """
     lines = [line for line in _fresh_python(code).splitlines() if line.startswith("loaded")]
-    assert lines == ["loaded []"] * 5 + ["loaded ['cohdist.optimize', 'cohdist.protocols']"]
+    scan = "loaded ['cohdist.closed_forms']"
+    suites = "loaded ['numpy', 'cohdist.closed_forms', 'cohdist.verify'"
+    assert lines == [scan, scan, suites + "]", suites + "]", suites + ", 'cohdist.optimize', 'cohdist.protocols']"]
 
+
+def test_scan_and_rejected_input_start_without_numpy(tmp_path):
+    """Only a command that computes on a matrix loads numpy.  The numpy-free
+    modules, every scan, and each input the CLI rejects before it builds a
+    state leave numpy out of sys.modules; measures --werner 0.5, the
+    control, must load it."""
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe\x00{")
+    commands = [
+        ["scan", "--steps", "5"],
+        ["scan", "--steps", "5", "--format", "json"],
+        ["scan", "--steps", "5", "--out", str(tmp_path / "sweep.csv")],
+        ["measures", "--file", str(tmp_path / "broken.json")],
+        ["measures", "--file", str(tmp_path / "not_utf8.json")],
+        ["measures", "--file", str(tmp_path / "missing.json")],
+        ["measures", "--werner", "1.5"],
+        ["protocol", "lqicc", "--p", "1.5"],
+        ["measures", "--werner", "0.5"],
+    ]
+    code = f"""
+import json, sys
+def report(step, code=None):
+    print("@", json.dumps([step, code, "numpy" in sys.modules]))
+import cohdist.scalars
+report("import cohdist.scalars")
+import cohdist.closed_forms
+report("import cohdist.closed_forms")
+from cohdist.cli import main
+report("import cohdist.cli")
+for args in {commands!r}:
+    try:
+        main(args, prog_name="cohdist")
+    except SystemExit as exc:
+        report(" ".join(args[:2]), exc.code)
+"""
+    reports = [json.loads(line[2:]) for line in _fresh_python(code).splitlines() if line.startswith("@ ")]
+    imports = [[f"import cohdist.{m}", None, False] for m in ("scalars", "closed_forms", "cli")]
+    exits = (0, 0, 0, 2, 2, 3, 2, 2)
+    runs = [[" ".join(args[:2]), exit_code, False] for args, exit_code in zip(commands, exits)]
+    assert reports == imports + runs + [["measures --werner", 0, True]]

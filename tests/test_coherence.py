@@ -15,9 +15,9 @@ from cohdist.coherence import (
     qi_relative_entropy,
     relative_entropy,
     von_neumann_entropy,
-    xlog2x,
 )
 from cohdist.linalg import DEFAULT_TOL
+from cohdist.scalars import xlog2x
 from cohdist.states import (
     DensityMatrix,
     bell_phi_plus,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cohdist import optimize
-from cohdist.coherence import c_re, xlog2x
+from cohdist.closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
+from cohdist.coherence import c_re
 from cohdist.optimize import (
     RECHECK_POINTS,
     SWEEP_TIE_TOL,
@@ -13,8 +14,8 @@ from cohdist.optimize import (
     brute_force_measurement_opt,
 )
 from cohdist.protocols import KrausChannel, ensemble_rate, measure_local_A
+from cohdist.scalars import xlog2x
 from cohdist.states import DensityMatrix, werner
-from cohdist.verify import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
 
 
 def gap(p: float) -> float:

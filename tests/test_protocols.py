@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_unitary, trace_distance
 
+from cohdist.closed_forms import rate_werner_closed_form
 from cohdist.coherence import c_re, qi_relative_entropy
 from cohdist.linalg import DEFAULT_TOL
 from cohdist.protocols import (
@@ -31,7 +32,6 @@ from cohdist.states import (
     random_density_matrix,
     werner,
 )
-from cohdist.verify import rate_werner_closed_form
 
 ALL_GATES = (
     IDENTITY_2,

@@ -1,7 +1,11 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
+from cohdist.closed_forms import qi_werner_closed_form, rate_werner_closed_form
 from cohdist.optimize import brute_force_measurement_opt
+from cohdist.scalars import _check_p
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,
@@ -15,7 +19,6 @@ from cohdist.states import (
     werner,
     zero_discord_state,
 )
-from cohdist.verify import qi_werner_closed_form, rate_werner_closed_form
 
 
 class TestDensityMatrix:
@@ -128,6 +131,18 @@ def test_bool_mixing_parameter_is_rejected(flag):
         with pytest.raises(ValueError, match="mixing parameter must be a number"):
             fn(flag)
     assert np.array_equal(werner(int(flag)).mat, werner(float(flag)).mat)
+
+
+@pytest.mark.parametrize("bad", ["0.5", Decimal("0.5"), None], ids=["str", "Decimal", "None"])
+def test_non_real_mixing_parameter_is_rejected(bad):
+    with pytest.raises(ValueError, match="mixing parameter must be a number"):
+        _check_p(bad)
+
+
+@pytest.mark.parametrize("p", [np.float32(0.25), np.float64(0.25), 1], ids=["np.float32", "np.float64", "int"])
+def test_real_mixing_parameter_is_read_as_a_float(p):
+    assert type(_check_p(p)) is float
+    assert _check_p(p) == float(p)
 
 
 def test_werner_spectrum_for_sampled_p():

@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 from cohdist import linalg, verify
+from cohdist.closed_forms import (
+    CSV_HEADER,
+    MAX_SCAN_STEPS,
+    figure_data,
+    qi_werner_closed_form,
+    rate_werner_closed_form,
+    records_to_csv,
+    records_to_json,
+)
 from cohdist.coherence import qi_relative_entropy
 from cohdist.states import (
     DensityMatrix,
@@ -13,17 +22,10 @@ from cohdist.states import (
     zero_discord_state,
 )
 from cohdist.verify import (
-    CSV_HEADER,
-    MAX_SCAN_STEPS,
     check_chain,
     check_theorem3,
     discord_report,
-    figure_data,
     lemma1_suite,
-    qi_werner_closed_form,
-    rate_werner_closed_form,
-    records_to_csv,
-    records_to_json,
     theorem3_suite,
     theorem4_suite,
 )
