@@ -15,6 +15,9 @@ import click
 
 from .scalars import _check_p
 
+# The measurement sweep holds about 360 bytes per grid point.
+MAX_GRID_POINTS = 1_000_000
+
 
 def _checked_p(p: float) -> float:
     try:
@@ -138,6 +141,8 @@ def scan(p_from, p_to, steps, fmt, out):
 @click.option("--brute-phi", type=click.IntRange(min=1), default=400, show_default=True, help="Azimuthal grid size of the measurement sweep.")
 def verify(suite, seed, brute_theta, brute_phi):
     """Run a verification suite; exit 0 on pass, 1 on any failure."""
+    if brute_theta * brute_phi > MAX_GRID_POINTS:
+        raise click.UsageError(f"--brute-theta x --brute-phi is {brute_theta * brute_phi} grid points, at most {MAX_GRID_POINTS}")
     from . import verify as verify_mod
 
     suites = []

@@ -1,14 +1,14 @@
 """Dense complex linear algebra for small matrices.
 
 The largest matrix the package builds is 9x9 (two qutrits).  Spectra come
-from _jacobi: a 2x2 closed form in pure Python, else numpy.linalg.eigvalsh;
-the discord cross-check's eigenvectors come from numpy.linalg.eigh.
+from _jacobi: at 2x2 the closed form mean +- radius of _spectrum_2x2, which
+the batched measurement sweep shares, else numpy.linalg.eigvalsh; the
+discord cross-check's eigenvectors come from numpy.linalg.eigh.
 Composite indices are always A-major: |i>_A |j>_B sits at i * dim_b + j.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -16,9 +16,6 @@ import numpy as np
 # Validation tolerance of the package: Hermiticity, unit trace, positivity,
 # Kraus completeness and probability sums all hold to within DEFAULT_TOL.
 DEFAULT_TOL = 1e-10
-
-# A 2x2 whose off-diagonal Frobenius norm is below JACOBI_OFF_TOL is already diagonal.
-JACOBI_OFF_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -64,32 +61,27 @@ def _jacobi(mat: np.ndarray) -> list[float]:
 
     Reads only the diagonal and the upper triangle: callers have already
     checked Hermiticity.  A 2x2 (sweep recheck, protocols, qubit marginals)
-    takes _jacobi_2x2_values on plain Python scalars, which at that size
-    beat a LAPACK call; any other size takes numpy.linalg.eigvalsh.
+    takes _spectrum_2x2 on plain Python scalars, which at that size beats
+    a LAPACK call; any other size takes numpy.linalg.eigvalsh.
     """
     if mat.shape[0] == 2:
-        return _jacobi_2x2_values(mat.tolist())
+        (a, c), (_, d) = mat.tolist()
+        return [*_spectrum_2x2(a.real, d.real, c)]
     return np.linalg.eigvalsh(mat, UPLO="U").tolist()
 
 
-def _jacobi_2x2_values(a: list[list[complex]]) -> list[float]:
-    """Eigenvalues of a Hermitian 2x2 by the one Jacobi rotation that zeroes
-    its off-diagonal entry.
+def _spectrum_2x2(a, d, c):
+    """Eigenvalues (mean + radius, mean - radius) of the Hermitian 2x2
+    [[a, c], [c*, d]] with a and d real.
 
-    A matrix already diagonal within JACOBI_OFF_TOL returns its diagonal.
-    Otherwise the rotation's tangent t, the smaller root for stability,
-    moves the diagonal entries by +t|a01| and -t|a01| in closed form.
+    Uses only operations that act alike on Python scalars and on numpy
+    arrays, so the scalar path and the batched sweep share it.  The
+    radius is the hypot of (a - d) / 2 and |c|, taken as the modulus of a
+    complex number, which does not overflow where a sum of squares would.
     """
-    (a00, a01), (_, a11) = a
-    if 2.0 * (a01.real * a01.real + a01.imag * a01.imag) < JACOBI_OFF_TOL * JACOBI_OFF_TOL:
-        return [a00.real, a11.real]
-    r = abs(a01)
-    app = a00.real
-    aqq = a11.real
-    tau = (app - aqq) / (2.0 * r)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    tr = t * r
-    return [app + tr, aqq - tr]
+    mean = 0.5 * (a + d)
+    radius = abs(0.5 * (a - d) + 1j * abs(c))
+    return mean + radius, mean - radius
 
 
 def hermitian_eigh(m: np.ndarray):

@@ -64,9 +64,9 @@ def _sweep_rates(mat: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     tr_A[(P x I) mat] for a projector P, one product over mat's A
     indices.  Outcomes below PROB_FLOOR are dropped; every other
     conditional state must be finite, Hermitian, of unit trace and have
-    no eigenvalue below -DEFAULT_TOL, else ValueError.  Spectra and
-    dephased diagonals are 2x2 closed forms; each rate is
-    sum q (S(Delta sigma) - S(sigma)).
+    no eigenvalue below -DEFAULT_TOL, else ValueError.  Spectra come
+    from linalg._spectrum_2x2, the 2x2 form the scalar route uses too;
+    each rate is sum q (S(Delta sigma) - S(sigma)).
     """
     # bob[2k + l, b, b'] = sum_{a, a'} pairs[k, l, a', a] mat[a b, a' b']
     by_a = mat.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3).reshape(4, 4)
@@ -75,19 +75,19 @@ def _sweep_rates(mat: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     keep = ~(q < PROB_FLOOR)  # a NaN is kept, and fails below
     np.divide(bob, q[:, None, None], out=bob, where=keep[:, None, None])
     a, c, d = bob[:, 0, 0], bob[:, 0, 1], bob[:, 1, 1]
-    mean, radius = 0.5 * (a.real + d.real), np.hypot(0.5 * (a.real - d.real), np.abs(c))
+    hi, lo = linalg._spectrum_2x2(a.real, d.real, c)
     # every entry enters a `<=` test below, which a NaN or an infinity fails
     valid = (
         (np.abs(c - bob[:, 1, 0].conj()) <= DEFAULT_TOL)
         & (2.0 * np.maximum(np.abs(a.imag), np.abs(d.imag)) <= DEFAULT_TOL)
         & (np.abs(a + d - 1.0) <= DEFAULT_TOL)
-        & (mean - radius >= -DEFAULT_TOL)
+        & (lo >= -DEFAULT_TOL)
     )
     if not (valid | ~keep).all():
         bad = int(np.argmin(valid | ~keep))
         raise ValueError(f"conditional state {bad % 2} of measurement {bad // 2} is not a state")
     # the clamped spectrum and diagonal enter xlog2x; S(Delta sigma) - S(sigma)
-    coherence = _xlog2x(mean + radius) + _xlog2x(mean - radius) - _xlog2x(a.real) - _xlog2x(d.real)
+    coherence = _xlog2x(hi) + _xlog2x(lo) - _xlog2x(a.real) - _xlog2x(d.real)
     return np.where(keep, q * coherence, 0.0).reshape(-1, 2).sum(axis=1)
 
 

@@ -28,21 +28,6 @@ MEASURES_WERNER_05 = (
     "D^A|B(rho) = 0.262483\n"
 )
 
-THEOREM4_21_4 = (
-    "[PASS] theorem4: p=0.1: protocols and sweep meet the closed form (rate=0.007226 lqicc=0.007226 licc=0.007226 brute=0.007226 gap=0.005963)\n"
-    "[PASS] theorem4: p=0.2: protocols and sweep meet the closed form (rate=0.029049 lqicc=0.029049 licc=0.029049 brute=0.029049 gap=0.019973)\n"
-    "[PASS] theorem4: p=0.3: protocols and sweep meet the closed form (rate=0.065932 lqicc=0.065932 licc=0.065932 brute=0.065932 gap=0.037835)\n"
-    "[PASS] theorem4: p=0.4: protocols and sweep meet the closed form (rate=0.118709 lqicc=0.118709 licc=0.118709 brute=0.118709 gap=0.056574)\n"
-    "[PASS] theorem4: p=0.5: protocols and sweep meet the closed form (rate=0.188722 lqicc=0.188722 licc=0.188722 brute=0.188722 gap=0.073761)\n"
-    "[PASS] theorem4: p=0.6: protocols and sweep meet the closed form (rate=0.278072 lqicc=0.278072 licc=0.278072 brute=0.278072 gap=0.087077)\n"
-    "[PASS] theorem4: p=0.7: protocols and sweep meet the closed form (rate=0.390160 lqicc=0.390160 licc=0.390160 brute=0.390160 gap=0.093871)\n"
-    "[PASS] theorem4: p=0.8: protocols and sweep meet the closed form (rate=0.531004 lqicc=0.531004 licc=0.531004 brute=0.531004 gap=0.090407)\n"
-    "[PASS] theorem4: p=0.9: protocols and sweep meet the closed form (rate=0.713603 lqicc=0.713603 licc=0.713603 brute=0.713603 gap=0.069610)\n"
-    "[PASS] theorem4: gap positive on the interior grid (min over k/1000 grid = 7.199e-07 at p=0.001)\n"
-    "[PASS] theorem4: gap convex below 1/3, concave above (d2(0.2)=0.3757 d2(0.5)=-0.3847)\n"
-    "11/11 checks passed\n"
-)
-
 SCAN_3_STEPS = (
     "p,qi,rate,gap\n"
     "0.000000,0.000000,0.000000,0.000000\n"
@@ -300,13 +285,6 @@ class TestVerify:
         assert result.exit_code == 0
         assert "gap positive on the interior grid" in result.output
 
-    def test_theorem4_passes_on_an_odd_theta_grid(self, runner):
-        """An odd --brute-theta puts theta = pi/2, the optimum, on the grid."""
-        args = ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        assert result.output == THEOREM4_21_4
-
     def test_shifted_curvature_fails_theorem4_with_exit_one(self, runner, monkeypatch):
         """The negative control of the curvature line: gap_second_derivative
         off by 1e-3 where verify reads it keeps both signs right and fails
@@ -350,6 +328,21 @@ class TestVerify:
         assert "Invalid value" in result.stderr
         assert result.stdout == ""
 
+    def test_measurement_grid_is_bounded(self, runner, monkeypatch):
+        """A grid above MAX_GRID_POINTS is a usage error that runs no suite;
+        one of exactly MAX_GRID_POINTS reaches the theorem-4 suite."""
+        grids = []
+        forced = verify_mod.SuiteResult("theorem4", (verify_mod.CheckLine("forced", True, "stub"),))
+        monkeypatch.setattr(verify_mod, "theorem4_suite", lambda brute_grid: grids.append(brute_grid) or forced)
+        result = runner.invoke(main, ["verify", "theorem4", "--brute-theta", "1001", "--brute-phi", "1000"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "1001000 grid points, at most 1000000" in result.stderr
+        assert grids == []
+        result = runner.invoke(main, ["verify", "theorem4", "--brute-theta", "1000", "--brute-phi", "1000"])
+        assert result.exit_code == 0
+        assert grids == [(1000, 1000)]
+
     def test_any_failing_check_exits_one(self, runner, monkeypatch):
         forced = verify_mod.SuiteResult(
             "theorem3", (verify_mod.CheckLine("forced failure", False, "broken"),)
@@ -372,10 +365,6 @@ def _fresh_python(code: str) -> str:
         check=True,
     )
     return out.stdout
-
-
-def test_importing_the_cli_does_not_load_scipy():
-    assert _fresh_python("import sys, cohdist.cli; print('scipy' in sys.modules)") == "False\n"
 
 
 def test_each_command_loads_only_the_layers_it_runs():
@@ -444,6 +433,7 @@ def test_scan_and_rejected_input_start_without_numpy(tmp_path):
         ["measures", "--file", str(tmp_path / "missing.json")],
         ["measures", "--werner", "1.5"],
         ["protocol", "lqicc", "--p", "1.5"],
+        ["verify", "theorem4", "--brute-theta", "10000", "--brute-phi", "10000"],
         ["measures", "--werner", "0.5"],
     ]
     code = f"""
@@ -464,6 +454,6 @@ for args in {commands!r}:
 """
     reports = [json.loads(line[2:]) for line in _fresh_python(code).splitlines() if line.startswith("@ ")]
     imports = [[f"import cohdist.{m}", None, False] for m in ("scalars", "closed_forms", "cli")]
-    exits = (0, 0, 0, 2, 2, 3, 2, 2)
+    exits = (0, 0, 0, 2, 2, 3, 2, 2, 2)
     runs = [[" ".join(args[:2]), exit_code, False] for args, exit_code in zip(commands, exits)]
     assert reports == imports + runs + [["measures --werner", 0, True]]

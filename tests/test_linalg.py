@@ -193,6 +193,55 @@ def test_eigh_vectors_satisfy_eigen_equation():
         assert np.abs(m @ vecs[:, k] - lam * vecs[:, k]).max() < 1e-10
 
 
+def _two_by_two_states() -> np.ndarray:
+    """Unit-trace Hermitian 2x2s, stacked: seeded Ginibre states, pure and
+    near-pure ones, exact diagonals (a == d with c = 0 among them) and
+    a == d with |c| = 1e-13."""
+    rng = np.random.default_rng(109)
+    mats = [random_density_matrix(2, rng).mat for _ in range(100)]
+    for eps in (0.0, 1e-13, 1e-9, 1e-5):
+        for _ in range(25):
+            pure = pure_state(rng.standard_normal(2) + 1j * rng.standard_normal(2)).mat
+            mats.append((1.0 - eps) * pure + eps * random_density_matrix(2, rng).mat)
+    mats += [np.diag([0.3, 0.7]), np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]
+    mats += [np.array([[0.5, 1e-13 * z], [1e-13 * np.conj(z), 0.5]]) for z in (1.0, 1j, np.exp(0.7j))]
+    return np.array(mats, dtype=complex)
+
+
+def _worst_two_by_two_error(spectrum) -> float:
+    """Worst difference from LAPACK of spectrum(a, d, c) -> (larger,
+    smaller) over _two_by_two_states, called once on the stacked arrays
+    and once per state on Python scalars."""
+    mats = _two_by_two_states()
+    want = np.linalg.eigvalsh(mats)[:, ::-1]
+    a, d, c = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 0, 1]
+    worst = np.abs(np.stack(spectrum(a, d, c), axis=1) - want).max()
+    for args, pair in zip(zip(a.tolist(), d.tolist(), c.tolist()), want.tolist()):
+        worst = max(worst, *(abs(x - y) for x, y in zip(spectrum(*args), pair)))
+    return float(worst)
+
+
+def test_two_by_two_closed_form_matches_lapack():
+    """The one 2x2 form, shared by the scalar path and the batched sweep,
+    agrees with eigvalsh within 1e-14.  Control: the early-out of the
+    deleted Jacobi-rotation form, which returned the bare diagonal when
+    |c| < 7e-13, misses by 1e-13 at a == d, |c| = 1e-13."""
+    assert _worst_two_by_two_error(linalg._spectrum_2x2) <= 1e-14
+    assert type(linalg._spectrum_2x2(0.5, 0.5, 0.25j)[1]) is float
+
+    def early_out(a, d, c):
+        hi, lo = linalg._spectrum_2x2(a, d, c)
+        diagonal = np.abs(c) < 7e-13
+        return np.where(diagonal, np.maximum(a, d), hi), np.where(diagonal, np.minimum(a, d), lo)
+
+    assert _worst_two_by_two_error(early_out) > 1e-14
+    # the radius is a hypot: a sum of squares would overflow to -inf here
+    with pytest.raises(ValueError, match=r"min eigenvalue -1e\+200$"):
+        DensityMatrix(np.array([[0.5, 1e200], [1e200, 0.5]]))
+    half = np.array([0.5, 0.5])
+    assert linalg._spectrum_2x2(half, half, np.array([1e200, 1e200j]))[1].tolist() == [-1e200, -1e200]
+
+
 @settings(max_examples=60, derandomize=True)
 @given(st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
 def test_two_by_two_spectrum_properties(entries):
