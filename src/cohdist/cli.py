@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .scalars import _check_p
+from .scalars import _check_p, _fmt6
 
 # The measurement sweep holds about 360 bytes per grid point.
 MAX_GRID_POINTS = 1_000_000
@@ -27,13 +27,7 @@ def _checked_p(p: float) -> float:
 
 
 def _fmt_complex(v: complex) -> str:
-    # add 0.0 to normalize negative zeros
-    return f"{v.real + 0.0:.6f}{v.imag + 0.0:+.6f}j"
-
-
-def _fmt_real(x: float) -> str:
-    # the :.6f digits, except that a value rounding to zero prints without a sign
-    return f"{round(x, 6) + 0.0:.6f}"
+    return f"{_fmt6(v.real)}{_fmt6(v.imag, '+')}j"
 
 
 def _fmt_matrix(m) -> list[str]:
@@ -78,10 +72,13 @@ def measures(werner_p, path):
             raise click.UsageError(f"state must be bipartite, dims are {list(rho.dims)}")
     from .coherence import basis_dependent_discord, c_re, qi_relative_entropy, von_neumann_entropy
 
-    click.echo(f"S(rho) = {_fmt_real(von_neumann_entropy(rho))}")
-    click.echo(f"C_re(rho_B) = {_fmt_real(c_re(rho.marginal_b))}")
-    click.echo(f"C_re^A|B(rho) = {_fmt_real(qi_relative_entropy(rho))}")
-    click.echo(f"D^A|B(rho) = {_fmt_real(basis_dependent_discord(rho))}")
+    # a state can pass while its rho_B or Delta_B rho fails the checks: no line before all four
+    try:
+        values = (von_neumann_entropy(rho), c_re(rho.marginal_b), qi_relative_entropy(rho), basis_dependent_discord(rho))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    for name, x in zip(("S(rho)", "C_re(rho_B)", "C_re^A|B(rho)", "D^A|B(rho)"), values):
+        click.echo(f"{name} = {_fmt6(x)}")
 
 
 @main.command()
@@ -94,17 +91,17 @@ def protocol(name, p):
 
     result = protocols.lqicc_werner_protocol(p) if name == "lqicc" else protocols.licc_erasing_protocol(p)
     click.echo(f"protocol = {name}")
-    click.echo(f"p = {p:.6f}")
+    click.echo(f"p = {_fmt6(p)}")
     ensemble = result.ensemble
     for label, (q, state), gate in zip(ensemble.labels, ensemble.items, result.corrections):
-        click.echo(f"outcome {label}: probability = {q:.6f}")
+        click.echo(f"outcome {label}: probability = {_fmt6(q)}")
         click.echo("correction =")
         for line in _fmt_matrix(gate):
             click.echo(line)
         click.echo("bob state =")
         for line in _fmt_matrix(state.mat):
             click.echo(line)
-    click.echo(f"rate = {result.rate:.6f}")
+    click.echo(f"rate = {_fmt6(result.rate)}")
 
 
 @main.command()

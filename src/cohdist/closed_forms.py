@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .scalars import _check_p, _index, xlog2x
+from .scalars import _check_p, _fmt6, _index, xlog2x
 
 MAX_SCAN_STEPS = 1_000_001
 
@@ -80,10 +80,10 @@ CSV_HEADER = "p,qi,rate,gap"
 
 
 def records_to_csv(records) -> str:
-    """Six-decimal CSV with the fixed header row."""
+    """Six-decimal CSV, as scalars._fmt6 prints, with the fixed header row."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(f"{r.p:.6f},{r.qi:.6f},{r.rate:.6f},{r.gap:.6f}")
+        lines.append(",".join(map(_fmt6, (r.p, r.qi, r.rate, r.gap))))
     return "\n".join(lines) + "\n"
 
 

@@ -18,19 +18,13 @@ SUPPORT_TOL = 1e-12
 WEIGHT_TOL = 1e-10
 
 
-def _clamped_spectrum(rho: DensityMatrix, tol: float) -> list[float]:
-    # eigenvalues in [-tol, 0) clamp to 0; anything lower is not a state
-    out = []
-    for lam in rho.eigenvalues:
-        if lam < -tol:
-            raise ValueError(f"eigenvalue {lam} below -{tol}: not a state")
-        out.append(lam if lam > 0.0 else 0.0)
-    return out
-
-
 def von_neumann_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
-    """S(rho) = -sum lambda log2 lambda over the spectrum."""
-    return -sum(xlog2x(lam) for lam in _clamped_spectrum(rho, tol))
+    """S(rho) = -sum lambda log2 lambda over the spectrum.  An eigenvalue in
+    [-tol, 0) counts as 0 (xlog2x maps it there); a lower one is not a state."""
+    lam = rho.eigenvalues[-1]
+    if lam < -tol:
+        raise ValueError(f"eigenvalue {lam} below -{tol}: not a state")
+    return -sum(map(xlog2x, rho.eigenvalues))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
@@ -48,7 +42,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFA
 
 def _relative_entropy_eig(rho: DensityMatrix, vals, vecs: np.ndarray, tol: float) -> float:
     """relative_entropy(rho, sigma) given sigma's eigenvalues and eigenvector columns."""
-    first = sum(xlog2x(lam) for lam in _clamped_spectrum(rho, tol))
+    first = -von_neumann_entropy(rho, tol)
     # weight of rho along each sigma eigenvector
     weights = np.real(np.sum(vecs.conj() * (rho.mat @ vecs), axis=0))
     second = 0.0

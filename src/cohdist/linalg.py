@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small matrices.
 
-The largest matrix the package builds is 9x9 (two qutrits).  Spectra come
-from _jacobi: at 2x2 the closed form mean +- radius of _spectrum_2x2, which
+The suites build states of at most 9x9 (two qutrits); a state file may
+hold any size.  Spectra come from _jacobi: at 2x2 the closed form mean +- radius of _spectrum_2x2, which
 the batched measurement sweep shares, else numpy.linalg.eigvalsh; the
 discord cross-check's eigenvectors come from numpy.linalg.eigh.
 Composite indices are always A-major: |i>_A |j>_B sits at i * dim_b + j.

@@ -12,7 +12,7 @@ from . import linalg
 from .coherence import c_re  # noqa: F401
 from .linalg import DEFAULT_TOL
 from .protocols import PROB_FLOOR, KrausChannel, ensemble_rate, measure_local_A
-from .scalars import _check_p, _index
+from .scalars import _indices
 from .states import werner
 
 # Sweep rates this close to the grid maximum count as tied with it, and
@@ -108,14 +108,10 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceRe
     A difference beyond SWEEP_TIE_TOL raises ArithmeticError.  The
     reported rate is the scalar route's value at the winner.
     """
-    p = _check_p(p)
-    try:
-        n_theta, n_phi = map(_index, grid)
-    except TypeError:
-        raise ValueError(f"grid sizes must be integers, got {grid}") from None
+    rho = werner(p)
+    n_theta, n_phi = _indices(grid, "grid sizes")
     if n_theta < 2 or n_phi < 1:
         raise ValueError(f"grid must be at least 2 x 1, got {grid}")
-    rho = werner(p)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     pairs = _measurement_pairs(thetas, phis)
@@ -126,7 +122,7 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceRe
         others = np.random.default_rng(0).choice(len(rates) - 1, RECHECK_POINTS - 1, replace=False)
         points = sorted([best, *(others + (others >= best)).tolist()])
     for i in points:
-        rate = ensemble_rate(measure_local_A(rho, KrausChannel((pairs[i, 0], pairs[i, 1]), ("+n", "-n"))))
+        rate = ensemble_rate(measure_local_A(rho, KrausChannel(pairs[i], ("+n", "-n"))))
         if not abs(rate - rates[i]) <= SWEEP_TIE_TOL:
             raise ArithmeticError(f"sweep routes disagree at grid point {i}: {rates[i]!r} vs {rate!r}")
         if i == best:

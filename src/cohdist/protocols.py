@@ -46,26 +46,27 @@ def is_incoherent_kraus(k) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A finite Kraus decomposition {K_l} with sum K+ K = I."""
+    """A finite Kraus decomposition {K_l} with sum K+ K = I, held as one
+    read-only (L, d, d) stack that the channel owns."""
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        ops = tuple(linalg.as_matrix(k).copy() for k in self.operators)
+        ops = [linalg.as_matrix(k) for k in self.operators]
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         d = ops[0].shape[0]
         if any(k.shape != (d, d) for k in ops):
             raise ValueError("Kraus operators must be square and share one dimension")
+        ops = np.array(ops)
         labels = tuple(self.labels) or tuple(str(i + 1) for i in range(len(ops)))
         if len(labels) != len(ops):
             raise ValueError("one label per Kraus operator")
-        defect = float(np.abs(np.einsum("lxa,lxb->ab", np.conj(ops), ops) - linalg.identity(d)).max())
+        defect = float(np.abs(np.einsum("lxa,lxb->ab", ops.conj(), ops) - linalg.identity(d)).max())
         if not defect <= DEFAULT_TOL:
             raise ValueError(f"Kraus completeness violated by {defect}")
-        for k in ops:
-            k.setflags(write=False)
+        ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "labels", labels)
 
@@ -117,12 +118,10 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     one contraction without building K_l x I.  Outcomes with probability
     below PROB_FLOOR are dropped.
     """
-    if len(rho.dims) != 2:
-        raise ValueError(f"needs a bipartite state, dims are {rho.dims}")
-    da, db = rho.dims
+    da, db = rho._bipartite()
     if channel.dim != da:
         raise ValueError(f"channel acts on dimension {channel.dim}, A has {da}")
-    ops = np.array(channel.operators)
+    ops = channel.operators
     bobs = np.einsum("lxa,abcd,lxc->lbd", ops, rho.mat.reshape(da, db, da, db), ops.conj())
     probs = np.trace(bobs, axis1=1, axis2=2).real.tolist()
     items = []

@@ -1,5 +1,5 @@
-"""Scalar checks and x log2 x: the bottom layer, standard library only, so
-the CLI can check its input before it loads numpy."""
+"""Scalar checks, x log2 x and six-decimal text: the bottom layer, standard
+library only, so the CLI can check its input before it loads numpy."""
 
 from __future__ import annotations
 
@@ -13,6 +13,14 @@ def _index(x) -> int:
     if isinstance(x, bool):
         raise TypeError(f"expected an integer, got {x!r}")
     return operator.index(x)
+
+
+def _indices(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of _index integers; ValueError naming what otherwise."""
+    try:
+        return tuple(map(_index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def _check_p(p: float) -> float:
@@ -31,3 +39,9 @@ def xlog2x(x: float) -> float:
     if x <= 0.0:
         return 0.0
     return x * math.log2(x)
+
+
+def _fmt6(x: float, sign: str = "") -> str:
+    """f"{x:{sign}.6f}", except that a value rounding to zero prints without
+    a minus sign."""
+    return f"{round(x, 6) + 0.0:{sign}.6f}"

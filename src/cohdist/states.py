@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL
-from .scalars import _check_p, _index
+from .scalars import _check_p, _indices
 
 
 @lru_cache(maxsize=None)
@@ -49,10 +49,7 @@ class DensityMatrix:
         n = m.shape[0]
         if m.shape[1] != n:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        try:
-            dims = tuple(map(_index, self.dims)) or (n,)
-        except TypeError as exc:
-            raise ValueError(f"dims must be integers, got {self.dims!r}") from exc
+        dims = _indices(self.dims, "dims") or (n,)
         if any(d < 1 for d in dims) or math.prod(dims) != n:
             raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
         rows = m.tolist()
@@ -181,10 +178,7 @@ class ZeroDiscordSpec:
             raise ValueError("B factors must share one dimension")
         seen: set[int] = set()
         for blk, b in zip(self.blocks, self.b_states):
-            try:
-                idx = tuple(sorted(map(_index, blk)))
-            except TypeError as exc:
-                raise ValueError(f"block indices must be integers, got {blk!r}") from exc
+            idx = tuple(sorted(_indices(blk, "block indices")))
             if not idx:
                 raise ValueError("blocks must be nonempty")
             if idx[0] < 0 or idx[-1] >= db:
@@ -261,7 +255,7 @@ def density_matrix_from_dict(payload: dict) -> DensityMatrix:
     rejected rather than converted.
     """
     try:
-        dims = tuple(map(_index, payload["dims"]))
+        dims = _indices(payload["dims"], "dims")
         re = _numbers(payload["re"])
         im = _numbers(payload["im"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -12,6 +12,7 @@ import numpy as np
 from .closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
 from .coherence import basis_dependent_discord, c_re, qi_relative_entropy
 from .linalg import _kron
+from .scalars import _fmt6
 from .states import (
     DensityMatrix,
     ZeroDiscordSpec,
@@ -110,7 +111,7 @@ def theorem3_suite() -> SuiteResult:
         CheckLine(
             "product state |0><0| x |+><+|",
             rep.passed and abs(rep.qi - 1.0) <= VERDICT_TOL,
-            f"discord={rep.discord:.3e} qi={rep.qi:.6f}",
+            f"discord={rep.discord:.3e} qi={_fmt6(rep.qi)}",
         )
     )
     two_block = ZeroDiscordSpec(
@@ -127,7 +128,7 @@ def theorem3_suite() -> SuiteResult:
         CheckLine(
             "two-block qubit x qutrit mixture",
             rep.passed,
-            f"discord={rep.discord:.3e} qi={rep.qi:.6f} c_re(B)={rep.marginal_coherence:.6f}",
+            f"discord={rep.discord:.3e} qi={_fmt6(rep.qi)} c_re(B)={_fmt6(rep.marginal_coherence)}",
         )
     )
     return SuiteResult("theorem3", tuple(checks))
@@ -160,7 +161,7 @@ def lemma1_suite(seed: int) -> SuiteResult:
             CheckLine(
                 f"negative control: werner({p}) must fail",
                 (not rep.passed) and rep.discord > VERDICT_TOL,
-                f"discord={rep.discord:.6f}",
+                f"discord={_fmt6(rep.discord)}",
             )
         )
     rep = discord_report(_overlap_control_state())
@@ -168,7 +169,7 @@ def lemma1_suite(seed: int) -> SuiteResult:
         CheckLine(
             "negative control: overlapping blocks must fail",
             (not rep.passed) and rep.discord > VERDICT_TOL,
-            f"discord={rep.discord:.6f}",
+            f"discord={_fmt6(rep.discord)}",
         )
     )
     return SuiteResult("lemma1", tuple(checks))
@@ -205,7 +206,7 @@ def theorem4_suite(brute_grid: tuple[int, int]) -> SuiteResult:
             CheckLine(
                 f"p={p:g}: protocols and sweep meet the closed form",
                 passed,
-                f"rate={rate:.6f} lqicc={lq:.6f} licc={li:.6f} brute={bf:.6f} gap={gap:.6f}",
+                f"rate={_fmt6(rate)} lqicc={_fmt6(lq)} licc={_fmt6(li)} brute={_fmt6(bf)} gap={_fmt6(gap)}",
             )
         )
 

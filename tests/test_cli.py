@@ -7,13 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohdist
 import cohdist.verify as verify_mod
 from cohdist import coherence
 from cohdist.cli import main
-from cohdist.closed_forms import qi_werner_closed_form, rate_werner_closed_form
+from cohdist.closed_forms import figure_data, qi_werner_closed_form, rate_werner_closed_form
+from cohdist.scalars import _fmt6
 from cohdist.states import (
+    density_matrix_from_dict,
     density_matrix_to_dict,
     maximally_mixed,
     random_zero_discord_spec,
@@ -118,6 +122,7 @@ class TestMeasures:
         result = runner.invoke(main, ["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
+        assert f"malformed state payload: dims must be integers, got {dims!r}" in result.stderr
 
     def test_bool_dim_is_a_usage_error(self, runner, tmp_path):
         # operator.index(True) is 1, so [true, 4] would load as a 1x4 split
@@ -166,6 +171,52 @@ class TestMeasures:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "non-finite" in result.stderr
+
+    @pytest.mark.parametrize(
+        "rows, defect",
+        [
+            # I/4 with 0.1 + 0.9e-10 at (0,1) and (2,3) but 0.1 at (1,0) and (3,2):
+            # rho_B sums both defects into 1.8e-10
+            ([[0.25, 0.1 + 0.9e-10, 0, 0], [0.1, 0.25, 0, 0], [0, 0, 0.25, 0.1 + 0.9e-10], [0, 0, 0.1, 0.25]], "not Hermitian"),
+            # two eigenvalues -0.9e-10 that rho_B adds into one of -1.8e-10
+            ([[0.5 + 0.9e-10, 0, 0, 0], [0, -0.9e-10, 0, 0], [0, 0, 0.5 + 0.9e-10, 0], [0, 0, 0, -0.9e-10]], "not positive"),
+        ],
+        ids=["hermiticity", "eigenvalue"],
+    )
+    def test_state_whose_marginal_fails_is_a_usage_error(self, runner, tmp_path, rows, defect):
+        payload = {"dims": [2, 2], "re": rows, "im": [[0.0] * 4 for _ in range(4)]}
+        rho = density_matrix_from_dict(payload)  # the state itself passes
+        with pytest.raises(ValueError, match=defect):
+            rho.marginal_b
+        path = tmp_path / "marginal.json"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["measures", "--file", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert defect in result.stderr
+
+
+class TestFormat:
+    @settings(max_examples=500, derandomize=True)
+    @given(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-5, 1e-5))
+    def test_six_decimals_as_format_prints_them_but_never_minus_zero(self, x):
+        want = f"{x:.6f}"
+        assert _fmt6(x) == ("0.000000" if want == "-0.000000" else want)
+
+    @pytest.mark.parametrize(
+        "x, sign, text",
+        [
+            (-1e-17, "", "0.000000"),
+            (-4e-7, "", "0.000000"),
+            (-6e-7, "", "-0.000001"),
+            (-0.0, "", "0.000000"),
+            (-1e-17, "+", "+0.000000"),
+            (0.25, "+", "+0.250000"),
+            (-0.25, "+", "-0.250000"),
+        ],
+    )
+    def test_explicit_cases(self, x, sign, text):
+        assert _fmt6(x, sign) == text
 
 
 class TestProtocol:
@@ -245,6 +296,17 @@ class TestScan:
         assert result.exit_code == 0
         assert result.output == f"wrote 3 records to {out}\n"
         assert out.read_text() == SCAN_3_STEPS
+
+    def test_values_that_round_to_zero_print_without_a_sign(self, runner):
+        args = ["scan", "--from", "0", "--to", "0.00000001", "--steps", "6"]
+        # control: the sweep holds a value just below zero, which json prints in full
+        negative = [x for r in figure_data(0.0, 1e-8, 6) for x in (r.qi, r.rate, r.gap) if x < 0.0]
+        assert negative
+        rows = json.loads(runner.invoke(main, [*args, "--format", "json"]).output)
+        assert negative[0] in [row[key] for row in rows for key in ("qi", "rate", "gap")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert "-0.000000" not in result.output
 
     def test_validation(self, runner):
         assert runner.invoke(main, ["scan", "--steps", "1"]).exit_code == 2

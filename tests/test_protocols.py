@@ -106,6 +106,15 @@ class TestKrausChannel:
         assert ch.operators[0][0, 0] == 1.0
         with pytest.raises(ValueError):
             ch.operators[0][0, 0] = 5.0
+        # a slice of a caller's (N, L, d, d) stack is copied too
+        stack = np.stack([ch.operators, ch.operators[::-1]])
+        sliced = KrausChannel(stack[1])
+        assert sliced.operators.shape == (2, 2, 2)
+        assert not np.shares_memory(sliced.operators, stack)
+        stack[1, 0, 0, 0] = 5.0
+        assert sliced.operators[0, 0, 0] == 0.0
+        with pytest.raises(ValueError):
+            sliced.operators[0, 0, 0] = 5.0
 
 
 class TestEnsemble:

@@ -128,7 +128,7 @@ def test_closed_forms_stay_out_of_the_matrix_routes_and_numpy():
 
 # Lines of src/cohdist/*.py, as `wc -l` counts them.  Lower it when code
 # is deleted; the budget the roadmap aims for is 1400.
-MAX_SOURCE_LINES = 1350
+MAX_SOURCE_LINES = 1345
 
 
 def test_source_line_count_does_not_grow():
