@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 I/O error.  Output is deterministic for fixed inputs and seed.
 Each subcommand imports the layers only it runs, and only once its
-input has passed the checks that need no matrix, so that `scan` and
-rejected input start without numpy.
+input has passed the checks that need no spectrum, so that `scan` and
+rejected input start without numpy; only a state file that fails
+positivity loads it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 import click
 
-from .scalars import _check_p, _fmt6
+from .scalars import _bipartite_dims, _check_p, _check_rows, _fmt6, _payload_rows, _square
 
 # The measurement sweep holds about 360 bytes per grid point.
 MAX_GRID_POINTS = 1_000_000
@@ -62,14 +63,16 @@ def measures(werner_p, path):
             sys.exit(3)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise click.UsageError(f"state file is not valid JSON: {exc}")
-        from .states import density_matrix_from_dict
-
         try:
-            rho = density_matrix_from_dict(payload)
+            rows, dims = _payload_rows(payload)
+            _square((len(rows), len(rows[0])))
+            dims = _bipartite_dims(_check_rows(rows, dims))
+            # numpy loads only for a file that passes every rule but positivity
+            from .states import DensityMatrix
+
+            rho = DensityMatrix(rows, dims)
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        if len(rho.dims) != 2:
-            raise click.UsageError(f"state must be bipartite, dims are {list(rho.dims)}")
     from .coherence import basis_dependent_discord, c_re, qi_relative_entropy, von_neumann_entropy
 
     # a state can pass while its rho_B or Delta_B rho fails the checks: no line before all four

@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL
-from .scalars import xlog2x
+from .scalars import DEFAULT_TOL, xlog2x
 from .states import DensityMatrix
 
 # Support handling for relative entropy: sigma eigenvalues below

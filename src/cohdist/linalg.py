@@ -13,9 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Validation tolerance of the package: Hermiticity, unit trace, positivity,
-# Kraus completeness and probability sums all hold to within DEFAULT_TOL.
-DEFAULT_TOL = 1e-10
+# DEFAULT_TOL is unused here, but linalg.DEFAULT_TOL is its documented name
+from .scalars import DEFAULT_TOL  # noqa: F401
 
 
 @lru_cache(maxsize=None)
@@ -38,22 +37,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of square matrices, bit for bit, by one cheaper broadcast product."""
     n = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
-
-
-def _rows_hermitian(rows: list[list[complex]]) -> bool:
-    """Hermiticity within DEFAULT_TOL of a square matrix held as nested
-    Python lists.
-
-    Entries are compared one pair at a time on plain scalars, which on
-    the 2x2 states of the sweep recheck, protocols and qubit marginals
-    costs a fraction of the equivalent array expression.  Written as
-    `not <=` so a NaN fails.
-    """
-    for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            if not abs(row[j] - rows[j][i].conjugate()) <= DEFAULT_TOL:
-                return False
-    return True
 
 
 def _jacobi(mat: np.ndarray) -> list[float]:

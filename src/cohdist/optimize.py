@@ -10,9 +10,8 @@ import numpy as np
 from . import linalg
 # c_re is unused here, but perfbench's tracer test reads optimize.c_re
 from .coherence import c_re  # noqa: F401
-from .linalg import DEFAULT_TOL
 from .protocols import PROB_FLOOR, KrausChannel, ensemble_rate, measure_local_A
-from .scalars import _indices
+from .scalars import DEFAULT_TOL, _indices
 from .states import werner
 
 # Sweep rates this close to the grid maximum count as tied with it, and
@@ -35,9 +34,7 @@ class BruteForceResult:
 
 def _measurement_pairs(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Stacked projector pairs {|n><n|, |-n><-n|}, shape (N, 2, 2, 2), one
-    per Bloch direction n in theta-major order.  The trig comes from math,
-    one call per angle, so each pair is the one the scalar route has
-    always built, bit for bit."""
+    per Bloch direction n in theta-major order."""
     st, ct = (np.array([f(t) for t in thetas.tolist()]) for f in (math.sin, math.cos))
     sp, cp = (np.array([f(t) for t in phis.tolist()]) for f in (math.sin, math.cos))
     nx, ny = np.outer(st, cp).ravel(), np.outer(st, sp).ravel()

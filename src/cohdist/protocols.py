@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .coherence import c_re
-from .linalg import DEFAULT_TOL
+from .scalars import DEFAULT_TOL, _bipartite_dims
 from .states import DensityMatrix, werner
 
 # Single-qubit gates used for outcome corrections; read-only, as results share them.
@@ -118,7 +118,7 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     one contraction without building K_l x I.  Outcomes with probability
     below PROB_FLOOR are dropped.
     """
-    da, db = rho._bipartite()
+    da, db = _bipartite_dims(rho.dims)
     if channel.dim != da:
         raise ValueError(f"channel acts on dimension {channel.dim}, A has {da}")
     ops = channel.operators

@@ -1,11 +1,18 @@
-"""Scalar checks, x log2 x and six-decimal text: the bottom layer, standard
-library only, so the CLI can check its input before it loads numpy."""
+"""Scalar checks, the state rules that need no spectrum, x log2 x and
+six-decimal text: the bottom layer, standard library only, so the CLI can
+check its input before it loads numpy."""
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import numbers
 import operator
+
+# Validation tolerance of the package: Hermiticity, unit trace, positivity,
+# Kraus completeness and probability sums all hold to within DEFAULT_TOL.
+DEFAULT_TOL = 1e-10
 
 
 def _index(x) -> int:
@@ -45,3 +52,74 @@ def _fmt6(x: float, sign: str = "") -> str:
     """f"{x:{sign}.6f}", except that a value rounding to zero prints without
     a minus sign."""
     return f"{round(x, 6) + 0.0:{sign}.6f}"
+
+
+def _floats(rows) -> list[list[float]]:
+    """Equally long rows of JSON numbers as floats; a string, bool or null
+    entry raises TypeError, not converted, and an int no float holds OverflowError."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TypeError("expected a list of rows")
+    for x in itertools.chain.from_iterable(rows):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"entries must be numbers, got {x!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"rows must be equally long, got lengths {[len(row) for row in rows]}")
+    return [list(map(float, row)) for row in rows]
+
+
+def _payload_rows(payload) -> tuple[list[list[complex]], tuple[int, ...]]:
+    """The rows r + 1j * i (as numpy's re + 1j * im, bit for bit) and dims of
+    a state file's {"dims": [dA, dB], "re": [[..]], "im": [[..]]}; ValueError
+    unless dims are integers and re, im matching 2-d lists of numbers."""
+    try:
+        dims = _indices(payload["dims"], "dims")
+        re, im = (_floats(payload[key]) for key in ("re", "im"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed state payload: {exc}") from exc
+    # numpy's shapes: (0,) for [], else (rows, columns)
+    shape, im_shape = ((len(x), *{len(row) for row in x}) for x in (re, im))
+    if len(shape) != 2 or shape != im_shape:
+        raise ValueError(f"re/im must be matching 2-d arrays, got {shape} and {im_shape}")
+    return [[r + 1j * i for r, i in zip(*pair)] for pair in zip(re, im)], dims
+
+
+def _square(shape: tuple[int, int]) -> None:
+    """ValueError unless a density matrix's shape is (n, n)."""
+    if shape[0] != shape[1]:
+        raise ValueError(f"density matrix must be square, got {shape}")
+
+
+def _rows_hermitian(rows: list[list[complex]]) -> bool:
+    """Hermiticity within DEFAULT_TOL of a square matrix held as nested lists,
+    one pair of plain scalars at a time: on the 2x2 states of the sweep
+    recheck a fraction of an array expression's cost.  `not <=` fails a NaN."""
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            if not abs(row[j] - rows[j][i].conjugate()) <= DEFAULT_TOL:
+                return False
+    return True
+
+
+def _check_rows(rows: list[list[complex]], dims) -> tuple[int, ...]:
+    """The state rules that need no spectrum, in order, on the rows of a
+    square matrix: integer dims (empty means (n,), which is returned), finite
+    entries, Hermiticity, unit trace.  ValueError on the first one broken."""
+    n = len(rows)
+    dims = _indices(dims, "dims") or (n,)
+    if any(d < 1 for d in dims) or math.prod(dims) != n:
+        raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
+    if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
+        raise ValueError("density matrix has non-finite entries")
+    if not _rows_hermitian(rows):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = sum(rows[i][i] for i in range(n))
+    if abs(tr - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"trace is {tr}, expected 1")
+    return dims
+
+
+def _bipartite_dims(dims: tuple[int, ...]) -> tuple[int, int]:
+    """dims of a bipartite state; ValueError for any other split."""
+    if len(dims) != 2:
+        raise ValueError(f"needs a bipartite state, dims are {dims}")
+    return dims

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import cmath
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL
-from .scalars import _check_p, _indices
+from .scalars import DEFAULT_TOL, _bipartite_dims, _check_p, _check_rows, _indices, _payload_rows, _square
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +27,7 @@ class DensityMatrix:
     dims lists the subsystem dimensions (their product must equal the
     matrix dimension); a single-system state may omit it.  Construction
     rejects non-finite entries, then checks Hermiticity, unit trace, and
-    positivity, all within linalg.DEFAULT_TOL, and caches the spectrum so
+    positivity, all within DEFAULT_TOL, and caches the spectrum so
     entropy calls reuse the eigendecomposition done for the positivity
     check.  Each dim must be an integer: a float, a string or a bool is
     rejected, not truncated or read as 1.
@@ -46,20 +42,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.as_matrix(self.mat)
-        n = m.shape[0]
-        if m.shape[1] != n:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
-        dims = _indices(self.dims, "dims") or (n,)
-        if any(d < 1 for d in dims) or math.prod(dims) != n:
-            raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
-        rows = m.tolist()
-        if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
-            raise ValueError("density matrix has non-finite entries")
-        if not linalg._rows_hermitian(rows):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = sum(rows[i][i] for i in range(n))
-        if abs(tr - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"trace is {tr}, expected 1")
+        _square(m.shape)
+        dims = _check_rows(m.tolist(), self.dims)
         eigs = linalg._jacobi(m)  # Hermiticity already checked
         eigs.sort(reverse=True)
         if eigs[-1] < -DEFAULT_TOL:
@@ -79,21 +63,16 @@ class DensityMatrix:
         """Spectrum in descending order (cached at construction)."""
         return self._eigs
 
-    def _bipartite(self) -> tuple[int, int]:
-        if len(self.dims) != 2:
-            raise ValueError(f"needs a bipartite state, dims are {self.dims}")
-        return self.dims
-
     @cached_property
     def marginal_a(self) -> DensityMatrix:
         """rho_A = tr_B rho of a bipartite state."""
-        da, db = self._bipartite()
+        da, db = _bipartite_dims(self.dims)
         return DensityMatrix(self.mat.reshape(da, db, da, db).trace(axis1=1, axis2=3), (da,))
 
     @cached_property
     def marginal_b(self) -> DensityMatrix:
         """rho_B = tr_A rho of a bipartite state."""
-        da, db = self._bipartite()
+        da, db = _bipartite_dims(self.dims)
         return DensityMatrix(self.mat.reshape(da, db, da, db).trace(axis1=0, axis2=2), (db,))
 
     @cached_property
@@ -105,7 +84,7 @@ class DensityMatrix:
     def dephased_b(self) -> DensityMatrix:
         """rho with every entry whose two B indices differ zeroed: B's
         coherences go, A's between equal B indices stay."""
-        db = self._bipartite()[1]
+        db = _bipartite_dims(self.dims)[1]
         return DensityMatrix(np.where(_same_residue(self.dim, db), self.mat, 0.0), self.dims)
 
 
@@ -152,7 +131,7 @@ class ZeroDiscordSpec:
     basis (so they are perfectly distinguishable by an incoherent
     projective measurement).  The weights must be nonnegative and sum to
     one, and each B factor may leak outside its block by at most
-    linalg.DEFAULT_TOL.
+    DEFAULT_TOL.
     """
 
     weights: tuple[float, ...]
@@ -237,32 +216,10 @@ def random_zero_discord_spec(rng: np.random.Generator, dim_a: int, dim_b: int) -
     )
 
 
-def _numbers(rows) -> np.ndarray:
-    """A nested list of JSON numbers as a float array; a string, a bool or
-    null entry raises TypeError instead of being converted."""
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise TypeError("expected a list of rows")
-    for x in itertools.chain.from_iterable(rows):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise TypeError(f"entries must be numbers, got {x!r}")
-    return np.asarray(rows, dtype=float)
-
-
 def density_matrix_from_dict(payload: dict) -> DensityMatrix:
-    """Build a state from {"dims": [dA, dB], "re": [[..]], "im": [[..]]}.
-
-    Dims must be integers and entries numbers; bools and strings are
-    rejected rather than converted.
-    """
-    try:
-        dims = _indices(payload["dims"], "dims")
-        re = _numbers(payload["re"])
-        im = _numbers(payload["im"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed state payload: {exc}") from exc
-    if re.ndim != 2 or re.shape != im.shape:
-        raise ValueError(f"re/im must be matching 2-d arrays, got {re.shape} and {im.shape}")
-    return DensityMatrix(re + 1j * im, dims)
+    """Build a state from {"dims": [dA, dB], "re": [[..]], "im": [[..]]}: integer
+    dims, number entries; bools and strings are rejected rather than converted."""
+    return DensityMatrix(*_payload_rows(payload))
 
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:

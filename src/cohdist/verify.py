@@ -1,7 +1,7 @@
 """Certification suites: they hold the matrix-level routes (discord,
 protocols, the measurement sweep) to the closed forms of closed_forms,
-which no route can import.  Only theorem4_suite loads the sweep and the
-protocols."""
+which no route can import.  Only theorem4_suite loads the closed forms,
+the sweep and the protocols."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
 from .coherence import basis_dependent_discord, c_re, qi_relative_entropy
 from .linalg import _kron
 from .scalars import _fmt6
@@ -185,6 +184,7 @@ def theorem4_suite(brute_grid: tuple[int, int]) -> SuiteResult:
     match a central difference of the gap (step 1e-4, within 1e-4) at
     every k/1000 in [0.05, 0.95].
     """
+    from .closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
     from .optimize import brute_force_measurement_opt
     from .protocols import licc_erasing_protocol, lqicc_werner_protocol
 

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 import cohdist
 import cohdist.verify as verify_mod
-from cohdist import coherence
+from cohdist import closed_forms, coherence
 from cohdist.cli import main
 from cohdist.closed_forms import figure_data, qi_werner_closed_form, rate_werner_closed_form
-from cohdist.scalars import _fmt6
+from cohdist.scalars import _bipartite_dims, _fmt6
 from cohdist.states import (
     density_matrix_from_dict,
     density_matrix_to_dict,
     maximally_mixed,
+    random_density_matrix,
     random_zero_discord_spec,
     werner,
     zero_discord_state,
@@ -152,7 +153,20 @@ class TestMeasures:
         path.write_text(json.dumps(payload))
         result = runner.invoke(main, ["measures", "--file", str(path)])
         assert result.exit_code == 2
-        assert "bipartite" in result.stderr
+        assert result.stdout == ""
+        # one rule, one message: the CLI states no bipartite rule of its own
+        assert [line for line in result.stderr.splitlines() if "bipartite" in line] == [
+            "Error: needs a bipartite state, dims are (4,)"
+        ]
+
+    def test_bipartite_rule_runs_before_positivity(self, runner, tmp_path):
+        # it needs no spectrum, so a state breaking both reports it, before numpy loads
+        payload = {"dims": [4], "re": np.diag([0.6, 0.5, 0.1, -0.2]).tolist(), "im": [[0.0] * 4] * 4}
+        path = tmp_path / "mono.json"
+        path.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["measures", "--file", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("\nError: needs a bipartite state, dims are (4,)\n")
 
     def test_invalid_state_matrix_is_a_usage_error(self, runner, tmp_path):
         payload = density_matrix_to_dict(maximally_mixed(2))
@@ -194,6 +208,86 @@ class TestMeasures:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert defect in result.stderr
+
+
+def _non_positive(payload, rng):
+    n = len(payload["re"])
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    eigs = np.full(n, 1.2 / (n - 1))
+    eigs[0] = -0.2
+    mat = u @ np.diag(eigs) @ u.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
+    return {**payload, "re": mat.real.tolist(), "im": mat.imag.tolist()}
+
+
+def _set_entry(payload, rng, values):
+    key = ("re", "im")[int(rng.integers(2))]
+    rows = [list(row) for row in payload[key]]
+    i, j = (int(k) for k in rng.integers(len(rows), size=2))
+    rows[i][j] = values[int(rng.integers(len(values)))]
+    return {**payload, key: rows}
+
+
+def _add_off_diagonal(payload, rng):
+    rows = [list(row) for row in payload["re"]]
+    i, j = (int(k) for k in rng.choice(len(rows), size=2, replace=False))
+    rows[i][j] += 1e-3
+    return {**payload, "re": rows}
+
+
+def _drop_key(payload, rng):
+    key = list(payload)[int(rng.integers(len(payload)))]
+    return {k: v for k, v in payload.items() if k != key}
+
+
+def _drop_from_a_row(payload, rng):
+    key = ("re", "im")[int(rng.integers(2))]
+    rows = [list(row) for row in payload[key]]
+    rows[int(rng.integers(len(rows)))].pop()
+    return {**payload, key: rows}
+
+
+# One defect each, applied to a valid state payload.
+DEFECTS = {
+    "missing key": _drop_key,
+    "not an object": lambda d, rng: [[1, 2], "state", 5, None][int(rng.integers(4))],
+    "non-integer dim": lambda d, rng: {**d, "dims": [[2.5, "2", True, None][int(rng.integers(4))], d["dims"][1]]},
+    "dims product": lambda d, rng: {**d, "dims": [d["dims"][0], d["dims"][1] + 1]},
+    "zero dim": lambda d, rng: {**d, "dims": [0, d["dims"][1]]},
+    "non-number entry": lambda d, rng: _set_entry(d, rng, [True, False, "0.1", None, [0.1]]),
+    "huge int": lambda d, rng: _set_entry(d, rng, [10**400, -(10**400)]),
+    "non-finite": lambda d, rng: _set_entry(d, rng, [float("nan"), float("inf"), -float("inf")]),
+    "ragged": _drop_from_a_row,
+    "non-square": lambda d, rng: {**d, "re": [row[:-1] for row in d["re"]], "im": [row[:-1] for row in d["im"]]},
+    "mismatched": lambda d, rng: {**d, "im": d["im"][:-1]},
+    "empty": lambda d, rng: {**d, ("re", "im")[int(rng.integers(2))]: []},
+    "non-Hermitian": _add_off_diagonal,
+    "wrong trace": lambda d, rng: {**d, "re": [[1.25 * x for x in row] for row in d["re"]], "im": [[1.25 * x for x in row] for row in d["im"]]},
+    "non-bipartite": lambda d, rng: {**d, "dims": [len(d["re"])]},
+    "non-positive": _non_positive,
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(DEFECTS)), st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+def test_cli_reports_the_library_error_for_any_single_defect(tmp_path_factory, seed, defect, dims):
+    """Whichever rule a state file breaks, the text after `Error: ` is the
+    ValueError the library raises on the same payload: the numpy-free
+    checks run before the state is built and say what it would say."""
+    rng = np.random.default_rng(seed)
+    payload = DEFECTS[defect](density_matrix_to_dict(random_density_matrix(dims[0] * dims[1], rng, dims)), rng)
+    try:
+        _bipartite_dims(density_matrix_from_dict(payload).dims)
+    except ValueError as exc:
+        want = str(exc)
+    else:
+        raise AssertionError(f"{defect} left a valid state")
+    path = tmp_path_factory.getbasetemp() / "defect.json"
+    path.write_text(json.dumps(payload))
+    result = CliRunner().invoke(main, ["measures", "--file", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"\nError: {want}\n")
 
 
 class TestFormat:
@@ -351,8 +445,8 @@ class TestVerify:
         """The negative control of the curvature line: gap_second_derivative
         off by 1e-3 where verify reads it keeps both signs right and fails
         only the central-difference check."""
-        d2 = verify_mod.gap_second_derivative
-        monkeypatch.setattr(verify_mod, "gap_second_derivative", lambda p: d2(p) + 1e-3)
+        d2 = closed_forms.gap_second_derivative
+        monkeypatch.setattr(closed_forms, "gap_second_derivative", lambda p: d2(p) + 1e-3)
         result = runner.invoke(main, ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"])
         assert result.exit_code == 1
         lines = result.output.splitlines()
@@ -457,48 +551,70 @@ print("loaded", [m for m in lazy if m in sys.modules])
         f"loaded [{matrix}]",
         f"loaded [{matrix}, 'cohdist.protocols']",
     ]
-    # scan loads the closed forms alone; only theorem4 loads the
-    # measurement sweep and the protocols it certifies
+    # scan loads the closed forms alone; only theorem4 loads the closed
+    # forms, the measurement sweep and the protocols it certifies
     code = """
 import sys
 from cohdist.cli import main
-lazy = ("numpy", "cohdist.closed_forms", "cohdist.verify", "cohdist.optimize", "cohdist.protocols")
-for args in (
-    ["scan", "--steps", "3"],
-    ["scan", "--steps", "3", "--format", "json"],
-    ["verify", "theorem3"],
-    ["verify", "lemma1"],
-    ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"],
-):
+lazy = ("numpy", "cohdist.closed_forms", "cohdist.verify", "cohdist.optimize", "cohdist.protocols", "json")
+for args in %r:
     main(args, standalone_mode=False)
     print("loaded", [m for m in lazy if m in sys.modules])
 """
-    lines = [line for line in _fresh_python(code).splitlines() if line.startswith("loaded")]
-    scan = "loaded ['cohdist.closed_forms']"
-    suites = "loaded ['numpy', 'cohdist.closed_forms', 'cohdist.verify'"
-    assert lines == [scan, scan, suites + "]", suites + "]", suites + ", 'cohdist.optimize', 'cohdist.protocols']"]
+    scans = [["scan", "--steps", "3"], ["scan", "--steps", "3", "--format", "json"]]
+    suites = [["verify", "theorem3"], ["verify", "lemma1"], ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"]]
+    lines = [line for cmds in (scans, suites) for line in _fresh_python(code % cmds).splitlines() if line.startswith("loaded")]
+    scan = "loaded ['cohdist.closed_forms', 'json']"
+    suite = "loaded ['numpy', 'cohdist.verify']"
+    theorem4 = "loaded ['numpy', 'cohdist.closed_forms', 'cohdist.verify', 'cohdist.optimize', 'cohdist.protocols', 'json']"
+    assert lines == [scan, scan, suite, suite, theorem4]
 
 
 def test_scan_and_rejected_input_start_without_numpy(tmp_path):
     """Only a command that computes on a matrix loads numpy.  The numpy-free
     modules, every scan, and each input the CLI rejects before it builds a
-    state leave numpy out of sys.modules; measures --werner 0.5, the
-    control, must load it."""
+    state, which is every state file that breaks a rule needing no
+    spectrum, leave numpy out of sys.modules.  The controls must load it:
+    a non-positive file (exit 2), measures --werner 0.5, and, in a process
+    of its own, a valid Werner file."""
+    good = density_matrix_to_dict(werner(0.5))
+    re = good["re"]
+
+    def with_entry(i, j, x):
+        rows = [list(row) for row in re]
+        rows[i][j] = x
+        return {**good, "re": rows}
+
+    # one file per rule that needs no spectrum, each broken alone
+    rejected = {
+        "non_square": {"dims": [2, 2], "re": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], "im": [[0.0] * 3] * 2},
+        "bad_dims": {**good, "dims": [2, 3]},
+        "true_entry": with_entry(1, 1, True),
+        "ragged": {**good, "re": [*re[:3], re[3][:2]]},
+        "nan": with_entry(0, 1, float("nan")),
+        "non_hermitian": with_entry(0, 1, re[0][1] + 1e-3),
+        "wrong_trace": {**good, "re": [[1.1 * x for x in row] for row in re]},
+        "non_bipartite": {**good, "dims": [4]},
+    }
+    positivity = {"dims": [2, 2], "re": np.diag([0.6, 0.5, 0.1, -0.2]).tolist(), "im": [[0.0] * 4] * 4}
+    for name, payload in {**rejected, "non_positive": positivity, "valid": good}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     (tmp_path / "broken.json").write_text("{not json")
     (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe\x00{")
-    commands = [
-        ["scan", "--steps", "5"],
-        ["scan", "--steps", "5", "--format", "json"],
-        ["scan", "--steps", "5", "--out", str(tmp_path / "sweep.csv")],
-        ["measures", "--file", str(tmp_path / "broken.json")],
-        ["measures", "--file", str(tmp_path / "not_utf8.json")],
-        ["measures", "--file", str(tmp_path / "missing.json")],
-        ["measures", "--werner", "1.5"],
-        ["protocol", "lqicc", "--p", "1.5"],
-        ["verify", "theorem4", "--brute-theta", "10000", "--brute-phi", "10000"],
-        ["measures", "--werner", "0.5"],
+    numpy_free = [
+        (["scan", "--steps", "5"], 0),
+        (["scan", "--steps", "5", "--format", "json"], 0),
+        (["scan", "--steps", "5", "--out", str(tmp_path / "sweep.csv")], 0),
+        (["measures", "--file", str(tmp_path / "broken.json")], 2),
+        (["measures", "--file", str(tmp_path / "not_utf8.json")], 2),
+        (["measures", "--file", str(tmp_path / "missing.json")], 3),
+        *((["measures", "--file", str(tmp_path / f"{name}.json")], 2) for name in rejected),
+        (["measures", "--werner", "1.5"], 2),
+        (["protocol", "lqicc", "--p", "1.5"], 2),
+        (["verify", "theorem4", "--brute-theta", "10000", "--brute-phi", "10000"], 2),
     ]
-    code = f"""
+    controls = [(["measures", "--file", str(tmp_path / "non_positive.json")], 2), (["measures", "--werner", "0.5"], 0)]
+    code = """
 import json, sys
 def report(step, code=None):
     print("@", json.dumps([step, code, "numpy" in sys.modules]))
@@ -508,14 +624,20 @@ import cohdist.closed_forms
 report("import cohdist.closed_forms")
 from cohdist.cli import main
 report("import cohdist.cli")
-for args in {commands!r}:
+for args in %r:
     try:
         main(args, prog_name="cohdist")
     except SystemExit as exc:
-        report(" ".join(args[:2]), exc.code)
+        report(" ".join(args), exc.code)
 """
-    reports = [json.loads(line[2:]) for line in _fresh_python(code).splitlines() if line.startswith("@ ")]
+
+    def reports(commands):
+        out = _fresh_python(code % [args for args, _ in commands])
+        return [json.loads(line[2:]) for line in out.splitlines() if line.startswith("@ ")]
+
     imports = [[f"import cohdist.{m}", None, False] for m in ("scalars", "closed_forms", "cli")]
-    exits = (0, 0, 0, 2, 2, 3, 2, 2, 2)
-    runs = [[" ".join(args[:2]), exit_code, False] for args, exit_code in zip(commands, exits)]
-    assert reports == imports + runs + [["measures --werner", 0, True]]
+    runs = [[" ".join(args), exit_code, False] for args, exit_code in numpy_free]
+    loads = [[" ".join(args), exit_code, True] for args, exit_code in controls]
+    assert reports(numpy_free + controls) == imports + runs + loads
+    valid = (["measures", "--file", str(tmp_path / "valid.json")], 0)
+    assert reports([valid]) == imports + [[" ".join(valid[0]), 0, True]]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cohdist import linalg
 from cohdist.linalg import DEFAULT_TOL, hermitian_eigh, identity
+from cohdist.scalars import _rows_hermitian
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,
@@ -172,7 +173,7 @@ def test_nearly_hermitian_input_gives_the_hermitian_part_spectrum():
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         k = g - g.conj().T
         m = h + 1e-11 * k / np.abs(k).max()
-        assert linalg._rows_hermitian(m.tolist())
+        assert _rows_hermitian(m.tolist())
         want = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
         assert np.allclose(jacobi_values(m), want, atol=1e-10, rtol=0.0)
         assert np.allclose(hermitian_eigh(m)[0], want, atol=1e-10, rtol=0.0)
@@ -285,21 +286,6 @@ def test_as_matrix_unwraps_mat_attribute():
     assert linalg.as_matrix([[1, 2], [3, 4]]).dtype == complex
     with pytest.raises(ValueError, match="ndim"):
         linalg.as_matrix([1.0, 2.0])
-
-
-def test_is_hermitian_tolerance_and_shape():
-    """The boundary check DensityMatrix runs on its rows: a square matrix
-    passes within DEFAULT_TOL, a NaN fails, and a non-square one is
-    rejected by its shape before the check."""
-    with pytest.raises(ValueError, match="square"):
-        DensityMatrix(np.zeros((2, 3)))
-    assert linalg._rows_hermitian([[1.0, 1j], [-1j, 2.0]])
-    m = [[1.0 + 0j, 2.0 * DEFAULT_TOL], [0j, 1.0 + 0j]]
-    assert not linalg._rows_hermitian(m)
-    m[0][1] = 0.5 * DEFAULT_TOL
-    assert linalg._rows_hermitian(m)
-    m[1][1] = complex(np.nan)
-    assert not linalg._rows_hermitian(m)
 
 
 def test_trace_distance_values():

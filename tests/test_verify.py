@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cohdist import linalg, verify
+from cohdist import closed_forms, linalg
 from cohdist.closed_forms import (
     CSV_HEADER,
     MAX_SCAN_STEPS,
@@ -209,7 +209,7 @@ def test_theorem4_suite_small_grid():
 def test_curvature_line_fails_on_a_shifted_second_derivative(monkeypatch):
     """A 1e-3 shift keeps the signs at 0.2 and 0.5, so only the
     central-difference check can catch it."""
-    d2 = verify.gap_second_derivative
-    monkeypatch.setattr(verify, "gap_second_derivative", lambda p: d2(p) + 1e-3)
+    d2 = closed_forms.gap_second_derivative
+    monkeypatch.setattr(closed_forms, "gap_second_derivative", lambda p: d2(p) + 1e-3)
     checks = theorem4_suite(brute_grid=(21, 4)).checks
     assert [c.label for c in checks if not c.passed] == ["gap convex below 1/3, concave above"]
