@@ -116,7 +116,9 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     """Measure subsystem A with {K_l x I_B}; return Bob's conditional
     ensemble {(q_l, tr_A[(K_l x I) rho (K_l x I)+] / q_l)}, formed in
     one contraction without building K_l x I.  Outcomes with probability
-    below PROB_FLOOR are dropped.
+    below PROB_FLOOR are dropped, and the kept probabilities are divided
+    by their total: the state's trace and the channel's completeness may
+    each be off by DEFAULT_TOL, and the two defects add up in the sum.
     """
     da, db = _bipartite_dims(rho.dims)
     if channel.dim != da:
@@ -126,14 +128,16 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     probs = np.trace(bobs, axis1=1, axis2=2).real.tolist()
     items = []
     labels = []
+    total = 0.0
     for q, bob, label in zip(probs, bobs, channel.labels):
         if q < PROB_FLOOR:
             continue
         items.append((q, DensityMatrix(bob / q, (db,))))
         labels.append(label)
+        total += q
     if not items:
         raise ValueError("all outcomes fell below the probability floor")
-    return Ensemble(tuple(items), tuple(labels))
+    return Ensemble(tuple([(q / total, state) for q, state in items]), tuple(labels))
 
 
 def apply_correction(ensemble: Ensemble, gates) -> Ensemble:

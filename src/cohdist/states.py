@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
-from .scalars import DEFAULT_TOL, _bipartite_dims, _check_p, _check_rows, _indices, _payload_rows, _square
+from .scalars import DEFAULT_TOL, _bipartite_dims, _check_p, _check_rows, _payload_rows, _square
 
 
 @lru_cache(maxsize=None)
@@ -127,24 +128,23 @@ def random_density_matrix(dim: int, rng: np.random.Generator, dims: tuple[int, .
 @dataclass(frozen=True, eq=False)
 class ZeroDiscordSpec:
     """Data for a classical-quantum mixture sum_a w_a rho_a^A x rho_a^B
-    whose B factors live on pairwise-disjoint blocks of the reference
+    whose B factors have pairwise-disjoint supports in the reference
     basis (so they are perfectly distinguishable by an incoherent
-    projective measurement).  The weights must be nonnegative and sum to
-    one, and each B factor may leak outside its block by at most
-    DEFAULT_TOL.
+    projective measurement).  The support of a B factor is the set of
+    basis indices whose row or column holds an entry above DEFAULT_TOL.
+    The weights must be nonnegative and sum to one.
     """
 
     weights: tuple[float, ...]
     a_states: tuple[DensityMatrix, ...]
-    blocks: tuple[tuple[int, ...], ...]
     b_states: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
         k = len(self.weights)
         if k == 0:
             raise ValueError("need at least one mixture term")
-        if not (len(self.a_states) == len(self.blocks) == len(self.b_states) == k):
-            raise ValueError("weights, a_states, blocks, b_states must align")
+        if not (len(self.a_states) == len(self.b_states) == k):
+            raise ValueError("weights, a_states, b_states must align")
         if not all(w >= -DEFAULT_TOL for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if not abs(sum(self.weights) - 1.0) <= DEFAULT_TOL:
@@ -155,24 +155,13 @@ class ZeroDiscordSpec:
             raise ValueError("A factors must share one dimension")
         if any(b.dim != db for b in self.b_states):
             raise ValueError("B factors must share one dimension")
-        seen: set[int] = set()
-        for blk, b in zip(self.blocks, self.b_states):
-            idx = tuple(sorted(_indices(blk, "block indices")))
-            if not idx:
-                raise ValueError("blocks must be nonempty")
-            if idx[0] < 0 or idx[-1] >= db:
-                raise ValueError(f"block {idx} out of range for dimension {db}")
-            if seen & set(idx):
-                raise ValueError(f"blocks overlap at indices {sorted(seen & set(idx))}")
-            seen.update(idx)
-            outside = [j for j in range(db) if j not in set(idx)]
-            if outside:
-                off = max(
-                    float(np.abs(b.mat[outside, :]).max()),
-                    float(np.abs(b.mat[:, outside]).max()),
-                )
-                if off > DEFAULT_TOL:
-                    raise ValueError(f"B factor leaks outside its block {idx} by {off}")
+        supports = []
+        for b in self.b_states:
+            big = np.abs(b.mat) > DEFAULT_TOL
+            supports.append(set(np.flatnonzero(big.any(axis=0) | big.any(axis=1)).tolist()))
+        for (i, s), (j, t) in itertools.combinations(enumerate(supports), 2):
+            if s & t:
+                raise ValueError(f"B factors {i} and {j} overlap at indices {sorted(s & t)}")
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -190,7 +179,7 @@ def zero_discord_state(spec: ZeroDiscordSpec) -> DensityMatrix:
 
 def random_zero_discord_spec(rng: np.random.Generator, dim_a: int, dim_b: int) -> ZeroDiscordSpec:
     """Sample a ZeroDiscordSpec: random block partition of the B basis,
-    Ginibre factors on each block, Dirichlet weights."""
+    a Ginibre B factor supported on each block, Dirichlet weights."""
     if dim_a < 1 or dim_b < 1:
         raise ValueError("dimensions must be positive")
     perm = [int(i) for i in rng.permutation(dim_b)]
@@ -211,9 +200,7 @@ def random_zero_discord_spec(rng: np.random.Generator, dim_a: int, dim_b: int) -
         full = np.zeros((dim_b, dim_b), dtype=complex)
         full[np.ix_(blk, blk)] = sub.mat
         b_states.append(DensityMatrix(full, (dim_b,)))
-    return ZeroDiscordSpec(
-        tuple(float(w) for w in weights), a_states, tuple(blocks), tuple(b_states)
-    )
+    return ZeroDiscordSpec(tuple(float(w) for w in weights), a_states, tuple(b_states))
 
 
 def density_matrix_from_dict(payload: dict) -> DensityMatrix:

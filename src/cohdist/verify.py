@@ -99,12 +99,7 @@ def _overlap_control_state() -> DensityMatrix:
 def theorem3_suite() -> SuiteResult:
     """Deterministic zero-discord constructions hit the equality."""
     checks = []
-    product = ZeroDiscordSpec(
-        (1.0,),
-        (pure_state([1.0, 0.0]),),
-        ((0, 1),),
-        (pure_state([1.0, 1.0]),),
-    )
+    product = ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), (pure_state([1.0, 1.0]),))
     rep = check_theorem3(product)
     checks.append(
         CheckLine(
@@ -116,7 +111,6 @@ def theorem3_suite() -> SuiteResult:
     two_block = ZeroDiscordSpec(
         (0.6, 0.4),
         (pure_state([1.0, 0.0]), pure_state([1.0, 1.0])),
-        ((0, 1), (2,)),
         (
             pure_state([1.0, 1.0, 0.0], (3,)),
             pure_state([0.0, 0.0, 1.0], (3,)),
@@ -149,7 +143,7 @@ def lemma1_suite(seed: int) -> SuiteResult:
         rep = check_theorem3(spec)
         checks.append(
             CheckLine(
-                f"random zero-discord spec {i:03d} ({da}x{db}, {len(spec.blocks)} blocks)",
+                f"random zero-discord spec {i:03d} ({da}x{db}, {len(spec.weights)} blocks)",
                 rep.passed,
                 f"discord={rep.discord:.3e}",
             )

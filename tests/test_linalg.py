@@ -93,12 +93,11 @@ def test_values_path_matches_closed_forms_on_small_block_states():
     rng = np.random.default_rng(107)
     cases = [(werner(p), [(1 + 3 * p) / 4] + [(1 - p) / 4] * 3) for p in rng.random(20).tolist()]
     theorem3_states = (
-        (ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), ((0, 1),), (pure_state([1.0, 1.0]),)), [1, 0, 0, 0]),
+        (ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), (pure_state([1.0, 1.0]),)), [1, 0, 0, 0]),
         (
             ZeroDiscordSpec(
                 (0.6, 0.4),
                 (pure_state([1.0, 0.0]), pure_state([1.0, 1.0])),
-                ((0, 1), (2,)),
                 (pure_state([1.0, 1.0, 0.0], (3,)), pure_state([0.0, 0.0, 1.0], (3,))),
             ),
             [0.6, 0.4, 0, 0, 0, 0],

@@ -5,7 +5,7 @@ import pytest
 
 from cohdist.closed_forms import qi_werner_closed_form, rate_werner_closed_form
 from cohdist.optimize import brute_force_measurement_opt
-from cohdist.scalars import _check_p
+from cohdist.scalars import DEFAULT_TOL, _check_p
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,
@@ -19,6 +19,7 @@ from cohdist.states import (
     werner,
     zero_discord_state,
 )
+from cohdist.verify import discord_report
 
 
 class TestDensityMatrix:
@@ -190,19 +191,29 @@ def test_random_density_matrix_is_seed_deterministic_and_full_rank():
     assert a.eigenvalues[-1] > 1e-6  # Ginibre draws are full rank
 
 
+def _supports(spec):
+    """The basis indices of each B factor whose row or column holds an
+    entry above the validation tolerance."""
+    out = []
+    for b in spec.b_states:
+        big = np.abs(b.mat) > DEFAULT_TOL
+        out.append(set(np.flatnonzero(big.any(axis=0) | big.any(axis=1)).tolist()))
+    return out
+
+
 class TestZeroDiscordSpec:
     @staticmethod
     def _two_block():
         return ZeroDiscordSpec(
             (0.7, 0.3),
             (pure_state([1.0, 0.0]), pure_state([1.0, 1.0])),
-            ((0, 1), (2,)),
             (pure_state([1.0, 1j, 0.0], (3,)), pure_state([0.0, 0.0, 1.0], (3,))),
         )
 
     def test_valid_spec(self):
         spec = self._two_block()
         assert spec.dims == (2, 3)
+        assert _supports(spec) == [{0, 1}, {2}]
 
     def test_assembled_state_is_the_weighted_kron_sum(self):
         spec = self._two_block()
@@ -218,70 +229,69 @@ class TestZeroDiscordSpec:
         q = pure_state([1.0, 0.0])
         b = pure_state([1.0, 0.0, 0.0], (3,))
         with pytest.raises(ValueError, match="at least one"):
-            ZeroDiscordSpec((), (), (), ())
+            ZeroDiscordSpec((), (), ())
         with pytest.raises(ValueError, match="align"):
-            ZeroDiscordSpec((1.0,), (q, q), ((0,),), (b,))
+            ZeroDiscordSpec((1.0,), (q, q), (b,))
         with pytest.raises(ValueError, match="nonnegative"):
-            ZeroDiscordSpec((1.2, -0.2), (q, q), ((0,), (1,)), (b, b))
+            ZeroDiscordSpec((1.2, -0.2), (q, q), (b, b))
         with pytest.raises(ValueError, match="sum to"):
-            ZeroDiscordSpec((0.5,), (q,), ((0,),), (b,))
+            ZeroDiscordSpec((0.5,), (q,), (b,))
 
     def test_rejects_nan_weights(self):
         q = pure_state([1.0, 0.0])
         b = pure_state([1.0, 0.0, 0.0], (3,))
         with pytest.raises(ValueError, match="nonnegative"):
-            ZeroDiscordSpec((float("nan"),), (q,), ((0,),), (b,))
+            ZeroDiscordSpec((float("nan"),), (q,), (b,))
 
     def test_dimension_validation(self):
         q2 = pure_state([1.0, 0.0])
         q3 = pure_state([1.0, 0.0, 0.0], (3,))
         with pytest.raises(ValueError, match="A factors"):
-            ZeroDiscordSpec((0.5, 0.5), (q2, q3), ((0,), (1,)), (q3, q3))
-        with pytest.raises(ValueError, match="B factors"):
-            ZeroDiscordSpec((0.5, 0.5), (q2, q2), ((0,), (1,)), (q3, q2))
-
-    def test_block_validation(self):
-        q = pure_state([1.0, 0.0])
-        b0 = pure_state([1.0, 0.0, 0.0], (3,))
-        b2 = pure_state([0.0, 0.0, 1.0], (3,))
-        with pytest.raises(ValueError, match="nonempty"):
-            ZeroDiscordSpec((1.0,), (q,), ((),), (b0,))
-        with pytest.raises(ValueError, match="out of range"):
-            ZeroDiscordSpec((1.0,), (q,), ((3,),), (b0,))
-        with pytest.raises(ValueError, match="overlap"):
-            ZeroDiscordSpec((0.5, 0.5), (q, q), ((0, 1), (1, 2)), (b0, b2))
-
-    @pytest.mark.parametrize(
-        "blocks", [((0.9,), (1.2,)), ((0,), (True,)), ((0,), ("1",))], ids=["float", "bool", "string"]
-    )
-    def test_rejects_non_integer_block_indices(self, blocks):
-        # int() would truncate 0.9 and 1.2 to the valid split (0,), (1,)
-        q = pure_state([1.0, 0.0])
-        b0 = pure_state([1.0, 0.0], (2,))
-        b1 = pure_state([0.0, 1.0], (2,))
-        with pytest.raises(ValueError, match="block indices must be integers"):
-            ZeroDiscordSpec((0.5, 0.5), (q, q), blocks, (b0, b1))
+            ZeroDiscordSpec((0.5, 0.5), (q2, q3), (q3, q3))
+        with pytest.raises(ValueError, match="B factors must share"):
+            ZeroDiscordSpec((0.5, 0.5), (q2, q2), (q3, q2))
 
     def test_support_leak_is_rejected(self):
+        # the first factor reaches index 2, which the second one holds
         q = pure_state([1.0, 0.0])
-        leaky = pure_state([1.0, 0.0, 1.0], (3,))  # weight on index 2
-        with pytest.raises(ValueError, match="leaks"):
-            ZeroDiscordSpec((1.0,), (q,), ((0, 1),), (leaky,))
+        leaky = pure_state([1.0, 0.0, 1.0], (3,))
+        b2 = pure_state([0.0, 0.0, 1.0], (3,))
+        with pytest.raises(ValueError, match=r"^B factors 0 and 1 overlap at indices \[2\]$"):
+            ZeroDiscordSpec((0.5, 0.5), (q, q), (leaky, b2))
+        b1 = pure_state([0.0, 1.0, 0.0], (3,))
+        with pytest.raises(ValueError, match=r"^B factors 1 and 2 overlap at indices \[2\]$"):
+            ZeroDiscordSpec((0.2, 0.3, 0.5), (q, q, q), (b1, leaky, b2))
+
+    def test_one_term_with_a_full_rank_b_factor_has_zero_discord(self):
+        # a product state has zero discord whatever its B factor; the
+        # same factor mixed with a second one it overlaps does not
+        a0, a1 = pure_state([1.0, 0.0]), pure_state([0.0, 1.0])
+        b = random_density_matrix(3, np.random.default_rng(3), (3,))
+        product = ZeroDiscordSpec((1.0,), (a0,), (b,))
+        assert _supports(product) == [{0, 1, 2}]
+        assert discord_report(zero_discord_state(product)).passed
+        b0 = pure_state([1.0, 0.0, 0.0], (3,))
+        with pytest.raises(ValueError, match="overlap"):
+            ZeroDiscordSpec((0.5, 0.5), (a0, a1), (b, b0))
+        mixed = DensityMatrix(0.5 * np.kron(a0.mat, b.mat) + 0.5 * np.kron(a1.mat, b0.mat), (2, 3))
+        rep = discord_report(mixed)
+        assert not rep.passed and rep.discord > 1e-3
 
 
 def test_random_zero_discord_spec_partitions_the_basis():
     rng = np.random.default_rng(77)
     for dim_b in (2, 3, 4):
-        spec = random_zero_discord_spec(rng, 2, dim_b)
-        covered = sorted(i for blk in spec.blocks for i in blk)
-        assert covered == list(range(dim_b))
-        assert abs(sum(spec.weights) - 1.0) < 1e-12
+        for _ in range(10):
+            spec = random_zero_discord_spec(rng, 2, dim_b)
+            supports = _supports(spec)
+            covered = sorted(i for s in supports for i in s)
+            assert covered == list(range(dim_b))  # disjoint, and every index held
+            assert abs(sum(spec.weights) - 1.0) < 1e-12
 
 
 def test_random_zero_discord_spec_is_seed_deterministic():
     s1 = random_zero_discord_spec(np.random.default_rng(4), 2, 4)
     s2 = random_zero_discord_spec(np.random.default_rng(4), 2, 4)
-    assert s1.blocks == s2.blocks
     assert s1.weights == s2.weights
     for a, b in zip(s1.b_states, s2.b_states):
         assert np.array_equal(a.mat, b.mat)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cohdist.linalg import DEFAULT_TOL
-from cohdist.protocols import Ensemble, KrausChannel
+from cohdist.protocols import Ensemble, KrausChannel, measure_local_A
 from cohdist.states import DensityMatrix, ZeroDiscordSpec, pure_state
 
 
@@ -43,13 +43,13 @@ def _probabilities_off_one(defect):
 def _weights_off_one(defect):
     a = pure_state([1.0, 0.0])
     b0, b1 = pure_state([1.0, 0.0]), pure_state([0.0, 1.0])
-    return ZeroDiscordSpec((0.5, 0.5 + defect), (a, a), ((0,), (1,)), (b0, b1))
+    return ZeroDiscordSpec((0.5, 0.5 + defect), (a, a), (b0, b1))
 
 
-def _block_leak(defect):
+def _support_overlap(defect):
     a = pure_state([1.0, 0.0])
-    leaky = DensityMatrix(np.diag([1.0 - defect, defect]))
-    return ZeroDiscordSpec((1.0,), (a,), ((0,),), (leaky,))
+    b0, b1 = pure_state([1.0, 0.0]), DensityMatrix(np.diag([defect, 1.0 - defect]))
+    return ZeroDiscordSpec((0.5, 0.5), (a, a), (b0, b1))
 
 
 @pytest.mark.parametrize(
@@ -62,7 +62,7 @@ def _block_leak(defect):
         (_off_diagonal_kraus, "completeness"),
         (_probabilities_off_one, "sum to"),
         (_weights_off_one, "sum to"),
-        (_block_leak, "leaks"),
+        (_support_overlap, "overlap"),
     ],
     ids=[
         "state-hermiticity",
@@ -72,13 +72,26 @@ def _block_leak(defect):
         "kraus-off-diagonal-completeness",
         "ensemble-probability-sum",
         "spec-weight-sum",
-        "spec-block-leak",
+        "spec-support-overlap",
     ],
 )
 def test_validation_tolerance_edges(build, message):
     build(0.5 * DEFAULT_TOL)
     with pytest.raises(ValueError, match=message):
         build(2.0 * DEFAULT_TOL)
+
+
+def test_measurement_accepts_a_state_and_a_channel_each_just_inside_tolerance():
+    # trace 1 + e times completeness 1 + e puts the outcome probabilities
+    # near 1 + 2e, past the ensemble's tolerance unless renormalized
+    def measure(e):
+        k = math.sqrt(1.0 + e)
+        channel = KrausChannel((np.diag([k, 0.0]), np.diag([0.0, k])))
+        return measure_local_A(DensityMatrix(np.eye(4) * (0.25 + e / 4), (2, 2)), channel)
+
+    assert [q for q, _ in measure(0.9 * DEFAULT_TOL).items] == [0.5, 0.5]
+    with pytest.raises(ValueError, match="completeness"):
+        measure(2.0 * DEFAULT_TOL)
 
 
 def test_a_nan_kraus_operator_fails_completeness():
