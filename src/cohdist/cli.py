@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .scalars import _bipartite_dims, _check_p, _check_rows, _fmt6, _payload_rows, _square
+from .scalars import _bipartite_dims, _check_p, _check_rows, _fmt6, _payload_rows
 
 # The measurement sweep holds about 360 bytes per grid point.
 MAX_GRID_POINTS = 1_000_000
@@ -65,7 +65,6 @@ def measures(werner_p, path):
             raise click.UsageError(f"state file is not valid JSON: {exc}")
         try:
             rows, dims = _payload_rows(payload)
-            _square((len(rows), len(rows[0])))
             dims = _bipartite_dims(_check_rows(rows, dims))
             # numpy loads only for a file that passes every rule but positivity
             from .states import DensityMatrix
@@ -147,20 +146,20 @@ def verify(suite, seed, brute_theta, brute_phi):
 
     suites = []
     if suite in ("theorem3", "all"):
-        suites.append(verify_mod.theorem3_suite())
+        suites.append(("theorem3", verify_mod.theorem3_suite()))
     if suite in ("lemma1", "all"):
-        suites.append(verify_mod.lemma1_suite(seed=seed))
+        suites.append(("lemma1", verify_mod.lemma1_suite(seed=seed)))
     if suite in ("theorem4", "all"):
-        suites.append(verify_mod.theorem4_suite(brute_grid=(brute_theta, brute_phi)))
+        suites.append(("theorem4", verify_mod.theorem4_suite(brute_grid=(brute_theta, brute_phi))))
     failed = 0
     total = 0
-    for result in suites:
-        for check in result.checks:
+    for name, checks in suites:
+        for check in checks:
             total += 1
             tag = "PASS" if check.passed else "FAIL"
             if not check.passed:
                 failed += 1
-            click.echo(f"[{tag}] {result.name}: {check.label} ({check.detail})")
+            click.echo(f"[{tag}] {name}: {check.label} ({check.detail})")
     click.echo(f"{total - failed}/{total} checks passed")
     if failed:
         sys.exit(1)

@@ -69,7 +69,8 @@ def figure_data(p_from: float, p_to: float, steps: int) -> list[ScanRecord]:
         raise ValueError(f"need 0 <= from <= to <= 1, got {p_from}..{p_to}")
     records = []
     for k in range(steps):
-        p = p_from + (p_to - p_from) * k / (steps - 1)
+        # the formula may end one ulp either side of p_to: the last sample is p_to
+        p = p_from + (p_to - p_from) * k / (steps - 1) if k < steps - 1 else p_to
         qi = qi_werner_closed_form(p)
         rate = rate_werner_closed_form(p)
         records.append(ScanRecord(p, qi, rate, qi - rate))

@@ -13,9 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# DEFAULT_TOL is unused here, but linalg.DEFAULT_TOL is its documented name
-from .scalars import DEFAULT_TOL  # noqa: F401
-
 
 @lru_cache(maxsize=None)
 def identity(d: int) -> np.ndarray:

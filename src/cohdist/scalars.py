@@ -83,12 +83,6 @@ def _payload_rows(payload) -> tuple[list[list[complex]], tuple[int, ...]]:
     return [[r + 1j * i for r, i in zip(*pair)] for pair in zip(re, im)], dims
 
 
-def _square(shape: tuple[int, int]) -> None:
-    """ValueError unless a density matrix's shape is (n, n)."""
-    if shape[0] != shape[1]:
-        raise ValueError(f"density matrix must be square, got {shape}")
-
-
 def _rows_hermitian(rows: list[list[complex]]) -> bool:
     """Hermiticity within DEFAULT_TOL of a square matrix held as nested lists,
     one pair of plain scalars at a time: on the 2x2 states of the sweep
@@ -101,10 +95,12 @@ def _rows_hermitian(rows: list[list[complex]]) -> bool:
 
 
 def _check_rows(rows: list[list[complex]], dims) -> tuple[int, ...]:
-    """The state rules that need no spectrum, in order, on the rows of a
-    square matrix: integer dims (empty means (n,), which is returned), finite
+    """The state rules that need no spectrum, in order, on equally long rows:
+    a square, integer dims (empty means (n,), which is returned), finite
     entries, Hermiticity, unit trace.  ValueError on the first one broken."""
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"density matrix must be square, got {(n, len(rows[0]))}")
     dims = _indices(dims, "dims") or (n,)
     if any(d < 1 for d in dims) or math.prod(dims) != n:
         raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")

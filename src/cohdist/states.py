@@ -9,7 +9,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .scalars import DEFAULT_TOL, _bipartite_dims, _check_p, _check_rows, _payload_rows, _square
+from .scalars import DEFAULT_TOL, _bipartite_dims, _check_p, _check_rows, _payload_rows
 
 
 @lru_cache(maxsize=None)
@@ -43,7 +43,6 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.as_matrix(self.mat)
-        _square(m.shape)
         dims = _check_rows(m.tolist(), self.dims)
         eigs = linalg._jacobi(m)  # Hermiticity already checked
         eigs.sort(reverse=True)

@@ -55,12 +55,6 @@ class CheckLine:
     detail: str
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    checks: tuple[CheckLine, ...]
-
-
 def discord_report(rho: DensityMatrix) -> DiscordReport:
     """Evaluate discord and the equality qi == c_re(rho_B) on any
     bipartite state; passes only when the discord vanishes within
@@ -96,7 +90,7 @@ def _overlap_control_state() -> DensityMatrix:
     return DensityMatrix(mat, (2, 2))
 
 
-def theorem3_suite() -> SuiteResult:
+def theorem3_suite() -> tuple[CheckLine, ...]:
     """Deterministic zero-discord constructions hit the equality."""
     checks = []
     product = ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), (pure_state([1.0, 1.0]),))
@@ -124,10 +118,10 @@ def theorem3_suite() -> SuiteResult:
             f"discord={rep.discord:.3e} qi={_fmt6(rep.qi)} c_re(B)={_fmt6(rep.marginal_coherence)}",
         )
     )
-    return SuiteResult("theorem3", tuple(checks))
+    return tuple(checks)
 
 
-def lemma1_suite(seed: int) -> SuiteResult:
+def lemma1_suite(seed: int) -> tuple[CheckLine, ...]:
     """100 randomized zero-discord constructions plus negative controls.
 
     The controls feed discordant states (Werner, overlapping-block
@@ -165,10 +159,10 @@ def lemma1_suite(seed: int) -> SuiteResult:
             f"discord={_fmt6(rep.discord)}",
         )
     )
-    return SuiteResult("lemma1", tuple(checks))
+    return tuple(checks)
 
 
-def theorem4_suite(brute_grid: tuple[int, int]) -> SuiteResult:
+def theorem4_suite(brute_grid: tuple[int, int]) -> tuple[CheckLine, ...]:
     """Protocol optimality sweep plus the gap shape facts.
 
     For each p of DEFAULT_P_GRID: both protocols hit the closed-form rate
@@ -233,4 +227,4 @@ def theorem4_suite(brute_grid: tuple[int, int]) -> SuiteResult:
             f"d2(0.2)={lo:.4f} d2(0.5)={hi:.4f}",
         )
     )
-    return SuiteResult("theorem4", tuple(checks))
+    return tuple(checks)

@@ -402,6 +402,11 @@ class TestScan:
         assert result.exit_code == 0
         assert "-0.000000" not in result.output
 
+    def test_range_whose_formula_overshoots_its_end(self, runner):
+        result = runner.invoke(main, ["scan", "--from", "0.059", "--steps", "7"])
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith("\n1.000000,1.000000,1.000000,0.000000\n")
+
     def test_validation(self, runner):
         assert runner.invoke(main, ["scan", "--steps", "1"]).exit_code == 2
         assert runner.invoke(main, ["scan", "--from", "0.7", "--to", "0.3"]).exit_code == 2
@@ -488,7 +493,7 @@ class TestVerify:
         """A grid above MAX_GRID_POINTS is a usage error that runs no suite;
         one of exactly MAX_GRID_POINTS reaches the theorem-4 suite."""
         grids = []
-        forced = verify_mod.SuiteResult("theorem4", (verify_mod.CheckLine("forced", True, "stub"),))
+        forced = (verify_mod.CheckLine("forced", True, "stub"),)
         monkeypatch.setattr(verify_mod, "theorem4_suite", lambda brute_grid: grids.append(brute_grid) or forced)
         result = runner.invoke(main, ["verify", "theorem4", "--brute-theta", "1001", "--brute-phi", "1000"])
         assert result.exit_code == 2
@@ -500,9 +505,7 @@ class TestVerify:
         assert grids == [(1000, 1000)]
 
     def test_any_failing_check_exits_one(self, runner, monkeypatch):
-        forced = verify_mod.SuiteResult(
-            "theorem3", (verify_mod.CheckLine("forced failure", False, "broken"),)
-        )
+        forced = (verify_mod.CheckLine("forced failure", False, "broken"),)
         monkeypatch.setattr(verify_mod, "theorem3_suite", lambda: forced)
         result = runner.invoke(main, ["verify", "theorem3"])
         assert result.exit_code == 1

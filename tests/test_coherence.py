@@ -16,8 +16,7 @@ from cohdist.coherence import (
     relative_entropy,
     von_neumann_entropy,
 )
-from cohdist.linalg import DEFAULT_TOL
-from cohdist.scalars import xlog2x
+from cohdist.scalars import DEFAULT_TOL, xlog2x
 from cohdist.states import (
     DensityMatrix,
     bell_phi_plus,

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohdist import linalg
-from cohdist.linalg import DEFAULT_TOL, hermitian_eigh, identity
-from cohdist.scalars import _rows_hermitian
+from cohdist.linalg import hermitian_eigh, identity
+from cohdist.scalars import DEFAULT_TOL, _rows_hermitian
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,

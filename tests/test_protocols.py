@@ -6,7 +6,6 @@ from conftest import random_unitary, trace_distance
 
 from cohdist.closed_forms import rate_werner_closed_form
 from cohdist.coherence import c_re, qi_relative_entropy
-from cohdist.linalg import DEFAULT_TOL
 from cohdist.protocols import (
     ERASE_K1,
     ERASE_K2,
@@ -25,6 +24,7 @@ from cohdist.protocols import (
     lqicc_werner_protocol,
     measure_local_A,
 )
+from cohdist.scalars import DEFAULT_TOL
 from cohdist.states import (
     DensityMatrix,
     maximally_mixed,

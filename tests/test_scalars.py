@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohdist.scalars import DEFAULT_TOL, _bipartite_dims, _check_rows, _payload_rows, _rows_hermitian, _square
+from cohdist.scalars import DEFAULT_TOL, _bipartite_dims, _check_rows, _payload_rows, _rows_hermitian
 
 
 def test_is_hermitian_tolerance_and_shape():
     """The boundary check DensityMatrix and the CLI run on rows: a square
     matrix passes within DEFAULT_TOL, a NaN fails, and a non-square one is
     rejected by its shape before the check."""
-    with pytest.raises(ValueError, match="square"):
-        _square((2, 3))
+    with pytest.raises(ValueError, match=r"square, got \(2, 3\)"):
+        _check_rows([[0.5 + 0j, 0j, 0j], [0j, 0.5 + 0j, 0j]], ())
     assert _rows_hermitian([[1.0, 1j], [-1j, 2.0]])
     m = [[1.0 + 0j, 2.0 * DEFAULT_TOL], [0j, 1.0 + 0j]]
     assert not _rows_hermitian(m)
@@ -24,8 +24,14 @@ def test_is_hermitian_tolerance_and_shape():
 def test_rules_run_in_order_and_return_the_dims():
     """Each rule that needs no spectrum, with the first broken one reported:
     a matrix that is both non-Hermitian and of the wrong trace fails on
-    Hermiticity, as DensityMatrix always has."""
+    Hermiticity, as DensityMatrix always has, and a non-square one with
+    non-integer dims on its shape.  No rows form a 0x0 square, which no dims
+    fit."""
     half = [[0.5 + 0j, 0j], [0j, 0.5 + 0j]]
+    with pytest.raises(ValueError, match=r"^density matrix must be square, got \(2, 1\)$"):
+        _check_rows([[0.5 + 0j], [0.5 + 0j]], [1.5])
+    with pytest.raises(ValueError, match=r"^dims \(0,\) incompatible with matrix dimension 0$"):
+        _check_rows([], ())
     assert _check_rows(half, ()) == (2,)
     assert _check_rows(half, [1, 2]) == (1, 2)
     with pytest.raises(ValueError, match=r"dims \(3,\) incompatible with matrix dimension 2"):

@@ -1,5 +1,5 @@
 """Every validated type accepts a defect of half its tolerance and
-rejects one of twice its tolerance: the tolerance is linalg.DEFAULT_TOL
+rejects one of twice its tolerance: the tolerance is scalars.DEFAULT_TOL
 and no caller can move it."""
 
 import math
@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from cohdist.linalg import DEFAULT_TOL
 from cohdist.protocols import Ensemble, KrausChannel, measure_local_A
+from cohdist.scalars import DEFAULT_TOL
 from cohdist.states import DensityMatrix, ZeroDiscordSpec, pure_state
 
 

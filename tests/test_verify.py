@@ -22,6 +22,7 @@ from cohdist.states import (
     zero_discord_state,
 )
 from cohdist.verify import (
+    CheckLine,
     check_chain,
     check_theorem3,
     discord_report,
@@ -99,7 +100,7 @@ def test_check_theorem3_on_seeded_random_specs():
 
 
 def test_check_theorem4_single_point():
-    line = theorem4_suite(brute_grid=(21, 4)).checks[4]
+    line = theorem4_suite(brute_grid=(21, 4))[4]
     assert line.passed
     assert line.label == "p=0.5: protocols and sweep meet the closed form"
     fields = dict(item.split("=") for item in line.detail.split())
@@ -153,6 +154,20 @@ class TestFigureData:
         with pytest.raises(ValueError, match="at most 1000001"):
             figure_data(0.0, 1.0, MAX_SCAN_STEPS + 1)
 
+    def test_every_range_ends_exactly_at_its_end(self, monkeypatch):
+        # control: the uniform formula ends one ulp past the end of one range, short of another's
+        assert 0.059 + (1.0 - 0.059) * 6 / 6 == 1.0000000000000002
+        assert 0.002 + (1.0 - 0.002) * 6 / 6 == 0.9999999999999999
+        # the closed forms keep only the range check that an overshoot broke: the loop costs the grid alone
+        for name in ("qi_werner_closed_form", "rate_werner_closed_form"):
+            monkeypatch.setattr(closed_forms, name, closed_forms._check_p)
+        for p_to in (1.0, 0.9, 0.7, 0.3):
+            for p_from in (k / 1000 for k in range(1001) if k / 1000 <= p_to):
+                for steps in (2, 3, 5, 7, 11, 13, 101):
+                    ps = [r.p for r in figure_data(p_from, p_to, steps)]
+                    assert all(p_from <= p <= p_to for p in ps), (p_from, p_to, steps)
+                    assert ps[-1] == p_to, (p_from, p_to, steps)
+
 
 def test_csv_golden():
     text = records_to_csv(figure_data(0.0, 1.0, 3))
@@ -176,30 +191,30 @@ def test_json_round_trip_keeps_full_precision():
 
 
 def test_theorem3_suite_passes():
-    suite = theorem3_suite()
-    assert suite.name == "theorem3"
-    assert all(c.passed for c in suite.checks)
-    assert len(suite.checks) == 2
+    checks = theorem3_suite()
+    assert type(checks) is tuple and all(type(c) is CheckLine for c in checks)
+    assert all(c.passed for c in checks)
+    assert len(checks) == 2
 
 
 def test_lemma1_suite_randomized_and_negative_controls():
-    suite = lemma1_suite(seed=3)
-    assert all(c.passed for c in suite.checks)
-    assert len(suite.checks) == 104  # 100 random + 3 werner controls + 1 overlap
-    labels = [c.label for c in suite.checks]
+    checks = lemma1_suite(seed=3)
+    assert all(c.passed for c in checks)
+    assert len(checks) == 104  # 100 random + 3 werner controls + 1 overlap
+    labels = [c.label for c in checks]
     assert sum("must fail" in s for s in labels) == 4
 
 
 def test_lemma1_suite_is_seed_deterministic():
-    assert lemma1_suite(seed=11).checks == lemma1_suite(seed=11).checks
+    assert lemma1_suite(seed=11) == lemma1_suite(seed=11)
 
 
 def test_theorem4_suite_small_grid():
     # an odd theta count puts the optimal equator on the grid
-    suite = theorem4_suite(brute_grid=(21, 4))
-    assert all(c.passed for c in suite.checks)
-    assert len(suite.checks) == 11  # 9 p values + positivity + curvature
-    by_label = {c.label: c for c in suite.checks}
+    checks = theorem4_suite(brute_grid=(21, 4))
+    assert all(c.passed for c in checks)
+    assert len(checks) == 11  # 9 p values + positivity + curvature
+    by_label = {c.label: c for c in checks}
     gap_line = by_label["gap positive on the interior grid"]
     assert gap_line.passed
     assert "7.199e-07" in gap_line.detail and "p=0.001" in gap_line.detail
@@ -211,5 +226,5 @@ def test_curvature_line_fails_on_a_shifted_second_derivative(monkeypatch):
     central-difference check can catch it."""
     d2 = closed_forms.gap_second_derivative
     monkeypatch.setattr(closed_forms, "gap_second_derivative", lambda p: d2(p) + 1e-3)
-    checks = theorem4_suite(brute_grid=(21, 4)).checks
+    checks = theorem4_suite(brute_grid=(21, 4))
     assert [c.label for c in checks if not c.passed] == ["gap convex below 1/3, concave above"]
