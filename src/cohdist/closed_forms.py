@@ -35,11 +35,11 @@ def rate_werner_closed_form(p: float) -> float:
 def gap_second_derivative(p: float) -> float:
     """d^2/dp^2 of the gap qi - rate: (1 - 3p) / ((1 + 3p)(1 - p^2) ln 2).
 
-    Positive below p = 1/3, negative above; undefined (nan) at the
-    endpoints where the log terms degenerate.
+    Positive below p = 1/3, negative above.  Finite at p = 0, where it is
+    1/ln 2; undefined (nan) at p = 1, where the ln(1 - p) term diverges.
     """
     p = _check_p(p)
-    if p == 0.0 or p == 1.0:
+    if p == 1.0:
         return math.nan
     return (1.0 - 3.0 * p) / ((1.0 + 3.0 * p) * (1.0 - p * p) * LN2)
 

@@ -99,13 +99,15 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceRe
     rates are flat in phi, so without the rule rounding noise of order
     1e-16 would pick the reported azimuth.
 
-    The scalar route, ensemble_rate(measure_local_A(...)), recomputes
-    every point of a grid of at most RECHECK_POINTS points, else the
-    winner and RECHECK_POINTS - 1 others drawn by a fixed-seed generator.
+    The scalar route, ensemble_rate(measure_local_A(...)), recomputes the
+    winner and min(N, RECHECK_POINTS) - 1 other points of the N-point grid,
+    drawn by a fixed-seed generator, so a small grid is rechecked in full.
     A difference beyond SWEEP_TIE_TOL raises ArithmeticError.  The
     reported rate is the scalar route's value at the winner.
     """
     rho = werner(p)
+    if not isinstance(grid, (tuple, list)) or len(grid) != 2:
+        raise ValueError(f"grid must hold two sizes, got {grid!r}")
     n_theta, n_phi = _indices(grid, "grid sizes")
     if n_theta < 2 or n_phi < 1:
         raise ValueError(f"grid must be at least 2 x 1, got {grid}")
@@ -114,12 +116,9 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceRe
     pairs = _measurement_pairs(thetas, phis)
     rates = _sweep_rates(rho.mat, pairs)
     best = int(np.argmax(rates >= rates.max() - SWEEP_TIE_TOL))
-    points = range(len(rates))
-    if len(rates) > RECHECK_POINTS:
-        others = np.random.default_rng(0).choice(len(rates) - 1, RECHECK_POINTS - 1, replace=False)
-        points = sorted([best, *(others + (others >= best)).tolist()])
-    for i in points:
-        rate = ensemble_rate(measure_local_A(rho, KrausChannel(pairs[i], ("+n", "-n"))))
+    others = np.random.default_rng(0).choice(len(rates) - 1, min(len(rates), RECHECK_POINTS) - 1, replace=False)
+    for i in sorted([best, *(others + (others >= best)).tolist()]):
+        rate = ensemble_rate(measure_local_A(rho, KrausChannel(pairs[i])))
         if not abs(rate - rates[i]) <= SWEEP_TIE_TOL:
             raise ArithmeticError(f"sweep routes disagree at grid point {i}: {rates[i]!r} vs {rate!r}")
         if i == best:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
-from .scalars import DEFAULT_TOL, _bipartite_dims, _check_p, _check_rows, _payload_rows
+from .scalars import DEFAULT_TOL, _bipartite_dims, _check_p, _check_rows, _indices, _payload_rows
 
 
 @lru_cache(maxsize=None)
@@ -28,9 +28,9 @@ class DensityMatrix:
     dims lists the subsystem dimensions (their product must equal the
     matrix dimension); a single-system state may omit it.  Construction
     rejects non-finite entries, then checks Hermiticity, unit trace, and
-    positivity, all within DEFAULT_TOL, and caches the spectrum so
-    entropy calls reuse the eigendecomposition done for the positivity
-    check.  Each dim must be an integer: a float, a string or a bool is
+    positivity, all within DEFAULT_TOL, and keeps the spectrum of the
+    positivity check, in descending order, as eigenvalues for the
+    entropy calls.  Each dim must be an integer: a float, a string or a bool is
     rejected, not truncated or read as 1.
 
     The instance is frozen and its matrix read-only, so the states derived
@@ -40,6 +40,7 @@ class DensityMatrix:
 
     mat: np.ndarray
     dims: tuple[int, ...] = ()
+    eigenvalues: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         m = linalg.as_matrix(self.mat)
@@ -52,16 +53,11 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_eigs", tuple(eigs))
+        object.__setattr__(self, "eigenvalues", tuple(eigs))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        """Spectrum in descending order (cached at construction)."""
-        return self._eigs
 
     @cached_property
     def marginal_a(self) -> DensityMatrix:
@@ -100,6 +96,7 @@ def pure_state(amplitudes, dims: tuple[int, ...] = ()) -> DensityMatrix:
 
 def maximally_mixed(dim: int, dims: tuple[int, ...] = ()) -> DensityMatrix:
     """Identity / dim."""
+    (dim,) = _indices((dim,), "dim")
     if dim < 1:
         raise ValueError("dimension must be positive")
     return DensityMatrix(np.eye(dim, dtype=complex) / dim, dims)
@@ -119,6 +116,7 @@ def werner(p: float) -> DensityMatrix:
 
 def random_density_matrix(dim: int, rng: np.random.Generator, dims: tuple[int, ...] = ()) -> DensityMatrix:
     """Full-rank random state G G+ / tr(G G+) with G complex Ginibre."""
+    (dim,) = _indices((dim,), "dim")
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace().real, dims)
@@ -179,6 +177,7 @@ def zero_discord_state(spec: ZeroDiscordSpec) -> DensityMatrix:
 def random_zero_discord_spec(rng: np.random.Generator, dim_a: int, dim_b: int) -> ZeroDiscordSpec:
     """Sample a ZeroDiscordSpec: random block partition of the B basis,
     a Ginibre B factor supported on each block, Dirichlet weights."""
+    dim_a, dim_b = _indices((dim_a, dim_b), "dim_a, dim_b")
     if dim_a < 1 or dim_b < 1:
         raise ValueError("dimensions must be positive")
     perm = [int(i) for i in rng.permutation(dim_b)]

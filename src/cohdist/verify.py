@@ -142,23 +142,16 @@ def lemma1_suite(seed: int) -> tuple[CheckLine, ...]:
                 f"discord={rep.discord:.3e}",
             )
         )
-    for p in (0.1, 0.5, 0.9):
-        rep = discord_report(werner(p))
+    controls = [(f"werner({p})", werner(p)) for p in (0.1, 0.5, 0.9)]
+    for name, rho in [*controls, ("overlapping blocks", _overlap_control_state())]:
+        rep = discord_report(rho)
         checks.append(
             CheckLine(
-                f"negative control: werner({p}) must fail",
+                f"negative control: {name} must fail",
                 (not rep.passed) and rep.discord > VERDICT_TOL,
                 f"discord={_fmt6(rep.discord)}",
             )
         )
-    rep = discord_report(_overlap_control_state())
-    checks.append(
-        CheckLine(
-            "negative control: overlapping blocks must fail",
-            (not rep.passed) and rep.discord > VERDICT_TOL,
-            f"discord={_fmt6(rep.discord)}",
-        )
-    )
     return tuple(checks)
 
 
@@ -167,10 +160,11 @@ def theorem4_suite(brute_grid: tuple[int, int]) -> tuple[CheckLine, ...]:
 
     For each p of DEFAULT_P_GRID: both protocols hit the closed-form rate
     within 1e-10, the exhaustive measurement sweep agrees within 2e-4 (and
-    never beats the closed form by more than 1e-9), and the gap is
+    never beats the closed form by more than 1e-9), the closed-form qi
+    matches qi_relative_entropy(werner(p)) within 1e-10, and the gap is
     positive.  The curvature line also demands that gap_second_derivative
     match a central difference of the gap (step 1e-4, within 1e-4) at
-    every k/1000 in [0.05, 0.95].
+    every k/1000 in [0.05, 0.95], away from its nan sentinel at p = 1.
     """
     from .closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
     from .optimize import brute_force_measurement_opt
@@ -178,8 +172,8 @@ def theorem4_suite(brute_grid: tuple[int, int]) -> tuple[CheckLine, ...]:
 
     checks = []
     for p in DEFAULT_P_GRID:
-        rate = rate_werner_closed_form(p)
-        gap = qi_werner_closed_form(p) - rate
+        rate, qi = rate_werner_closed_form(p), qi_werner_closed_form(p)
+        gap = qi - rate
         lq = lqicc_werner_protocol(p).rate
         li = licc_erasing_protocol(p).rate
         bf = brute_force_measurement_opt(p, brute_grid).rate
@@ -188,6 +182,7 @@ def theorem4_suite(brute_grid: tuple[int, int]) -> tuple[CheckLine, ...]:
             and abs(li - rate) <= 1e-10
             and abs(bf - rate) <= 2e-4
             and bf <= rate + 1e-9
+            and abs(qi - qi_relative_entropy(werner(p))) <= 1e-10
             and gap > 0.0
         )
         checks.append(

@@ -154,6 +154,11 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="grid sizes must be integers"):
             brute_force_measurement_opt(0.5, grid)
 
+    @pytest.mark.parametrize("grid", [(3,), 5, (21, 4, 2), ()])
+    def test_a_grid_holds_exactly_two_sizes(self, grid):
+        with pytest.raises(ValueError, match="grid must hold two sizes"):
+            brute_force_measurement_opt(0.5, grid)
+
     def test_numpy_integer_grid_sizes_pass(self):
         res = brute_force_measurement_opt(0.5, (np.int64(21), np.int32(4)))
         assert res == brute_force_measurement_opt(0.5, (21, 4))
@@ -273,8 +278,10 @@ class TestGapCurvature:
             -0.0024327288126356193, abs=1e-12
         )
 
-    def test_endpoint_sentinels(self):
-        assert math.isnan(gap_second_derivative(0.0))
+    def test_endpoint_values(self):
+        """At p = 0 no log term degenerates and the curvature is 1/ln 2; at
+        p = 1 ln(1 - p) diverges and the value is the nan sentinel."""
+        assert gap_second_derivative(0.0) == 1.0 / math.log(2.0)
         assert math.isnan(gap_second_derivative(1.0))
 
     def test_matches_central_differences(self):
@@ -285,9 +292,10 @@ class TestGapCurvature:
 
 
 class TestGapAnalysis:
-    def test_endpoint_curvature_is_the_sentinel(self):
-        """At p = 0 and 1 the gap, read as qi - rate, is a finite 0 while its
-        curvature is the nan sentinel."""
+    def test_endpoint_curvature(self):
+        """At p = 0 and 1 the gap, read as qi - rate, is a finite 0.  Its
+        curvature is 1/ln 2 at p = 0, and the nan sentinel at p = 1 only."""
         for p in (0.0, 1.0):
             assert gap(p) == pytest.approx(0.0, abs=1e-15)
-            assert math.isnan(gap_second_derivative(p))
+        assert gap_second_derivative(0.0) == 1.0 / math.log(2.0)
+        assert math.isnan(gap_second_derivative(1.0))

@@ -139,7 +139,7 @@ def test_each_state_rule_has_one_home():
 
 # Lines of src/cohdist/*.py, as `wc -l` counts them.  Lower it when code
 # is deleted; the budget the roadmap aims for is 1400.
-MAX_SOURCE_LINES = 1333
+MAX_SOURCE_LINES = 1326
 
 
 def test_source_line_count_does_not_grow():

@@ -111,6 +111,24 @@ def test_named_states():
         maximally_mixed(0)
 
 
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda rng: maximally_mixed(2.0), "dim"),
+        (lambda rng: maximally_mixed(True), "dim"),
+        (lambda rng: random_density_matrix(True, rng), "dim"),
+        (lambda rng: random_density_matrix(2.0, rng), "dim"),
+        (lambda rng: random_zero_discord_spec(rng, 2, 2.0), "dim_a, dim_b"),
+        (lambda rng: random_zero_discord_spec(rng, "2", 2), "dim_a, dim_b"),
+    ],
+    ids=["mixed-float", "mixed-bool", "random-bool", "random-float", "spec-float", "spec-string"],
+)
+def test_sizes_at_the_constructors_must_be_integers(build, what):
+    # each once raised a numpy TypeError or AxisError, or read True as 1
+    with pytest.raises(ValueError, match=f"^{what} must be integers"):
+        build(np.random.default_rng(0))
+
+
 def test_werner_endpoints_and_domain():
     assert np.allclose(werner(0.0).mat, np.eye(4) / 4)
     assert np.allclose(werner(1.0).mat, bell_phi_plus().mat)

@@ -22,6 +22,7 @@ from cohdist.states import (
     zero_discord_state,
 )
 from cohdist.verify import (
+    DEFAULT_P_GRID,
     CheckLine,
     check_chain,
     check_theorem3,
@@ -228,3 +229,12 @@ def test_curvature_line_fails_on_a_shifted_second_derivative(monkeypatch):
     monkeypatch.setattr(closed_forms, "gap_second_derivative", lambda p: d2(p) + 1e-3)
     checks = theorem4_suite(brute_grid=(21, 4))
     assert [c.label for c in checks if not c.passed] == ["gap convex below 1/3, concave above"]
+
+
+def test_per_p_lines_fail_on_a_qi_closed_form_off_by_1e_9(monkeypatch):
+    """The gap and curvature lines cannot see a 1e-9 shift of qi; the tie to
+    qi_relative_entropy(werner(p)) fails every per-p line."""
+    qi = closed_forms.qi_werner_closed_form
+    monkeypatch.setattr(closed_forms, "qi_werner_closed_form", lambda p: qi(p) + 1e-9)
+    failed = [c.label for c in theorem4_suite(brute_grid=(21, 4)) if not c.passed]
+    assert failed == [f"p={p:g}: protocols and sweep meet the closed form" for p in DEFAULT_P_GRID]
