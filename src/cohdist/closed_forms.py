@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .scalars import _check_p, _fmt6, _index, xlog2x
+from .scalars import _check_p, _fmt6, _indices, xlog2x
 
 MAX_SCAN_STEPS = 1_000_001
 
@@ -56,10 +56,7 @@ class ScanRecord:
 
 def figure_data(p_from: float, p_to: float, steps: int) -> list[ScanRecord]:
     """Uniform closed-form sweep of (qi, rate, gap) over [p_from, p_to]."""
-    try:
-        steps = _index(steps)
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
+    (steps,) = _indices((steps,), "steps")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     # the CSV prints p to 6 decimals: no more distinct rows fit in [0, 1]

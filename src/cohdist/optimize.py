@@ -109,7 +109,7 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceRe
     if not isinstance(grid, (tuple, list)) or len(grid) != 2:
         raise ValueError(f"grid must hold two sizes, got {grid!r}")
     n_theta, n_phi = _indices(grid, "grid sizes")
-    if n_theta < 2 or n_phi < 1:
+    if n_theta < 2:
         raise ValueError(f"grid must be at least 2 x 1, got {grid}")
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)

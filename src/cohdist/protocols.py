@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .coherence import c_re
-from .scalars import DEFAULT_TOL, _bipartite_dims
+from .scalars import DEFAULT_TOL, _bipartite_dims, _check_distribution
 from .states import DensityMatrix, werner
 
 # Single-qubit gates used for outcome corrections; read-only, as results share them.
@@ -88,16 +88,9 @@ class Ensemble:
         labels = tuple(self.labels) or tuple(str(i + 1) for i in range(len(self.items)))
         if len(labels) != len(self.items):
             raise ValueError("one label per branch")
-        dims = self.items[0][1].dims
-        total = 0.0
-        for q, state in self.items:
-            if not q >= -DEFAULT_TOL:
-                raise ValueError(f"branch probability {q} must be nonnegative")
-            if state.dims != dims:
-                raise ValueError("ensemble states must share dims")
-            total += q
-        if not abs(total - 1.0) <= DEFAULT_TOL:
-            raise ValueError(f"branch probabilities sum to {total}, expected 1")
+        _check_distribution([q for q, _ in self.items], "branch probabilities")
+        if len({state.dims for _, state in self.items}) > 1:
+            raise ValueError("ensemble states must share dims")
         object.__setattr__(self, "labels", labels)
 
 
@@ -143,17 +136,18 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
 def apply_correction(ensemble: Ensemble, gates) -> Ensemble:
     """Conjugate each branch by its correction gate.
 
-    Every gate must be unitary and incoherent (at most one nonzero entry
-    per column); anything else would smuggle coherence into Bob's lab.
+    Every gate must be unitary (checked as a complete one-operator
+    KrausChannel), of its branch's dimension and incoherent (at most one
+    nonzero entry per column); anything else smuggles coherence into Bob's lab.
     """
-    gates = tuple(linalg.as_matrix(g) for g in gates)
+    gates = tuple(gates)
     if len(gates) != len(ensemble.items):
         raise ValueError("one correction gate per branch")
     items = []
-    for (q, state), u in zip(ensemble.items, gates):
-        defect = float(np.abs(u.conj().T @ u - linalg.identity(u.shape[0])).max())
-        if not defect <= DEFAULT_TOL:
-            raise ValueError(f"correction gate is not unitary (defect {defect})")
+    for (q, state), gate in zip(ensemble.items, gates):
+        (u,) = KrausChannel((gate,)).operators
+        if u.shape[0] != state.dim:
+            raise ValueError(f"correction gate acts on dimension {u.shape[0]}, the branch has {state.dim}")
         if not is_incoherent_kraus(u):
             raise ValueError("correction gate is not incoherent")
         items.append((q, DensityMatrix(u @ state.mat @ u.conj().T, state.dims)))

@@ -23,11 +23,23 @@ def _index(x) -> int:
 
 
 def _indices(values, what: str) -> tuple[int, ...]:
-    """values as a tuple of _index integers; ValueError naming what otherwise."""
+    """values as a tuple of positive _index integers; ValueError naming what otherwise."""
     try:
-        return tuple(map(_index, values))
+        sizes = tuple(map(_index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
+    if not all(n >= 1 for n in sizes):
+        raise ValueError(f"{what} must be positive, got {values!r}")
+    return sizes
+
+
+def _check_distribution(weights, what: str) -> None:
+    """ValueError unless the sequence weights is a probability vector: no entry
+    below -DEFAULT_TOL, a sum within DEFAULT_TOL of 1; either test fails a NaN."""
+    if not all(w >= -DEFAULT_TOL for w in weights):
+        raise ValueError(f"{what} must be nonnegative, got {weights!r}")
+    if not abs(sum(weights) - 1.0) <= DEFAULT_TOL:
+        raise ValueError(f"{what} sum to {sum(weights)}, expected 1")
 
 
 def _check_p(p: float) -> float:
@@ -96,13 +108,13 @@ def _rows_hermitian(rows: list[list[complex]]) -> bool:
 
 def _check_rows(rows: list[list[complex]], dims) -> tuple[int, ...]:
     """The state rules that need no spectrum, in order, on equally long rows:
-    a square, integer dims (empty means (n,), which is returned), finite
-    entries, Hermiticity, unit trace.  ValueError on the first one broken."""
+    a square, positive integer dims (empty: (n,), returned), finite entries,
+    Hermiticity, unit trace.  ValueError on the first one broken."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError(f"density matrix must be square, got {(n, len(rows[0]))}")
-    dims = _indices(dims, "dims") or (n,)
-    if any(d < 1 for d in dims) or math.prod(dims) != n:
+    dims = _indices(dims, "dims") or _indices((n,), "dims")
+    if math.prod(dims) != n:
         raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
     if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
         raise ValueError("density matrix has non-finite entries")

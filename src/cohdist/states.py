@@ -9,7 +9,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .scalars import DEFAULT_TOL, _bipartite_dims, _check_p, _check_rows, _indices, _payload_rows
+from .scalars import DEFAULT_TOL, _bipartite_dims, _check_distribution, _check_p, _check_rows, _indices, _payload_rows
 
 
 @lru_cache(maxsize=None)
@@ -30,8 +30,8 @@ class DensityMatrix:
     rejects non-finite entries, then checks Hermiticity, unit trace, and
     positivity, all within DEFAULT_TOL, and keeps the spectrum of the
     positivity check, in descending order, as eigenvalues for the
-    entropy calls.  Each dim must be an integer: a float, a string or a bool is
-    rejected, not truncated or read as 1.
+    entropy calls.  Each dim must be a positive integer: a float, a string or
+    a bool is rejected, not truncated or read as 1.
 
     The instance is frozen and its matrix read-only, so the states derived
     from it (its marginals and dephasings) depend on the instance alone:
@@ -97,8 +97,6 @@ def pure_state(amplitudes, dims: tuple[int, ...] = ()) -> DensityMatrix:
 def maximally_mixed(dim: int, dims: tuple[int, ...] = ()) -> DensityMatrix:
     """Identity / dim."""
     (dim,) = _indices((dim,), "dim")
-    if dim < 1:
-        raise ValueError("dimension must be positive")
     return DensityMatrix(np.eye(dim, dtype=complex) / dim, dims)
 
 
@@ -142,15 +140,10 @@ class ZeroDiscordSpec:
             raise ValueError("need at least one mixture term")
         if not (len(self.a_states) == len(self.b_states) == k):
             raise ValueError("weights, a_states, b_states must align")
-        if not all(w >= -DEFAULT_TOL for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if not abs(sum(self.weights) - 1.0) <= DEFAULT_TOL:
-            raise ValueError(f"weights sum to {sum(self.weights)}, expected 1")
-        da = self.a_states[0].dim
-        db = self.b_states[0].dim
-        if any(a.dim != da for a in self.a_states):
+        _check_distribution(self.weights, "weights")
+        if len({a.dim for a in self.a_states}) > 1:
             raise ValueError("A factors must share one dimension")
-        if any(b.dim != db for b in self.b_states):
+        if len({b.dim for b in self.b_states}) > 1:
             raise ValueError("B factors must share one dimension")
         supports = []
         for b in self.b_states:
@@ -178,8 +171,6 @@ def random_zero_discord_spec(rng: np.random.Generator, dim_a: int, dim_b: int) -
     """Sample a ZeroDiscordSpec: random block partition of the B basis,
     a Ginibre B factor supported on each block, Dirichlet weights."""
     dim_a, dim_b = _indices((dim_a, dim_b), "dim_a, dim_b")
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError("dimensions must be positive")
     perm = [int(i) for i in rng.permutation(dim_b)]
     n_blocks = int(rng.integers(1, dim_b + 1))
     cuts: list[int] = []

@@ -250,14 +250,22 @@ class TestApplyCorrection:
         assert np.abs(fixed.items[1][1].mat - np.diag([0.85, 0.15])).max() < 1e-12
 
     def test_rejects_non_unitary_gates(self):
+        # a gate is checked as a one-operator channel, complete exactly when unitary
         ens = measure_local_A(werner(0.7), _z_channel())
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match=r"^Kraus completeness violated by 0\.75$"):
             apply_correction(ens, (IDENTITY_2, 0.5 * PAULI_X))
 
     def test_rejects_nan_gates(self):
         ens = measure_local_A(werner(0.7), _z_channel())
-        with pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(ValueError, match="^Kraus completeness violated by nan$"):
             apply_correction(ens, (IDENTITY_2, np.full((2, 2), np.nan)))
+
+    def test_rejects_gates_of_the_wrong_dimension(self):
+        # a 3x3 unitary, incoherent gate once passed both checks and failed inside numpy's matmul
+        ens = measure_local_A(werner(0.5), _z_channel())
+        swap = np.eye(3)[[1, 0, 2]]
+        with pytest.raises(ValueError, match="^correction gate acts on dimension 3, the branch has 2$"):
+            apply_correction(ens, (IDENTITY_2, swap))
 
     def test_rejects_coherent_gates(self):
         ens = measure_local_A(werner(0.7), _z_channel())

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohdist.scalars import DEFAULT_TOL, _bipartite_dims, _check_rows, _payload_rows, _rows_hermitian
+from cohdist.scalars import DEFAULT_TOL, _bipartite_dims, _check_distribution, _check_rows, _payload_rows, _rows_hermitian
 
 
 def test_is_hermitian_tolerance_and_shape():
@@ -25,13 +25,15 @@ def test_rules_run_in_order_and_return_the_dims():
     """Each rule that needs no spectrum, with the first broken one reported:
     a matrix that is both non-Hermitian and of the wrong trace fails on
     Hermiticity, as DensityMatrix always has, and a non-square one with
-    non-integer dims on its shape.  No rows form a 0x0 square, which no dims
-    fit."""
+    non-integer dims on its shape.  No rows form a 0x0 square, whose default
+    dims (0,) break the positive-size rule, as a zero or negative dim does."""
     half = [[0.5 + 0j, 0j], [0j, 0.5 + 0j]]
     with pytest.raises(ValueError, match=r"^density matrix must be square, got \(2, 1\)$"):
         _check_rows([[0.5 + 0j], [0.5 + 0j]], [1.5])
-    with pytest.raises(ValueError, match=r"^dims \(0,\) incompatible with matrix dimension 0$"):
+    with pytest.raises(ValueError, match=r"^dims must be positive, got \(0,\)$"):
         _check_rows([], ())
+    with pytest.raises(ValueError, match=r"^dims must be positive, got \[2, -1\]$"):
+        _check_rows(half, [2, -1])
     assert _check_rows(half, ()) == (2,)
     assert _check_rows(half, [1, 2]) == (1, 2)
     with pytest.raises(ValueError, match=r"dims \(3,\) incompatible with matrix dimension 2"):
@@ -47,6 +49,21 @@ def test_rules_run_in_order_and_return_the_dims():
     assert _bipartite_dims((2, 3)) == (2, 3)
     with pytest.raises(ValueError, match=r"^needs a bipartite state, dims are \(4,\)$"):
         _bipartite_dims((4,))
+
+
+def test_distribution_rule_tolerance_and_nan():
+    """The one probability-vector rule Ensemble and ZeroDiscordSpec share:
+    each entry and the sum's defect may be off by DEFAULT_TOL, no more, and a
+    NaN or an infinity fails."""
+    _check_distribution([1.0 + DEFAULT_TOL, -DEFAULT_TOL / 2, 0.0], "weights")
+    with pytest.raises(ValueError, match=r"^weights must be nonnegative, got \[1\.0, -2e-10\]$"):
+        _check_distribution([1.0, -2 * DEFAULT_TOL], "weights")
+    with pytest.raises(ValueError, match=r"^weights sum to 1\.0000000002, expected 1$"):
+        _check_distribution([0.5, 0.5 + 2 * DEFAULT_TOL], "weights")
+    with pytest.raises(ValueError, match="^weights must be nonnegative, got"):
+        _check_distribution([1.0, float("nan")], "weights")
+    with pytest.raises(ValueError, match="^branch probabilities sum to inf, expected 1$"):
+        _check_distribution([0.5, float("inf")], "branch probabilities")
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from cohdist.closed_forms import qi_werner_closed_form, rate_werner_closed_form
+from cohdist.closed_forms import figure_data, qi_werner_closed_form, rate_werner_closed_form
 from cohdist.optimize import brute_force_measurement_opt
 from cohdist.scalars import DEFAULT_TOL, _check_p
 from cohdist.states import (
@@ -112,20 +112,37 @@ def test_named_states():
 
 
 @pytest.mark.parametrize(
-    "build, what",
+    "build, what, rule",
     [
-        (lambda rng: maximally_mixed(2.0), "dim"),
-        (lambda rng: maximally_mixed(True), "dim"),
-        (lambda rng: random_density_matrix(True, rng), "dim"),
-        (lambda rng: random_density_matrix(2.0, rng), "dim"),
-        (lambda rng: random_zero_discord_spec(rng, 2, 2.0), "dim_a, dim_b"),
-        (lambda rng: random_zero_discord_spec(rng, "2", 2), "dim_a, dim_b"),
+        (lambda rng: maximally_mixed(2.0), "dim", "integers"),
+        (lambda rng: maximally_mixed(True), "dim", "integers"),
+        (lambda rng: random_density_matrix(True, rng), "dim", "integers"),
+        (lambda rng: random_density_matrix(2.0, rng), "dim", "integers"),
+        (lambda rng: random_zero_discord_spec(rng, 2, 2.0), "dim_a, dim_b", "integers"),
+        (lambda rng: random_zero_discord_spec(rng, "2", 2), "dim_a, dim_b", "integers"),
+        (lambda rng: maximally_mixed(0), "dim", "positive"),
+        (lambda rng: maximally_mixed(-1), "dim", "positive"),
+        (lambda rng: random_density_matrix(0, rng), "dim", "positive"),
+        (lambda rng: random_density_matrix(-1, rng), "dim", "positive"),
+        (lambda rng: random_zero_discord_spec(rng, 0, 2), "dim_a, dim_b", "positive"),
+        (lambda rng: random_zero_discord_spec(rng, 2, -1), "dim_a, dim_b", "positive"),
+        (lambda rng: figure_data(0.0, 1.0, 0), "steps", "positive"),
+        (lambda rng: figure_data(0.0, 1.0, -1), "steps", "positive"),
+        (lambda rng: brute_force_measurement_opt(0.5, (3, 0)), "grid sizes", "positive"),
+        (lambda rng: brute_force_measurement_opt(0.5, (-1, 3)), "grid sizes", "positive"),
     ],
-    ids=["mixed-float", "mixed-bool", "random-bool", "random-float", "spec-float", "spec-string"],
+    ids=[
+        "mixed-float", "mixed-bool", "random-bool", "random-float", "spec-float", "spec-string",
+        "mixed-zero", "mixed-negative", "random-zero", "random-negative", "spec-zero", "spec-negative",
+        "steps-zero", "steps-negative", "grid-zero", "grid-negative",
+    ],
 )
-def test_sizes_at_the_constructors_must_be_integers(build, what):
-    # each once raised a numpy TypeError or AxisError, or read True as 1
-    with pytest.raises(ValueError, match=f"^{what} must be integers"):
+def test_sizes_at_the_constructors_must_be_integers(build, what, rule):
+    """Every size passes scalars._indices: an integer, then at least 1.
+    Each once raised a numpy TypeError or AxisError, read True as 1, or (a
+    zero or negative random_density_matrix size) a message about a matrix
+    the caller never passed, or numpy's naming no argument."""
+    with pytest.raises(ValueError, match=f"^{what} must be {rule}, got "):
         build(np.random.default_rng(0))
 
 

@@ -148,7 +148,7 @@ class TestFigureData:
             figure_data(0.0, 1.2, 5)
         # a float once reached range() as a TypeError; a string or bool is no count either
         for steps in (3.0, "3", True):
-            with pytest.raises(ValueError, match="steps must be an integer"):
+            with pytest.raises(ValueError, match="steps must be integers"):
                 figure_data(0.0, 1.0, steps)
 
     def test_step_count_is_capped_before_any_record_is_built(self):
