@@ -60,10 +60,11 @@ class KrausChannel:
         if any(k.shape != (d, d) for k in ops):
             raise ValueError("Kraus operators must be square and share one dimension")
         ops = np.array(ops)
-        labels = tuple(self.labels) or tuple(str(i + 1) for i in range(len(ops)))
+        labels = tuple(self.labels) or tuple(map(str, range(1, len(ops) + 1)))
         if len(labels) != len(ops):
             raise ValueError("one label per Kraus operator")
-        defect = float(np.abs(np.einsum("lxa,lxb->ab", ops.conj(), ops) - linalg.identity(d)).max())
+        s = ops.reshape(-1, d)  # stacked rows: s+ s is the sum of K+ K
+        defect = float(np.abs(s.conj().T @ s - linalg.identity(d)).max())
         if not defect <= DEFAULT_TOL:
             raise ValueError(f"Kraus completeness violated by {defect}")
         ops.setflags(write=False)

@@ -23,14 +23,17 @@ def _index(x) -> int:
 
 
 def _indices(values, what: str) -> tuple[int, ...]:
-    """values as a tuple of positive _index integers; ValueError naming what otherwise."""
+    """values as a tuple of positive _index integers; ValueError naming what
+    otherwise, and the value itself for a single size passed as a one-tuple."""
     try:
         sizes = tuple(map(_index, values))
+        if min(sizes, default=1) >= 1:
+            return sizes
+        rule = "positive"
     except TypeError:
-        raise ValueError(f"{what} must be integers, got {values!r}") from None
-    if not all(n >= 1 for n in sizes):
-        raise ValueError(f"{what} must be positive, got {values!r}")
-    return sizes
+        rule = "integers"
+    shown = values[0] if type(values) is tuple and len(values) == 1 else values
+    raise ValueError(f"{what} must be {rule}, got {shown!r}")
 
 
 def _check_distribution(weights, what: str) -> None:
@@ -46,7 +49,7 @@ def _check_p(p: float) -> float:
     """The Werner mixing parameter as a float; ValueError unless p is a real
     number in [0, 1].  A bool (numpy's included, which is no numbers.Real)
     is rejected, not read as 1 or 0."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+    if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
         raise ValueError(f"mixing parameter must be a number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
@@ -97,8 +100,7 @@ def _payload_rows(payload) -> tuple[list[list[complex]], tuple[int, ...]]:
 
 def _rows_hermitian(rows: list[list[complex]]) -> bool:
     """Hermiticity within DEFAULT_TOL of a square matrix held as nested lists,
-    one pair of plain scalars at a time: on the 2x2 states of the sweep
-    recheck a fraction of an array expression's cost.  `not <=` fails a NaN."""
+    one pair of plain scalars at a time.  `not <=` fails a NaN or an infinity."""
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
             if not abs(row[j] - rows[j][i].conjugate()) <= DEFAULT_TOL:
@@ -116,11 +118,17 @@ def _check_rows(rows: list[list[complex]], dims) -> tuple[int, ...]:
     dims = _indices(dims, "dims") or _indices((n,), "dims")
     if math.prod(dims) != n:
         raise ValueError(f"dims {dims} incompatible with matrix dimension {n}")
-    if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
-        raise ValueError("density matrix has non-finite entries")
-    if not _rows_hermitian(rows):
+    if n == 2:  # the sweep recheck's states: _rows_hermitian's three tests written out
+        (a, b), (c, d) = rows
+        hermitian = abs(a - a.conjugate()) <= DEFAULT_TOL and abs(b - c.conjugate()) <= DEFAULT_TOL
+        hermitian = hermitian and abs(d - d.conjugate()) <= DEFAULT_TOL
+        tr = sum((a, d))  # sum's 0 start, as below: -0j imaginary parts print as +0j
+    else:
+        hermitian, tr = _rows_hermitian(rows), sum(rows[i][i] for i in range(n))
+    if not hermitian:  # each entry met a `<=`, which fails a NaN or an infinity
+        if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):
+            raise ValueError("density matrix has non-finite entries")
         raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = sum(rows[i][i] for i in range(n))
     if abs(tr - 1.0) > DEFAULT_TOL:
         raise ValueError(f"trace is {tr}, expected 1")
     return dims

@@ -99,6 +99,16 @@ class TestKrausChannel:
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel((0.5 * IDENTITY_2,))
 
+    def test_completeness_of_a_three_outcome_qutrit_channel(self):
+        """sum K+ K over three weighted qutrit unitaries is I, so the channel
+        passes; scaled by 1 + 1e-9 the operators miss I by about 2e-9."""
+        shift = np.roll(np.eye(3), 1, axis=0)
+        phases = np.exp(2j * np.pi * np.arange(3) / 3)
+        ops = [math.sqrt(w) * np.linalg.matrix_power(shift, k) * phases**k for k, w in enumerate((0.5, 0.3, 0.2))]
+        assert KrausChannel(ops).labels == ("1", "2", "3")
+        with pytest.raises(ValueError, match=r"^Kraus completeness violated by 2\.0\d*e-09$"):
+            KrausChannel([(1 + 1e-9) * k for k in ops])
+
     def test_operators_are_frozen_copies(self):
         k = np.diag([1.0 + 0j, 0.0])
         ch = KrausChannel((k, np.diag([0.0j, 1.0])))

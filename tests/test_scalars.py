@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,12 @@ def test_rules_run_in_order_and_return_the_dims():
     a matrix that is both non-Hermitian and of the wrong trace fails on
     Hermiticity, as DensityMatrix always has, and a non-square one with
     non-integer dims on its shape.  No rows form a 0x0 square, whose default
-    dims (0,) break the positive-size rule, as a zero or negative dim does."""
+    dims (0,) break the positive-size rule, as a zero or negative dim does;
+    the message names the single size, not the tuple it was wrapped in."""
     half = [[0.5 + 0j, 0j], [0j, 0.5 + 0j]]
     with pytest.raises(ValueError, match=r"^density matrix must be square, got \(2, 1\)$"):
         _check_rows([[0.5 + 0j], [0.5 + 0j]], [1.5])
-    with pytest.raises(ValueError, match=r"^dims must be positive, got \(0,\)$"):
+    with pytest.raises(ValueError, match=r"^dims must be positive, got 0$"):
         _check_rows([], ())
     with pytest.raises(ValueError, match=r"^dims must be positive, got \[2, -1\]$"):
         _check_rows(half, [2, -1])
@@ -49,6 +52,83 @@ def test_rules_run_in_order_and_return_the_dims():
     assert _bipartite_dims((2, 3)) == (2, 3)
     with pytest.raises(ValueError, match=r"^needs a bipartite state, dims are \(4,\)$"):
         _bipartite_dims((4,))
+
+
+def _verdict(rows):
+    """None when rows pass _check_rows, else its message."""
+    try:
+        _check_rows(rows, ())
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _padded(rows):
+    """2x2 rows zero-padded to 3x3, which take _check_rows' general path."""
+    return [[*row, 0j] for row in rows] + [[0j, 0j, 0j]]
+
+
+def _qubit(changes):
+    """A valid qubit state's rows, with the entry at each (i, j) key of changes replaced."""
+    rows = [[0.6 + 0j, 0.1 + 0.2j], [0.1 - 0.2j, 0.4 + 0j]]
+    for (i, j), value in changes.items():
+        rows[i][j] = value
+    return rows
+
+
+def _non_finite(i, j, part, bad):
+    """The qubit state with the real or imaginary part of entry (i, j) set to bad."""
+    x = _qubit({})[i][j]
+    return _qubit({(i, j): complex(bad, x.imag) if part == "re" else complex(x.real, bad)})
+
+
+NON_FINITE = [
+    (f"e{i}{j}-{part}-{bad}", _non_finite(i, j, part, bad), "density matrix has non-finite entries")
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
+    for part in ("re", "im")
+    for bad in (float("nan"), float("inf"), float("-inf"))
+]
+QUBIT_CASES = NON_FINITE + [
+    ("off-diagonal-2e-10", _qubit({(0, 1): 0.1 + 2e-10 + 0.2j}), "density matrix is not Hermitian within tolerance"),
+    ("off-diagonal-0.5e-10", _qubit({(0, 1): 0.1 + 0.5e-10 + 0.2j}), None),
+    ("diagonal-imag-0.6e-10", _qubit({(0, 0): 0.6 + 0.6e-10j}), "density matrix is not Hermitian within tolerance"),
+    ("diagonal-imag-0.4e-10", _qubit({(0, 0): 0.6 + 0.4e-10j}), None),
+    ("trace-2e-10", _qubit({(1, 1): 0.4 + 2e-10 + 0j}), "trace is (1.0000000002+0j), expected 1"),
+    ("trace-2e-10-minus-0j", _qubit({(0, 0): complex(0.6, -0.0), (1, 1): complex(0.4 + 2e-10, -0.0)}), "trace is (1.0000000002+0j), expected 1"),
+]
+
+
+@pytest.mark.parametrize("rows, expected", [case[1:] for case in QUBIT_CASES], ids=[case[0] for case in QUBIT_CASES])
+def test_qubit_rules_match_the_general_path(rows, expected):
+    """The written-out 2x2 rules reach the verdict and message of the same
+    rows padded to 3x3: non-finite before non-Hermitian, bit for bit at the
+    tolerance edge, the trace printed as the general path sums it."""
+    assert _verdict(rows) == _verdict(_padded(rows)) == expected
+
+
+def _diagonal_read_by_imag(rows):
+    """A qubit rule that tests the diagonal by .imag: the table's control."""
+    (a, b), (c, d) = rows
+    if not (abs(2 * a.imag) <= DEFAULT_TOL and abs(b - c.conjugate()) <= DEFAULT_TOL and abs(2 * d.imag) <= DEFAULT_TOL):
+        finite = all(map(cmath.isfinite, (a, b, c, d)))
+        return "density matrix is not Hermitian within tolerance" if finite else "density matrix has non-finite entries"
+    tr = sum((a, d))
+    return None if abs(tr - 1.0) <= DEFAULT_TOL else f"trace is {tr}, expected 1"
+
+
+def test_the_qubit_table_fails_a_diagonal_read_by_imag():
+    """.imag passes an infinite or NaN real part on the diagonal, which then
+    reaches the trace rule: the table must tell that rule from the real one."""
+    missed = [name for name, rows, expected in QUBIT_CASES if _diagonal_read_by_imag(rows) != expected]
+    assert missed and all(name.startswith(("e00-re", "e11-re")) for name in missed), missed
+
+
+def test_general_path_names_non_finite_behind_a_non_hermitian_pair():
+    """The Hermitian test stops at the first bad pair; the finite rule, run
+    after it fails, still names a NaN that comes later."""
+    rows = [[0.5 + 0j, 0.3 + 0j, 0j], [0j, 0.25 + 0j, 0j], [0j, 0j, complex(float("nan"))]]
+    with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+        _check_rows(rows, ())
 
 
 def test_distribution_rule_tolerance_and_nan():
