@@ -56,9 +56,7 @@ class ScanRecord:
 
 def figure_data(p_from: float, p_to: float, steps: int) -> list[ScanRecord]:
     """Uniform closed-form sweep of (qi, rate, gap) over [p_from, p_to]."""
-    (steps,) = _indices((steps,), "steps")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    (steps,) = _indices((steps,), "steps", least=2)
     # the CSV prints p to 6 decimals: no more distinct rows fit in [0, 1]
     if steps > MAX_SCAN_STEPS:
         raise ValueError(f"steps must be at most {MAX_SCAN_STEPS}, got {steps}")

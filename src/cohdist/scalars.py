@@ -22,14 +22,14 @@ def _index(x) -> int:
     return operator.index(x)
 
 
-def _indices(values, what: str) -> tuple[int, ...]:
-    """values as a tuple of positive _index integers; ValueError naming what
-    otherwise, and the value itself for a single size passed as a one-tuple."""
+def _indices(values, what: str, least: int = 1) -> tuple[int, ...]:
+    """values as a tuple of _index integers, none below least; ValueError naming
+    what otherwise, and the value itself for a single size passed as a one-tuple."""
     try:
         sizes = tuple(map(_index, values))
-        if min(sizes, default=1) >= 1:
+        if min(sizes, default=least) >= least:
             return sizes
-        rule = "positive"
+        rule = "positive" if least == 1 else f"at least {least}"
     except TypeError:
         rule = "integers"
     shown = values[0] if type(values) is tuple and len(values) == 1 else values

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -164,6 +168,14 @@ class TestBruteForce:
         assert res == brute_force_measurement_opt(0.5, (21, 4))
 
 
+def projector_up(theta: float, phi: float) -> np.ndarray:
+    """|n><n| for the Bloch direction at (theta, phi), in the sweep's arithmetic."""
+    st = math.sin(theta)
+    nx, ny, nz = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+    off = 0.5 * (nx - 1j * ny)
+    return np.array([[0.5 * (1.0 + nz), off], [off.conjugate(), 0.5 * (1.0 - nz)]])
+
+
 def scalar_landscape_winner(p: float, grid: tuple[int, int]) -> tuple[float, float, float]:
     """(rate, theta, phi) of the sweep done point by point on the scalar
     route, every grid point through measure_local_A, under the tie rule."""
@@ -171,10 +183,7 @@ def scalar_landscape_winner(p: float, grid: tuple[int, int]) -> tuple[float, flo
     landscape = []
     for theta in np.linspace(0.0, math.pi, grid[0]).tolist():
         for phi in np.linspace(0.0, 2.0 * math.pi, grid[1], endpoint=False).tolist():
-            st = math.sin(theta)
-            nx, ny, nz = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
-            off = 0.5 * (nx - 1j * ny)
-            up = np.array([[0.5 * (1.0 + nz), off], [off.conjugate(), 0.5 * (1.0 - nz)]])
+            up = projector_up(theta, phi)
             rate = ensemble_rate(measure_local_A(rho, KrausChannel((up, np.eye(2) - up))))
             landscape.append((rate, theta, phi))
     floor = max(rate for rate, _, _ in landscape) - SWEEP_TIE_TOL
@@ -194,8 +203,25 @@ def count_scalar_calls(monkeypatch) -> list[bytes]:
     return seen
 
 
+def record_kernel_calls(monkeypatch) -> list[np.ndarray]:
+    """Record the rates of every optimize._rates call the sweep makes, one
+    array per chunk."""
+    chunks = []
+    orig = optimize._rates
+
+    def recording(rho, elements):
+        chunks.append(orig(rho, elements))
+        return chunks[-1]
+
+    monkeypatch.setattr(optimize, "_rates", recording)
+    return chunks
+
+
 # dividing a non-finite conditional state by its probability warns before it is rejected
 QUIET_NONFINITE = pytest.mark.filterwarnings("ignore:invalid value")
+
+# two measurements on a qubit A: the computational basis, then the X basis
+Z_AND_X = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]], dtype=complex)
 
 
 class TestBatchedSweep:
@@ -205,23 +231,36 @@ class TestBatchedSweep:
         res = brute_force_measurement_opt(p, grid)
         assert (res.rate, res.theta, res.phi) == scalar_landscape_winner(p, grid)
 
-    @pytest.mark.parametrize("grid, point", [((6, 4), 5), ((21, 20), None)])
+    @pytest.mark.parametrize("grid, point", [((6, 4), 5), ((21, 20), None), ((41, 400), None)])
     def test_a_batched_rate_off_by_1e_11_raises(self, monkeypatch, grid, point):
         """Point 5 of a 24-point grid is rechecked because every point is; the
-        winner of a larger grid is rechecked because it always is."""
-        orig = optimize._sweep_rates
+        winner of a larger grid, theta = pi/2 and phi = 0 on a Werner state,
+        because it always is.  The 41x400 grid spans five chunks, and its
+        winner, point 8000, lies in the second."""
+        at = (grid[0] // 2) * grid[1] if point is None else point
+        orig = optimize._rates
 
-        def shifted(mat, pairs, by):
-            rates = orig(mat, pairs)
-            at = int(np.argmax(rates >= rates.max() - SWEEP_TIE_TOL)) if point is None else point
-            rates[at] += by
+        def shifted(by):
+            start = [0]  # grid index of the chunk's first point
+
+            def rates(rho, elements):
+                out = orig(rho, elements)
+                if start[0] <= at < start[0] + len(out):
+                    out[at - start[0]] += by
+                start[0] += len(out)
+                return out
+
             return rates
 
-        monkeypatch.setattr(optimize, "_sweep_rates", lambda mat, pairs: shifted(mat, pairs, 1e-13))
+        monkeypatch.setattr(optimize, "_rates", shifted(1e-13))
         brute_force_measurement_opt(0.5, grid)  # within SWEEP_TIE_TOL passes
-        monkeypatch.setattr(optimize, "_sweep_rates", lambda mat, pairs: shifted(mat, pairs, 1e-11))
-        with pytest.raises(ArithmeticError, match="sweep routes disagree"):
+        monkeypatch.setattr(optimize, "_rates", shifted(1e-11))
+        with pytest.raises(ArithmeticError, match=f"sweep routes disagree at grid point {at}:"):
             brute_force_measurement_opt(0.5, grid)
+        if grid == (41, 400):
+            chunks = record_kernel_calls(monkeypatch)
+            brute_force_measurement_opt(0.5, grid)
+            assert [len(rates) for rates in chunks] == [4096, 4096, 4096, 4096, 16]
 
     def test_a_non_psd_conditional_state_raises_before_any_scalar_call(self, monkeypatch):
         # Hermitian with unit trace, but each |n>-outcome leaves Bob in diag(1.2, -0.2)
@@ -242,9 +281,9 @@ class TestBatchedSweep:
         ids=["nan", "inf", "non-hermitian"],
     )
     def test_the_batched_pass_rejects_what_a_density_matrix_would(self, mat):
-        pairs = optimize._measurement_pairs(np.linspace(0.0, math.pi, 3), np.zeros(1))
+        rho = SimpleNamespace(mat=mat.astype(complex), dims=(2, 2))
         with pytest.raises(ValueError, match="not a state"):
-            optimize._sweep_rates(mat.astype(complex), pairs)
+            optimize._rates(rho, Z_AND_X)
 
     def test_a_small_grid_is_rechecked_at_every_point(self, monkeypatch):
         seen = count_scalar_calls(monkeypatch)
@@ -259,8 +298,123 @@ class TestBatchedSweep:
             assert len(seen) == RECHECK_POINTS == 64
             runs.append(sorted(seen))
         assert runs[0] == runs[1]
-        winner = optimize._measurement_pairs(np.array([res.theta]), np.array([res.phi]))[0, 0]
-        assert winner.tobytes() in runs[0]
+        assert projector_up(res.theta, res.phi).tobytes() in runs[0]
+
+    @pytest.mark.parametrize("grid, chunk", [((21, 20), 7), ((7, 9), 4), ((3, 5000), 4096)])
+    def test_chunking_leaves_every_rate_bit_for_bit(self, monkeypatch, grid, chunk):
+        """One chunk and chunks of chunk points, which split theta rows, give
+        the same rates in grid order; a 5000-point row spans two default chunks."""
+        chunks = record_kernel_calls(monkeypatch)
+        runs = []
+        for size in (grid[0] * grid[1], chunk):
+            monkeypatch.setattr(optimize, "CHUNK_POINTS", size)
+            brute_force_measurement_opt(0.5, grid)
+            runs.append(chunks[:])
+            chunks.clear()
+        one, many = runs
+        assert len(one) == 1 < len(many) == -(-grid[0] * grid[1] // chunk)
+        assert np.concatenate(many).tobytes() == one[0].tobytes()
+
+
+def haar_elements(rng: np.random.Generator, da: int, outcomes: int) -> np.ndarray:
+    """A rank-1 POVM {w_k+ w_k} on A, w_k the rows of an outcomes x da matrix
+    with orthonormal columns: a Haar basis when outcomes == da."""
+    g = rng.standard_normal((outcomes, da)) + 1j * rng.standard_normal((outcomes, da))
+    w = np.linalg.qr(g)[0]
+    return w.conj()[:, :, None] * w[:, None, :]
+
+
+def scalar_rate(rho: DensityMatrix, elements: np.ndarray) -> float:
+    """ensemble_rate(measure_local_A(...)) with Kraus operators M / |w| for
+    each element M = w+ w, so that K+ K = M."""
+    kraus = [m / math.sqrt(np.trace(m).real) for m in elements]
+    return ensemble_rate(measure_local_A(rho, KrausChannel(kraus)))
+
+
+def ginibre(seed: int, dims: tuple[int, int]) -> DensityMatrix:
+    n = dims[0] * dims[1]
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    g = a + 1j * b
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real, dims)
+
+
+def swap_ab(rho: DensityMatrix) -> SimpleNamespace:
+    """rho with A and B swapped: what a kernel whose reshape swaps them reads."""
+    da, db = rho.dims
+    return SimpleNamespace(mat=rho.mat.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db), dims=(db, da))
+
+
+# (dims, outcomes): Haar bases on a qutrit A; bases and 3- and 4-outcome POVMs on a qubit A
+KERNEL_CASES = [((3, 2), 3), *(((2, db), outcomes) for db in (2, 3, 4) for outcomes in (2, 3, 4))]
+
+
+class TestRateKernel:
+    @pytest.mark.parametrize("dims, outcomes", KERNEL_CASES)
+    def test_matches_the_scalar_route(self, dims, outcomes):
+        rng = np.random.default_rng(2600 + 10 * dims[1] + outcomes)
+        for seed in range(3):
+            rho = ginibre(2610 + seed, dims)
+            elements = np.array([haar_elements(rng, dims[0], outcomes) for _ in range(8)])
+            got = optimize._rates(rho, elements)
+            want = [scalar_rate(rho, m) for m in elements]
+            assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("db", [2, 3])
+    def test_a_kernel_that_swaps_a_and_b_fails_the_agreement(self, db):
+        # control: the same comparison on what a swapped reshape reads; square, so both splits fit
+        rng = np.random.default_rng(2620 + db)
+        rho = ginibre(2630, (db, db))
+        elements = np.array([haar_elements(rng, db, db) for _ in range(8)])
+        want = [scalar_rate(rho, m) for m in elements]
+        assert np.abs(optimize._rates(rho, elements) - want).max() <= 1e-14
+        assert np.abs(optimize._rates(swap_ab(rho), elements) - want).max() > 1e-3
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.diag([1.2, -0.2, 0.0, 0.0, 0.0, 0.0]),  # the |0>-outcome leaves Bob in diag(1.2, -0.2, 0)
+            pytest.param(np.diag([0.5, np.nan, 0.0, 0.25, 0.25, 0.0]), marks=QUIET_NONFINITE),
+            pytest.param(np.diag([0.5, np.inf, 0.0, 0.25, 0.25, 0.0]), marks=QUIET_NONFINITE),
+            np.eye(6) / 6 + 0.1j * np.eye(6)[::-1],  # anti-diagonal i/10: not Hermitian
+        ],
+        ids=["non-psd", "nan", "inf", "non-hermitian"],
+    )
+    def test_a_qutrit_b_rejects_what_a_density_matrix_would(self, mat):
+        with pytest.raises(ValueError, match="not a state"):
+            optimize._rates(SimpleNamespace(mat=mat.astype(complex), dims=(2, 3)), Z_AND_X)
+
+    def test_a_qutrit_b_state_passes(self):
+        # control: the non-PSD case's split with no negative weight is a state, incoherent after either measurement
+        rho = SimpleNamespace(mat=np.diag([0.8, 0.2, 0.0, 0.0, 0.0, 0.0]).astype(complex), dims=(2, 3))
+        assert optimize._rates(rho, Z_AND_X).tolist() == [0.0, 0.0]
+
+
+MEMORY_PROBE = """
+from cohdist.optimize import brute_force_measurement_opt
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+brute_force_measurement_opt(0.5, (3, 2))
+before = peak_kb()
+brute_force_measurement_opt(0.5, (200, 400))
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_full_sweep_grows_peak_memory_by_less_than_8_mb():
+    """A 200x400 sweep once held its whole projector stack and every
+    conditional state at once: 31.7 MB above the warm-up's peak."""
+    src = str(Path(optimize.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 8 * 1024
 
 
 class TestGapCurvature:

@@ -126,8 +126,8 @@ def test_named_states():
         (lambda rng: random_density_matrix(-1, rng), "dim", "positive"),
         (lambda rng: random_zero_discord_spec(rng, 0, 2), "dim_a, dim_b", "positive"),
         (lambda rng: random_zero_discord_spec(rng, 2, -1), "dim_a, dim_b", "positive"),
-        (lambda rng: figure_data(0.0, 1.0, 0), "steps", "positive"),
-        (lambda rng: figure_data(0.0, 1.0, -1), "steps", "positive"),
+        (lambda rng: figure_data(0.0, 1.0, 0), "steps", "at least 2"),
+        (lambda rng: figure_data(0.0, 1.0, -1), "steps", "at least 2"),
         (lambda rng: brute_force_measurement_opt(0.5, (3, 0)), "grid sizes", "positive"),
         (lambda rng: brute_force_measurement_opt(0.5, (-1, 3)), "grid sizes", "positive"),
     ],
@@ -138,7 +138,8 @@ def test_named_states():
     ],
 )
 def test_sizes_at_the_constructors_must_be_integers(build, what, rule):
-    """Every size passes scalars._indices: an integer, then at least 1.
+    """Every size passes scalars._indices: an integer, then at least 1 (a
+    scan's step count at least 2).
     Each once raised a numpy TypeError or AxisError, read True as 1, or (a
     zero or negative random_density_matrix size) a message about a matrix
     the caller never passed, or numpy's naming no argument."""

@@ -151,6 +151,12 @@ class TestFigureData:
             with pytest.raises(ValueError, match="steps must be integers"):
                 figure_data(0.0, 1.0, steps)
 
+    @pytest.mark.parametrize("steps", [0, -3, 1])
+    def test_every_step_count_below_2_reads_at_least_2(self, steps):
+        # 0 and -3 once read "steps must be positive", a weaker rule than the one 1 broke
+        with pytest.raises(ValueError, match=f"^steps must be at least 2, got {steps}$"):
+            figure_data(0.0, 1.0, steps)
+
     def test_step_count_is_capped_before_any_record_is_built(self):
         with pytest.raises(ValueError, match="at most 1000001"):
             figure_data(0.0, 1.0, MAX_SCAN_STEPS + 1)
