@@ -63,7 +63,7 @@ def _rates(rho, elements: np.ndarray) -> np.ndarray:
     other conditional state must be finite, Hermitian, of unit trace and
     have no eigenvalue below -DEFAULT_TOL, else ValueError.  A qubit B
     takes its spectra from linalg._spectrum_2x2, the 2x2 form the scalar
-    route uses too; a larger B from one stacked eigvalsh.  No closed form
+    route uses too; a larger B from one stacked linalg._eigvalsh.  No closed form
     enters.  Each rate is sum q (S(Delta sigma) - S(sigma)).
     """
     da, db = rho.dims
@@ -89,8 +89,8 @@ def _rates(rho, elements: np.ndarray) -> np.ndarray:
     else:
         valid = (np.abs(bob - bob.conj().swapaxes(1, 2)) <= DEFAULT_TOL).all(axis=(1, 2))
         valid &= np.abs(np.einsum("nii->n", bob) - 1.0) <= DEFAULT_TOL
-        # eigvalsh fails on a non-finite entry, so a state already rejected enters as zeros
-        spectrum = np.linalg.eigvalsh(np.where(valid[:, None, None], bob, 0.0), UPLO="U")
+        # LAPACK fails on a non-finite entry, so a state already rejected enters as zeros
+        spectrum = linalg._eigvalsh(np.where(valid[:, None, None], bob, 0.0))
         valid &= spectrum[:, 0] >= -DEFAULT_TOL
         coherence = _xlog2x(spectrum).sum(axis=1) - _xlog2x(bob.diagonal(axis1=1, axis2=2).real).sum(axis=1)
     if not (valid | ~keep).all():

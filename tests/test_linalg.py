@@ -1,17 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from conftest import random_hermitian, random_unitary, trace_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
 
-from cohdist import linalg
+from cohdist import linalg, optimize
+from cohdist.cli import main
 from cohdist.linalg import hermitian_eigh, identity
 from cohdist.scalars import DEFAULT_TOL, _rows_hermitian
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,
+    density_matrix_to_dict,
     pure_state,
     random_density_matrix,
     werner,
@@ -294,3 +299,106 @@ def test_trace_distance_values():
     assert trace_distance(zero, mixed) == pytest.approx(0.5, abs=1e-12)
     assert trace_distance(zero, zero) == 0.0
     assert trace_distance(zero, mixed) == trace_distance(mixed, zero)
+
+
+def _nearly_hermitian(rng, dim):
+    """A seeded Hermitian matrix plus anti-Hermitian noise of size 1e-12, so
+    the upper and the lower triangle describe spectra that differ in their
+    last bits."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return random_hermitian(rng, dim) + 1e-12 * (g - g.conj().T)
+
+
+def test_spectra_are_numpy_upper_triangle_results_bit_for_bit():
+    """_jacobi (n != 2), _eigvalsh and hermitian_eigh give exactly what
+    numpy.linalg.eigvalsh and eigh return at UPLO="U", values and vectors,
+    on single matrices and on a stacked 4x4 input.  Control: the same
+    comparison against UPLO="L", which reads the other triangle, fails at
+    every size above 1."""
+    rng = np.random.default_rng(2701)
+    for dim in (1, 3, 4, 6, 8, 9, 16):
+        m = _nearly_hermitian(rng, dim)
+        want = np.linalg.eigvalsh(m, UPLO="U")
+        want_vals, want_vecs = np.linalg.eigh(m, UPLO="U")
+        assert linalg._jacobi(m) == want.tolist()
+        assert np.array_equal(linalg._eigvalsh(m), want)
+        vals, vecs = hermitian_eigh(m)
+        assert vals == want_vals[::-1].tolist()
+        assert np.array_equal(vecs, want_vecs[:, ::-1])
+        if dim > 1:
+            lower_vals, lower_vecs = np.linalg.eigh(m, UPLO="L")
+            assert linalg._jacobi(m) != np.linalg.eigvalsh(m, UPLO="L").tolist()
+            assert vals != lower_vals[::-1].tolist() and not np.array_equal(vecs, lower_vecs[:, ::-1])
+    stack = np.array([_nearly_hermitian(rng, 4) for _ in range(50)])
+    assert np.array_equal(linalg._eigvalsh(stack), np.linalg.eigvalsh(stack, UPLO="U"))
+    assert not np.array_equal(linalg._eigvalsh(stack), np.linalg.eigvalsh(stack, UPLO="L"))
+
+
+class _FailedSolves:
+    """LAPACK's eigvalsh_up and eigh_up, except that the first eigenvalue
+    each returns is replaced by value: NaN is what a failed solve writes."""
+
+    def __init__(self, lapack, value):
+        self.lapack, self.value = lapack, value
+
+    def eigvalsh_up(self, m, signature):
+        vals = self.lapack.eigvalsh_up(m, signature=signature)
+        vals.flat[0] = self.value
+        return vals
+
+    def eigh_up(self, m, signature):
+        vals, vecs = self.lapack.eigh_up(m, signature=signature)
+        vals.flat[0] = self.value
+        return vals, vecs
+
+
+Z_BASIS = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)
+
+
+def _failed_solve_calls():
+    """One call per route that takes a LAPACK spectrum, each on a valid input."""
+    rng = np.random.default_rng(2703)
+    two_by_three = random_density_matrix(6, rng, (2, 3))
+    four = random_density_matrix(4, rng, (2, 2)).mat
+    return {
+        "_jacobi": lambda: linalg._jacobi(four),
+        "hermitian_eigh": lambda: hermitian_eigh(four),
+        "DensityMatrix": lambda: DensityMatrix(four, (2, 2)),
+        "_rates at db = 3": lambda: optimize._rates(two_by_three, Z_BASIS),
+    }
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("route", list(_failed_solve_calls()))
+def test_a_non_finite_eigenvalue_raises_linalg_error(monkeypatch, route, value):
+    """numpy.linalg's one rule on output holds without its wrapper: a solve
+    that comes back with a non-finite eigenvalue raises LinAlgError, a
+    ValueError.  Control: the unpatched call passes."""
+    call = _failed_solve_calls()[route]
+    call()
+    monkeypatch.setattr(linalg, "_umath_linalg", _FailedSolves(linalg._umath_linalg, value))
+    with pytest.raises(LinAlgError, match="did not converge"):
+        call()
+
+
+def test_without_the_guard_a_failed_solve_passes_as_a_state(monkeypatch):
+    """Control for the test above: the guard is what raises, since a NaN
+    eigenvalue fails no `<` test of DensityMatrix's positivity rule."""
+    monkeypatch.setattr(linalg, "_umath_linalg", _FailedSolves(linalg._umath_linalg, np.nan))
+    monkeypatch.setattr(linalg, "_converged", lambda values: values)
+    assert any(map(math.isnan, _failed_solve_calls()["DensityMatrix"]().eigenvalues))
+
+
+def test_a_failed_solve_makes_measures_exit_2_with_nothing_on_stdout(monkeypatch, tmp_path):
+    """A state file whose solve fails is input the CLI rejects, before it
+    prints a line.  Control: the same file passes when the solves do not
+    fail."""
+    path = tmp_path / "state_2x3.json"
+    rho = random_density_matrix(6, np.random.default_rng(2705), (2, 3))
+    path.write_text(json.dumps(density_matrix_to_dict(rho)))
+    result = CliRunner().invoke(main, ["measures", "--file", str(path)])
+    assert result.exit_code == 0 and len(result.stdout.splitlines()) == 4
+    monkeypatch.setattr(linalg, "_umath_linalg", _FailedSolves(linalg._umath_linalg, np.nan))
+    result = CliRunner().invoke(main, ["measures", "--file", str(path)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "Eigenvalues did not converge" in result.stderr
