@@ -1,6 +1,13 @@
-"""Shared random-object builders for the test suite."""
+"""Shared random-object builders for the test suite, and an in-process
+runner for the command line."""
+
+import contextlib
+import io
+from dataclasses import dataclass
 
 import numpy as np
+
+from cohdist.cli import main
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -27,3 +34,39 @@ def random_monomial_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     cols = np.arange(dim)
     u[rng.permutation(dim), cols] = np.exp(2j * np.pi * rng.random(dim))
     return u
+
+
+@dataclass
+class CliResult:
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, as a terminal shows them
+    exit_code: int
+    exception: SystemExit | None  # the SystemExit of a nonzero exit code
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies every write into a shared one."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+def run_cli(args) -> CliResult:
+    """Run `cohdist ARGS` in this process, with stdout and stderr captured and
+    its SystemExit caught.  Any other exception propagates."""
+    shared = io.StringIO()
+    out, err = _Tee(shared), _Tee(shared)
+    exit_ = SystemExit(0)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args), prog_name="cohdist")
+        except SystemExit as exc:
+            exit_ = exc
+    code = exit_.code or 0
+    return CliResult(out.getvalue(), err.getvalue(), shared.getvalue(), code, exit_ if code else None)

@@ -7,9 +7,7 @@ see the module docstrings for where each bound comes from.
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from cohdist.cli import main
 from cohdist.closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
 from cohdist.coherence import c_re, qi_relative_entropy, relative_entropy
 from cohdist.optimize import brute_force_measurement_opt
@@ -30,7 +28,7 @@ from cohdist.states import (
 )
 from cohdist.verify import discord_report
 
-from conftest import random_monomial_unitary, trace_distance
+from conftest import random_monomial_unitary, run_cli, trace_distance
 
 
 def gap(p: float) -> float:
@@ -166,10 +164,9 @@ def test_criterion_8_entropy_identity_and_monomial_invariance():
 
 
 def test_criterion_9_scan_is_deterministic_with_the_expected_midpoint():
-    runner = CliRunner()
     args = ["scan", "--from", "0", "--to", "1", "--steps", "101"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
+    first = run_cli(args)
+    second = run_cli(args)
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
     lines = first.output.splitlines()

@@ -6,14 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohdist
 import cohdist.verify as verify_mod
 from cohdist import closed_forms, coherence
-from cohdist.cli import main
 from cohdist.closed_forms import figure_data, qi_werner_closed_form, rate_werner_closed_form
 from cohdist.scalars import _bipartite_dims, _fmt6
 from cohdist.states import (
@@ -41,35 +40,30 @@ SCAN_3_STEPS = (
 )
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
 class TestMeasures:
-    def test_werner_golden_output(self, runner):
-        result = runner.invoke(main, ["measures", "--werner", "0.5"])
+    def test_werner_golden_output(self):
+        result = run_cli(["measures", "--werner", "0.5"])
         assert result.exit_code == 0
         assert result.output == MEASURES_WERNER_05
 
-    def test_exactly_one_source_required(self, runner):
-        assert runner.invoke(main, ["measures"]).exit_code == 2
+    def test_exactly_one_source_required(self):
+        assert run_cli(["measures"]).exit_code == 2
         both = ["measures", "--werner", "0.5", "--file", "x.json"]
-        assert runner.invoke(main, both).exit_code == 2
+        assert run_cli(both).exit_code == 2
 
-    def test_out_of_range_p(self, runner):
-        result = runner.invoke(main, ["measures", "--werner", "1.5"])
+    def test_out_of_range_p(self):
+        result = run_cli(["measures", "--werner", "1.5"])
         assert result.exit_code == 2
         assert "mixing parameter must lie in [0, 1], got 1.5" in result.stderr
 
-    def test_file_input_matches_werner(self, runner, tmp_path):
+    def test_file_input_matches_werner(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(density_matrix_to_dict(werner(0.5))))
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 0
         assert result.output == MEASURES_WERNER_05
 
-    def test_values_that_round_to_zero_print_without_a_sign(self, runner, tmp_path, monkeypatch):
+    def test_values_that_round_to_zero_print_without_a_sign(self, tmp_path, monkeypatch):
         """Zero-discord states often compute a discord of order -1e-16 to
         -1e-15; none of the four lines may read -0.000000, while a value
         that rounds to a nonzero negative keeps its sign."""
@@ -79,79 +73,79 @@ class TestMeasures:
             path = tmp_path / "state.json"
             rho = zero_discord_state(random_zero_discord_spec(rng, da, db))
             path.write_text(json.dumps(density_matrix_to_dict(rho)))
-            outputs.append(runner.invoke(main, ["measures", "--file", str(path)]))
+            outputs.append(run_cli(["measures", "--file", str(path)]))
         monkeypatch.setattr(coherence, "basis_dependent_discord", lambda rho: -1e-15)
-        outputs.append(runner.invoke(main, ["measures", "--werner", "0.5"]))
+        outputs.append(run_cli(["measures", "--werner", "0.5"]))
         assert outputs[-1].output.endswith("D^A|B(rho) = 0.000000\n")
         monkeypatch.setattr(coherence, "basis_dependent_discord", lambda rho: -6e-7)
-        assert runner.invoke(main, ["measures", "--werner", "0.5"]).output.endswith("D^A|B(rho) = -0.000001\n")
+        assert run_cli(["measures", "--werner", "0.5"]).output.endswith("D^A|B(rho) = -0.000001\n")
         for result in outputs:
             assert result.exit_code == 0
             assert "-0.000000" not in result.output
 
-    def test_missing_file_is_an_io_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["measures", "--file", str(tmp_path / "nope.json")])
+    def test_missing_file_is_an_io_error(self, tmp_path):
+        result = run_cli(["measures", "--file", str(tmp_path / "nope.json")])
         assert result.exit_code == 3
         assert "cannot read state file" in result.stderr
 
-    def test_invalid_json_is_a_usage_error(self, runner, tmp_path):
+    def test_invalid_json_is_a_usage_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        assert runner.invoke(main, ["measures", "--file", str(path)]).exit_code == 2
+        assert run_cli(["measures", "--file", str(path)]).exit_code == 2
 
     @pytest.mark.parametrize("content", [b"\xff\xfe\x00{", b"[" * 100000], ids=["non-utf8", "deeply-nested"])
-    def test_undecodable_file_is_a_usage_error(self, runner, tmp_path, content):
+    def test_undecodable_file_is_a_usage_error(self, tmp_path, content):
         # json.load raises UnicodeDecodeError and RecursionError, not JSONDecodeError
         path = tmp_path / "state.json"
         path.write_bytes(content)
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert "state file is not valid JSON" in result.stderr
 
-    def test_malformed_payload_is_a_usage_error(self, runner, tmp_path):
+    def test_malformed_payload_is_a_usage_error(self, tmp_path):
         path = tmp_path / "payload.json"
         path.write_text(json.dumps({"dims": [2, 2]}))
-        assert runner.invoke(main, ["measures", "--file", str(path)]).exit_code == 2
+        assert run_cli(["measures", "--file", str(path)]).exit_code == 2
 
     @pytest.mark.parametrize("dims", [[2.9, 2.2], "22"], ids=["float", "string"])
-    def test_non_integer_dims_are_a_usage_error(self, runner, tmp_path, dims):
+    def test_non_integer_dims_are_a_usage_error(self, tmp_path, dims):
         # int() would truncate both to a valid split of a smaller matrix
         payload = density_matrix_to_dict(maximally_mixed(4))
         payload["dims"] = dims
         path = tmp_path / "dims.json"
         path.write_text(json.dumps(payload))
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"malformed state payload: dims must be integers, got {dims!r}" in result.stderr
 
-    def test_bool_dim_is_a_usage_error(self, runner, tmp_path):
+    def test_bool_dim_is_a_usage_error(self, tmp_path):
         # operator.index(True) is 1, so [true, 4] would load as a 1x4 split
         payload = density_matrix_to_dict(maximally_mixed(4))
         payload["dims"] = [True, 4]
         path = tmp_path / "dims.json"
         path.write_text(json.dumps(payload))
         assert "true" in path.read_text()
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
 
     @pytest.mark.parametrize("key, entry", [("re", "0.25"), ("im", False)], ids=["string", "bool"])
-    def test_non_number_entry_is_a_usage_error(self, runner, tmp_path, key, entry):
+    def test_non_number_entry_is_a_usage_error(self, tmp_path, key, entry):
         payload = density_matrix_to_dict(werner(0.5))
         payload[key][1][1] = entry
         path = tmp_path / "entry.json"
         path.write_text(json.dumps(payload))
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "entries must be numbers" in result.stderr
 
-    def test_non_bipartite_state_is_a_usage_error(self, runner, tmp_path):
+    def test_non_bipartite_state_is_a_usage_error(self, tmp_path):
         payload = density_matrix_to_dict(maximally_mixed(4))
         path = tmp_path / "mono.json"
         path.write_text(json.dumps(payload))
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
         # one rule, one message: the CLI states no bipartite rule of its own
@@ -159,29 +153,29 @@ class TestMeasures:
             "Error: needs a bipartite state, dims are (4,)"
         ]
 
-    def test_bipartite_rule_runs_before_positivity(self, runner, tmp_path):
+    def test_bipartite_rule_runs_before_positivity(self, tmp_path):
         # it needs no spectrum, so a state breaking both reports it, before numpy loads
         payload = {"dims": [4], "re": np.diag([0.6, 0.5, 0.1, -0.2]).tolist(), "im": [[0.0] * 4] * 4}
         path = tmp_path / "mono.json"
         path.write_text(json.dumps(payload))
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stderr.endswith("\nError: needs a bipartite state, dims are (4,)\n")
 
-    def test_invalid_state_matrix_is_a_usage_error(self, runner, tmp_path):
+    def test_invalid_state_matrix_is_a_usage_error(self, tmp_path):
         payload = density_matrix_to_dict(maximally_mixed(2))
         payload["re"] = [[1.0, 0.0], [0.0, 1.0]]  # trace 2
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        assert runner.invoke(main, ["measures", "--file", str(path)]).exit_code == 2
+        assert run_cli(["measures", "--file", str(path)]).exit_code == 2
 
-    def test_non_finite_entry_is_a_usage_error(self, runner, tmp_path):
+    def test_non_finite_entry_is_a_usage_error(self, tmp_path):
         payload = density_matrix_to_dict(werner(0.5))
         payload["re"][0][1] = float("nan")
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(payload))  # writes the bare NaN token
         assert "NaN" in path.read_text()
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "non-finite" in result.stderr
@@ -197,14 +191,14 @@ class TestMeasures:
         ],
         ids=["hermiticity", "eigenvalue"],
     )
-    def test_state_whose_marginal_fails_is_a_usage_error(self, runner, tmp_path, rows, defect):
+    def test_state_whose_marginal_fails_is_a_usage_error(self, tmp_path, rows, defect):
         payload = {"dims": [2, 2], "re": rows, "im": [[0.0] * 4 for _ in range(4)]}
         rho = density_matrix_from_dict(payload)  # the state itself passes
         with pytest.raises(ValueError, match=defect):
             rho.marginal_b
         path = tmp_path / "marginal.json"
         path.write_text(json.dumps(payload))
-        result = runner.invoke(main, ["measures", "--file", str(path)])
+        result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert defect in result.stderr
@@ -284,7 +278,7 @@ def test_cli_reports_the_library_error_for_any_single_defect(tmp_path_factory, s
         raise AssertionError(f"{defect} left a valid state")
     path = tmp_path_factory.getbasetemp() / "defect.json"
     path.write_text(json.dumps(payload))
-    result = CliRunner().invoke(main, ["measures", "--file", str(path)])
+    result = run_cli(["measures", "--file", str(path)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.endswith(f"\nError: {want}\n")
@@ -314,8 +308,8 @@ class TestFormat:
 
 
 class TestProtocol:
-    def test_lqicc_golden_output(self, runner):
-        result = runner.invoke(main, ["protocol", "lqicc", "--p", "0.5"])
+    def test_lqicc_golden_output(self):
+        result = run_cli(["protocol", "lqicc", "--p", "0.5"])
         assert result.exit_code == 0
         assert result.output == (
             "protocol = lqicc\n"
@@ -337,8 +331,8 @@ class TestProtocol:
             "rate = 0.188722\n"
         )
 
-    def test_licc_output(self, runner):
-        result = runner.invoke(main, ["protocol", "licc", "--p", "0.5"])
+    def test_licc_output(self):
+        result = run_cli(["protocol", "licc", "--p", "0.5"])
         assert result.exit_code == 0
         assert result.output == (
             "protocol = licc\n"
@@ -360,108 +354,108 @@ class TestProtocol:
             "rate = 0.188722\n"
         )
 
-    def test_validation(self, runner):
-        assert runner.invoke(main, ["protocol", "bogus", "--p", "0.5"]).exit_code == 2
-        assert runner.invoke(main, ["protocol", "lqicc"]).exit_code == 2
-        assert runner.invoke(main, ["protocol", "lqicc", "--p", "1.2"]).exit_code == 2
+    def test_validation(self):
+        assert run_cli(["protocol", "bogus", "--p", "0.5"]).exit_code == 2
+        assert run_cli(["protocol", "lqicc"]).exit_code == 2
+        assert run_cli(["protocol", "lqicc", "--p", "1.2"]).exit_code == 2
 
 
 class TestScan:
-    def test_stdout_csv_golden(self, runner):
-        result = runner.invoke(main, ["scan", "--from", "0", "--to", "1", "--steps", "3"])
+    def test_stdout_csv_golden(self):
+        result = run_cli(["scan", "--from", "0", "--to", "1", "--steps", "3"])
         assert result.exit_code == 0
         assert result.output == SCAN_3_STEPS
 
-    def test_byte_identical_across_runs(self, runner):
+    def test_byte_identical_across_runs(self):
         args = ["scan", "--from", "0", "--to", "1", "--steps", "25"]
-        assert runner.invoke(main, args).output == runner.invoke(main, args).output
+        assert run_cli(args).output == run_cli(args).output
 
-    def test_json_format(self, runner):
-        result = runner.invoke(main, ["scan", "--steps", "3", "--format", "json"])
+    def test_json_format(self):
+        result = run_cli(["scan", "--steps", "3", "--format", "json"])
         assert result.exit_code == 0
         rows = json.loads(result.output)
         assert [r["p"] for r in rows] == [0.0, 0.5, 1.0]
         assert rows[1]["qi"] == qi_werner_closed_form(0.5)
         assert rows[1]["rate"] == rate_werner_closed_form(0.5)
 
-    def test_output_file(self, runner, tmp_path):
+    def test_output_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        result = runner.invoke(main, ["scan", "--steps", "3", "--out", str(out)])
+        result = run_cli(["scan", "--steps", "3", "--out", str(out)])
         assert result.exit_code == 0
         assert result.output == f"wrote 3 records to {out}\n"
         assert out.read_text() == SCAN_3_STEPS
 
-    def test_values_that_round_to_zero_print_without_a_sign(self, runner):
+    def test_values_that_round_to_zero_print_without_a_sign(self):
         args = ["scan", "--from", "0", "--to", "0.00000001", "--steps", "6"]
         # control: the sweep holds a value just below zero, which json prints in full
         negative = [x for r in figure_data(0.0, 1e-8, 6) for x in (r.qi, r.rate, r.gap) if x < 0.0]
         assert negative
-        rows = json.loads(runner.invoke(main, [*args, "--format", "json"]).output)
+        rows = json.loads(run_cli([*args, "--format", "json"]).output)
         assert negative[0] in [row[key] for row in rows for key in ("qi", "rate", "gap")]
-        result = runner.invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == 0
         assert "-0.000000" not in result.output
 
-    def test_range_whose_formula_overshoots_its_end(self, runner):
-        result = runner.invoke(main, ["scan", "--from", "0.059", "--steps", "7"])
+    def test_range_whose_formula_overshoots_its_end(self):
+        result = run_cli(["scan", "--from", "0.059", "--steps", "7"])
         assert result.exit_code == 0, result.output
         assert result.output.endswith("\n1.000000,1.000000,1.000000,0.000000\n")
 
-    def test_validation(self, runner):
-        assert runner.invoke(main, ["scan", "--steps", "1"]).exit_code == 2
-        assert runner.invoke(main, ["scan", "--from", "0.7", "--to", "0.3"]).exit_code == 2
+    def test_validation(self):
+        assert run_cli(["scan", "--steps", "1"]).exit_code == 2
+        assert run_cli(["scan", "--from", "0.7", "--to", "0.3"]).exit_code == 2
 
-    def test_huge_step_count_is_rejected_at_once(self, runner):
-        result = runner.invoke(main, ["scan", "--steps", "1000000000"])
+    def test_huge_step_count_is_rejected_at_once(self):
+        result = run_cli(["scan", "--steps", "1000000000"])
         assert result.exit_code == 2
         assert "steps must be at most 1000001" in result.stderr
         assert result.stdout == ""
 
-    def test_unwritable_target_is_an_io_error(self, runner, tmp_path):
+    def test_unwritable_target_is_an_io_error(self, tmp_path):
         out = tmp_path / "missing" / "sweep.csv"
-        result = runner.invoke(main, ["scan", "--steps", "3", "--out", str(out)])
+        result = run_cli(["scan", "--steps", "3", "--out", str(out)])
         assert result.exit_code == 3
         assert "cannot write" in result.stderr
 
 
 class TestVerify:
-    def test_theorem3_passes(self, runner):
-        result = runner.invoke(main, ["verify", "theorem3"])
+    def test_theorem3_passes(self):
+        result = run_cli(["verify", "theorem3"])
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert all(line.startswith("[PASS] theorem3:") for line in lines[:-1])
         assert lines[-1] == "2/2 checks passed"
 
-    def test_lemma1_is_deterministic_for_a_fixed_seed(self, runner):
+    def test_lemma1_is_deterministic_for_a_fixed_seed(self):
         args = ["verify", "lemma1", "--seed", "42"]
-        first = runner.invoke(main, args)
-        second = runner.invoke(main, args)
+        first = run_cli(args)
+        second = run_cli(args)
         assert first.exit_code == 0
         assert first.output == second.output
         assert first.output.endswith("104/104 checks passed\n")
 
-    def test_theorem4_passes_on_a_reduced_sweep(self, runner):
+    def test_theorem4_passes_on_a_reduced_sweep(self):
         args = ["verify", "theorem4", "--brute-theta", "121", "--brute-phi", "16"]
-        result = runner.invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == 0
         assert "gap positive on the interior grid" in result.output
 
-    def test_shifted_curvature_fails_theorem4_with_exit_one(self, runner, monkeypatch):
+    def test_shifted_curvature_fails_theorem4_with_exit_one(self, monkeypatch):
         """The negative control of the curvature line: gap_second_derivative
         off by 1e-3 where verify reads it keeps both signs right and fails
         only the central-difference check."""
         d2 = closed_forms.gap_second_derivative
         monkeypatch.setattr(closed_forms, "gap_second_derivative", lambda p: d2(p) + 1e-3)
-        result = runner.invoke(main, ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"])
+        result = run_cli(["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"])
         assert result.exit_code == 1
         lines = result.output.splitlines()
         assert lines[-2].startswith("[FAIL] theorem4: gap convex below 1/3, concave above (")
         assert lines[-1] == "10/11 checks passed"
 
-    def test_lemma1_random_specs_print_only_rounding_noise(self, runner):
+    def test_lemma1_random_specs_print_only_rounding_noise(self):
         """The discord= digits of the random-spec lines are rounding noise,
         not part of the output contract; their size is."""
-        result = runner.invoke(main, ["verify", "lemma1"])
+        result = run_cli(["verify", "lemma1"])
         assert result.exit_code == 0
         lines = [x for x in result.output.splitlines() if "random zero-discord spec" in x]
         assert len(lines) == 100
@@ -469,8 +463,8 @@ class TestVerify:
             assert line.startswith("[PASS] lemma1: ")
             assert abs(float(line.rsplit("discord=", 1)[1].rstrip(")"))) <= 1e-12
 
-    def test_unknown_suite_is_a_usage_error(self, runner):
-        assert runner.invoke(main, ["verify", "bogus"]).exit_code == 2
+    def test_unknown_suite_is_a_usage_error(self):
+        assert run_cli(["verify", "bogus"]).exit_code == 2
 
     @pytest.mark.parametrize(
         "args",
@@ -481,36 +475,90 @@ class TestVerify:
         ],
         ids=["brute-theta", "brute-phi", "seed"],
     )
-    def test_out_of_range_options_are_usage_errors(self, runner, args):
-        result = runner.invoke(main, ["verify", *args])
+    def test_out_of_range_options_are_usage_errors(self, args):
+        result = run_cli(["verify", *args])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert "Invalid value" in result.stderr
         assert result.stdout == ""
 
-    def test_measurement_grid_is_bounded(self, runner, monkeypatch):
+    def test_measurement_grid_is_bounded(self, monkeypatch):
         """A grid above MAX_GRID_POINTS is a usage error that runs no suite;
         one of exactly MAX_GRID_POINTS reaches the theorem-4 suite."""
         grids = []
         forced = (verify_mod.CheckLine("forced", True, "stub"),)
         monkeypatch.setattr(verify_mod, "theorem4_suite", lambda brute_grid: grids.append(brute_grid) or forced)
-        result = runner.invoke(main, ["verify", "theorem4", "--brute-theta", "1001", "--brute-phi", "1000"])
+        result = run_cli(["verify", "theorem4", "--brute-theta", "1001", "--brute-phi", "1000"])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "1001000 grid points, at most 1000000" in result.stderr
         assert grids == []
-        result = runner.invoke(main, ["verify", "theorem4", "--brute-theta", "1000", "--brute-phi", "1000"])
+        result = run_cli(["verify", "theorem4", "--brute-theta", "1000", "--brute-phi", "1000"])
         assert result.exit_code == 0
         assert grids == [(1000, 1000)]
 
-    def test_any_failing_check_exits_one(self, runner, monkeypatch):
+    def test_any_failing_check_exits_one(self, monkeypatch):
         forced = (verify_mod.CheckLine("forced failure", False, "broken"),)
         monkeypatch.setattr(verify_mod, "theorem3_suite", lambda: forced)
-        result = runner.invoke(main, ["verify", "theorem3"])
+        result = run_cli(["verify", "theorem3"])
         assert result.exit_code == 1
         assert "[FAIL] theorem3: forced failure (broken)" in result.output
         assert "0/1 checks passed" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["measures", "--bogus"],
+        ["measures", "--wer", "0.5"],
+        ["protocol", "lqicc", "--p", "abc"],
+        ["protocol", "lqicc"],
+        ["scan", "--steps", "2.5"],
+        ["scan", "--format", "xml"],
+        ["verify", "bogus"],
+        ["verify", "lemma1", "--seed", "-1"],
+        ["verify", "theorem4", "--brute-theta", "1"],
+        ["verify", "theorem4", "--brute-phi", "0"],
+        ["measures", "--werner", "0.5", "extra"],
+        ["scan", "-h"],
+    ],
+    ids=[
+        "unknown-option", "abbreviated-option", "non-number-p", "missing-p", "non-integer-steps", "unknown-format",
+        "unknown-suite", "negative-seed", "brute-theta-below-2", "brute-phi-below-1", "extra-argument", "short-help",
+    ],
+)
+def test_malformed_invocation_is_a_usage_error(args):
+    """Each invocation the parser rejects exits 2 before the command runs:
+    nothing on stdout, and stderr opens with the command's usage line and
+    holds an `Error: ` line.  No prefix stands for a flag, so `--wer` is an
+    unknown option, not `--werner`, and `-h` is no short form of `--help`."""
+    result = run_cli(args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"Usage: cohdist {args[0]} ")
+    assert "\nError: " in result.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    """As in `cohdist verify theorem3 | head -0`, the reader of stdout is
+    gone before the command prints: it exits 1 with nothing on stderr.
+    The write fails at the first print when Python does not buffer stdout,
+    and at the final flush when it does."""
+    src = str(Path(cohdist.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        command = [sys.executable, "-m", "cohdist.cli", "verify", "theorem3"]
+        proc = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def _fresh_python(code: str) -> str:
@@ -530,6 +578,11 @@ def test_each_command_loads_only_the_layers_it_runs():
     code = """
 import sys
 from cohdist.cli import main
+def run(args):
+    try:
+        main(args)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
 lazy = (
     "numpy",
     "cohdist.linalg",
@@ -542,9 +595,9 @@ lazy = (
     "json",
 )
 print("loaded", [m for m in lazy if m in sys.modules])
-main(["measures", "--werner", "0.5"], standalone_mode=False)
+run(["measures", "--werner", "0.5"])
 print("loaded", [m for m in lazy if m in sys.modules])
-main(["protocol", "lqicc", "--p", "0.5"], standalone_mode=False)
+run(["protocol", "lqicc", "--p", "0.5"])
 print("loaded", [m for m in lazy if m in sys.modules])
 """
     lines = [line for line in _fresh_python(code).splitlines() if line.startswith("loaded")]
@@ -561,7 +614,10 @@ import sys
 from cohdist.cli import main
 lazy = ("numpy", "cohdist.closed_forms", "cohdist.verify", "cohdist.optimize", "cohdist.protocols", "json")
 for args in %r:
-    main(args, standalone_mode=False)
+    try:
+        main(args)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
     print("loaded", [m for m in lazy if m in sys.modules])
 """
     scans = [["scan", "--steps", "3"], ["scan", "--steps", "3", "--format", "json"]]

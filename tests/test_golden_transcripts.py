@@ -1,14 +1,14 @@
 """Recorded CLI transcripts replay byte for byte.
 
 tests/golden/transcripts.json holds the stdout, stderr and exit code of
-each command in COMMANDS, run through Click's CliRunner as `cohdist` in a
-directory that holds the state files of tests/golden.  Every replay must
-match them exactly, except for one masked field (see _mask).
+each command in COMMANDS, run in-process as `cohdist` (conftest.run_cli)
+in a directory that holds the state files of tests/golden.  Every replay
+must match them exactly, except for one masked field (see _mask).
 
-The help text and usage errors come from click, and a few error lines
-quote Python's own exception text, so the transcripts belong to the
-click and Python versions they were recorded with (click 8.4, Python
-3.11).  To record them again after an intended output change:
+The help text is argparse's, wrapped at a fixed width rather than the
+terminal's, and a few error lines quote Python's own exception text, so
+the transcripts belong to the Python version they were recorded with
+(Python 3.11).  To record them again after an intended output change:
 
     PYTHONPATH=src python tests/test_golden_transcripts.py
 """
@@ -19,9 +19,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from cohdist.cli import main
+from conftest import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TRANSCRIPTS = GOLDEN / "transcripts.json"
@@ -67,7 +65,7 @@ def _mask(text: str) -> str:
 
 
 def _run(args: list[str]) -> dict:
-    result = CliRunner().invoke(main, args, prog_name="cohdist")
+    result = run_cli(args)
     return {"args": args, "stdout": _mask(result.stdout), "stderr": result.stderr, "exit_code": result.exit_code}
 
 

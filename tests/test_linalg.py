@@ -3,14 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-from conftest import random_hermitian, random_unitary, trace_distance
+from conftest import random_hermitian, random_unitary, run_cli, trace_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 
 from cohdist import linalg, optimize
-from cohdist.cli import main
 from cohdist.linalg import hermitian_eigh, identity
 from cohdist.scalars import DEFAULT_TOL, _rows_hermitian
 from cohdist.states import (
@@ -396,9 +394,9 @@ def test_a_failed_solve_makes_measures_exit_2_with_nothing_on_stdout(monkeypatch
     path = tmp_path / "state_2x3.json"
     rho = random_density_matrix(6, np.random.default_rng(2705), (2, 3))
     path.write_text(json.dumps(density_matrix_to_dict(rho)))
-    result = CliRunner().invoke(main, ["measures", "--file", str(path)])
+    result = run_cli(["measures", "--file", str(path)])
     assert result.exit_code == 0 and len(result.stdout.splitlines()) == 4
     monkeypatch.setattr(linalg, "_umath_linalg", _FailedSolves(linalg._umath_linalg, np.nan))
-    result = CliRunner().invoke(main, ["measures", "--file", str(path)])
+    result = run_cli(["measures", "--file", str(path)])
     assert result.exit_code == 2 and result.stdout == ""
     assert "Eigenvalues did not converge" in result.stderr
