@@ -178,6 +178,7 @@ def _parser(prog: str, command: str | None) -> _Parser:
 def main(args: list[str] | None = None, prog_name: str = "cohdist") -> None:
     """Coherence quantifiers and assisted-distillation protocols."""
     args = sys.argv[1:] if args is None else list(args)
+    args = args[:-1] if args[-1:] == ["--"] else args  # click took a trailing `--`; argparse would reject it
     command = args[0] if args and args[0] in COMMANDS else None
     parser = _parser(prog_name, command)
     try:

@@ -42,15 +42,15 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFA
 def _relative_entropy_eig(rho: DensityMatrix, vals, vecs: np.ndarray, tol: float) -> float:
     """relative_entropy(rho, sigma) given sigma's eigenvalues and eigenvector columns."""
     first = -von_neumann_entropy(rho, tol)
-    # weight of rho along each sigma eigenvector
-    weights = np.real(np.sum(vecs.conj() * (rho.mat @ vecs), axis=0))
+    # weight of rho along each sigma eigenvector, as Python floats: the loop runs on plain scalars
+    weights = (vecs.conj() * (rho.mat @ vecs)).sum(axis=0).real.tolist()
     second = 0.0
     for lam, w in zip(vals, weights):
         if lam < SUPPORT_TOL:
             if w > WEIGHT_TOL:
                 return math.inf
             continue
-        second += float(w) * math.log2(lam)
+        second += w * math.log2(lam)
     return first - second
 
 
@@ -69,16 +69,15 @@ def qi_relative_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
 
 
 def _kron_eigh(eig_a, eig_b):
-    """(values, vectors) of kron(a, b) from those of a and b, in A-major order."""
-    return np.outer(eig_a[0], eig_b[0]).ravel(), linalg._kron(eig_a[1], eig_b[1])
+    """(values, vectors) of kron(a, b) from those of a and b, in A-major order, the values as Python floats."""
+    return [x * y for x in eig_a[0] for y in eig_b[0]], linalg._kron(eig_a[1], eig_b[1])
 
 
 def _discord_via_relative_entropies(rho: DensityMatrix, tol: float) -> float:
-    # S(rho || rhoA x rhoB) - S(dephase_B rho || rhoA x dephase(rhoB)); products never built
-    eig_a = linalg.hermitian_eigh(rho.marginal_a.mat)
-    rho_b = rho.marginal_b
-    product = _kron_eigh(eig_a, linalg.hermitian_eigh(rho_b.mat))
-    product_deph = _kron_eigh(eig_a, linalg.hermitian_eigh(rho_b.dephased.mat))
+    # S(rho || rhoA x rhoB) - S(dephase_B rho || rhoA x dephase(rhoB)); no product built, no rhoA validated
+    eig_a = linalg.hermitian_eigh(rho.mat.reshape(rho.dims * 2).trace(axis1=1, axis2=3))
+    product = _kron_eigh(eig_a, linalg.hermitian_eigh(rho.marginal_b.mat))
+    product_deph = _kron_eigh(eig_a, linalg.hermitian_eigh(rho.marginal_b.dephased.mat))
     return _relative_entropy_eig(rho, *product, tol) - _relative_entropy_eig(rho.dephased_b, *product_deph, tol)
 
 

@@ -540,6 +540,20 @@ def test_malformed_invocation_is_a_usage_error(args):
     assert "\nError: " in result.stderr
 
 
+def test_a_trailing_double_dash_is_dropped():
+    """One trailing `--` ends the options and changes nothing, as under
+    click: each command prints what it prints without it.  An argument
+    after a `--` is still an extra argument, and `cohdist --` names no
+    command: both exit 2."""
+    for args in (["measures", "--werner", "0.5"], ["scan", "--steps", "3"], ["protocol", "licc", "--p", "0.5"]):
+        result = run_cli([*args, "--"])
+        assert (result.exit_code, result.output) == (0, run_cli(args).output)
+    for args in (["measures", "--werner", "0.5", "--", "extra"], ["--"]):
+        result = run_cli(args)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert "\nError: " in result.stderr
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
     """As in `cohdist verify theorem3 | head -0`, the reader of stdout is

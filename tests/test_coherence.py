@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from cohdist import linalg
 from cohdist.coherence import (
+    SUPPORT_TOL,
+    WEIGHT_TOL,
     _discord_via_relative_entropies,
     _kron_eigh,
     basis_dependent_discord,
@@ -255,6 +257,31 @@ def _explicit_discord_check(rho):
     return relative_entropy(rho, product) - relative_entropy(rho.dephased_b, product_deph)
 
 
+def _numpy_scalar_relative_entropy(rho, vals, vecs):
+    # _relative_entropy_eig on numpy scalars: weights from np.real(np.sum(...)), each read through float(w)
+    first = -von_neumann_entropy(rho)
+    weights = np.real(np.sum(vecs.conj() * (rho.mat @ vecs), axis=0))
+    second = 0.0
+    for lam, w in zip(vals, weights):
+        if lam < SUPPORT_TOL:
+            if w > WEIGHT_TOL:
+                return math.inf
+            continue
+        second += float(w) * math.log2(lam)
+    return first - second
+
+
+def _numpy_scalar_discord_check(rho):
+    # the check route with rho_A validated as rho.marginal_a and the product spectra from np.outer
+    eig_a = linalg.hermitian_eigh(rho.marginal_a.mat)
+    terms = []
+    for state, b_mat in ((rho, rho.marginal_b.mat), (rho.dephased_b, rho.marginal_b.dephased.mat)):
+        eig_b = linalg.hermitian_eigh(b_mat)
+        vals, vecs = np.outer(eig_a[0], eig_b[0]).ravel(), linalg._kron(eig_a[1], eig_b[1])
+        terms.append(_numpy_scalar_relative_entropy(state, vals, vecs))
+    return terms[0] - terms[1]
+
+
 class TestDiscordCheckRoute:
     """The check route diagonalizes rho_A x rho_B and rho_A x dephase(rho_B)
     from their factors' eigendecompositions."""
@@ -280,6 +307,29 @@ class TestDiscordCheckRoute:
                 for rho in (ginibre, zero):
                     alt = _discord_via_relative_entropies(rho, DEFAULT_TOL)
                     assert abs(alt - _explicit_discord_check(rho)) < 1e-12
+
+    @pytest.mark.parametrize("dims", ((2, 2), (2, 3), (2, 4), (3, 3)))
+    def test_python_floats_give_the_numpy_scalar_values_bit_for_bit(self, dims):
+        """The check route and relative_entropy run on Python floats, with
+        rho_A read from the partial trace, and equal (==) the same formulas
+        on numpy scalars with rho_A validated as rho.marginal_a.  Every
+        product eigenvalue is a float; so is every weight, since one numpy
+        scalar weight would make the sum, and so the value, a numpy scalar."""
+        rng = np.random.default_rng(52)
+        for _ in range(5):
+            ginibre = random_density_matrix(dims[0] * dims[1], rng, dims)
+            zero = zero_discord_state(random_zero_discord_spec(rng, *dims))
+            for rho in (ginibre, zero):
+                alt = _discord_via_relative_entropies(rho, DEFAULT_TOL)
+                assert alt == _numpy_scalar_discord_check(rho) and type(alt) is float
+                product = DensityMatrix(np.kron(rho.marginal_a.mat, rho.marginal_b.mat), dims)
+                for state, sigma in ((rho, product), (rho, rho.dephased_b), (rho.dephased_b, product)):
+                    value = relative_entropy(state, sigma)
+                    assert value == _numpy_scalar_relative_entropy(state, *linalg.hermitian_eigh(sigma.mat))
+                    assert type(value) is float
+                for b_mat in (rho.marginal_b.mat, rho.marginal_b.dephased.mat):
+                    vals, _ = _kron_eigh(linalg.hermitian_eigh(rho.marginal_a.mat), linalg.hermitian_eigh(b_mat))
+                    assert all(type(x) is float for x in vals)
 
     @pytest.mark.parametrize(
         "amplitudes, dims, finite",

@@ -61,13 +61,15 @@ class TestDiscordReport:
 
 
 def test_discord_report_builds_each_derived_state_once(monkeypatch):
-    """One report on a 3x3 state validates four derived states: the
-    B-dephased state, rho_B, its dephasing and rho_A.  The check route
-    never builds the product states rho_A x rho_B and rho_A x
-    dephase(rho_B): it diagonalizes them from the eigendecompositions of
-    rho_A, rho_B and dephase(rho_B).  That is four values-only solves,
-    one per validation, and three eigendecompositions; a second report
-    validates nothing new and repeats only the eigendecompositions."""
+    """One report on a 3x3 state validates three derived states: the
+    B-dephased state, rho_B and its dephasing.  The check route reads
+    rho_A from the partial trace of the validated state, so rho_A is never
+    validated, and it never builds the product states rho_A x rho_B and
+    rho_A x dephase(rho_B): it diagonalizes them from the
+    eigendecompositions of rho_A, rho_B and dephase(rho_B).  That is three
+    values-only solves, one per validation, and three
+    eigendecompositions; a second report validates nothing new and
+    repeats only the eigendecompositions."""
     rho = zero_discord_state(random_zero_discord_spec(np.random.default_rng(5), 3, 3))
     counts = {"validations": 0, "jacobi": 0, "eigh": 0}
     post_init = DensityMatrix.__post_init__
@@ -89,9 +91,9 @@ def test_discord_report_builds_each_derived_state_once(monkeypatch):
     monkeypatch.setattr(linalg, "_jacobi", counting_jacobi)
     monkeypatch.setattr(linalg, "hermitian_eigh", counting_eigh)
     assert discord_report(rho).passed
-    assert counts == {"validations": 4, "jacobi": 4, "eigh": 3}
+    assert counts == {"validations": 3, "jacobi": 3, "eigh": 3}
     discord_report(rho)
-    assert counts == {"validations": 4, "jacobi": 4, "eigh": 6}
+    assert counts == {"validations": 3, "jacobi": 3, "eigh": 6}
 
 
 def test_check_theorem3_on_seeded_random_specs():
