@@ -180,6 +180,8 @@ def main(args: list[str] | None = None, prog_name: str = "cohdist") -> None:
     args = sys.argv[1:] if args is None else list(args)
     args = args[:-1] if args[-1:] == ["--"] else args  # click took a trailing `--`; argparse would reject it
     command = args[0] if args and args[0] in COMMANDS else None
+    flags, tokens = {option[0] for option in OPTIONS.get(command, ())}, iter(args)
+    args = [next((f"{t}={v}" for v in tokens), t) if t in flags else t for t in tokens]  # click read the next token as the value, `-` and all
     parser = _parser(prog_name, command)
     try:
         try:  # the group's parser sees one token that names no command: it prints --help or a usage error

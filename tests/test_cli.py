@@ -554,7 +554,26 @@ def test_a_trailing_double_dash_is_dropped():
         assert "\nError: " in result.stderr
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_an_option_value_may_start_with_a_dash(tmp_path, monkeypatch):
+    """The token after an option is its value, a leading `-` included, as
+    click read it: `--out -x.csv` writes ./-x.csv, and a value that breaks
+    a rule gets that rule's message.  An option with no token after it
+    still expects one."""
+    monkeypatch.chdir(tmp_path)
+    result = run_cli(["scan", "--steps", "3", "--out", "-x.csv"])
+    assert (result.exit_code, result.output) == (0, "wrote 3 records to -x.csv\n")
+    assert (tmp_path / "-x.csv").read_text() == SCAN_3_STEPS
+    for args, message in (
+        (["scan", "--from", "-1e-3"], "need 0 <= from <= to <= 1, got -0.001..1.0"),
+        (["protocol", "lqicc", "--p", "--werner"], "Invalid value for '--p': '--werner' is not a valid float."),
+        (["scan", "--steps", "3", "--out"], "argument --out: expected one argument"),
+    ):
+        result = run_cli(args)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith(f"\nError: {message}\n")
+
+
+@pytest.mark.parametrize("unbuffered",[False, True], ids=["buffered", "unbuffered"])
 def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
     """As in `cohdist verify theorem3 | head -0`, the reader of stdout is
     gone before the command prints: it exits 1 with nothing on stderr.

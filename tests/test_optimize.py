@@ -1,7 +1,10 @@
+import itertools
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -350,16 +353,83 @@ def swap_ab(rho: DensityMatrix) -> SimpleNamespace:
 KERNEL_CASES = [((3, 2), 3), *(((2, db), outcomes) for db in (2, 3, 4) for outcomes in (2, 3, 4))]
 
 
+def kernel_accepts(sigma: np.ndarray) -> bool:
+    """Whether _rates takes sigma / tr(sigma) as the conditional state of one
+    Z-basis element on the block-diagonal state (sigma ⊕ I / db) / 2, whose
+    other blocks a non-finite entry of sigma cannot reach."""
+    db = len(sigma)
+    mat = np.zeros((2 * db, 2 * db), dtype=complex)
+    mat[:db, :db], mat[db:, db:] = 0.5 * sigma, 0.5 * np.eye(db) / db
+    try:
+        optimize._rates(SimpleNamespace(mat=mat, dims=(2, db)), Z_AND_X[:1, :1])
+    except ValueError as exc:  # a -inf on the diagonal sends the outcome below the floor
+        assert re.fullmatch("conditional state 0 of measurement 0 is not a state|all outcomes of measurement 0 fell below the probability floor", str(exc))
+        return False
+    return True
+
+
+def density_matrix_accepts(sigma: np.ndarray) -> bool:
+    try:
+        DensityMatrix(sigma / np.trace(sigma).real)
+    except ValueError:
+        return False
+    return True
+
+
+def edge_cases(db: int) -> list[tuple[str, np.ndarray, bool]]:
+    """(id, sigma, verdict) rows at B dimension db: a non-finite part of each
+    entry, then defects on either side of the tolerance, as in test_scalars."""
+    base = np.array([[0.5, 0.1 + 0.2j, 0.05j], [0.1 - 0.2j, 0.3, 0.1], [-0.05j, 0.1, 0.2]]) if db == 3 else np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+    g = np.random.default_rng(2640 + db).standard_normal((2, db, db))
+    u = np.linalg.qr(g[0] + 1j * g[1])[0]
+
+    def changed(at, by):
+        sigma = base.copy()
+        sigma[at] += by
+        return sigma
+
+    def min_eigenvalue(x):  # unit trace, in a seeded basis
+        return u @ np.diag([1.0 - x, x] if db == 2 else [0.6 - x, 0.4, x]) @ u.conj().T
+
+    rows = []
+    for (i, j), part, bad in itertools.product(itertools.product(range(db), repeat=2), ("re", "im"), (np.nan, np.inf, -np.inf)):
+        sigma = base.copy()
+        sigma[i, j] = complex(bad, sigma[i, j].imag) if part == "re" else complex(sigma[i, j].real, bad)
+        rows.append((f"e{i}{j}-{part}-{bad}", sigma, False))
+    rows += [
+        ("off-diagonal-2e-10", changed((0, 1), 2e-10), False),
+        ("off-diagonal-0.5e-10", changed((0, 1), 0.5e-10), True),
+        ("diagonal-imag-0.6e-10", changed((0, 0), 0.6e-10j), False),
+        ("diagonal-imag-0.4e-10", changed((0, 0), 0.4e-10j), True),
+        # each entry passes; the trace's imaginary part, 0.9e-10 or 1.35e-10, is what the trace rule reads
+        ("diagonal-imag-0.45e-10-each", base + np.diag([0.45e-10j] * db), db == 2),
+        ("min-eigenvalue-2e-10", min_eigenvalue(-2e-10), False),
+        ("min-eigenvalue-0.5e-10", min_eigenvalue(-0.5e-10), True),
+    ]
+    return [(f"db{db}-{name}", sigma, verdict) for name, sigma, verdict in rows]
+
+
+EDGE_CASES = edge_cases(2) + edge_cases(3)
+
+
 class TestRateKernel:
     @pytest.mark.parametrize("dims, outcomes", KERNEL_CASES)
     def test_matches_the_scalar_route(self, dims, outcomes):
         rng = np.random.default_rng(2600 + 10 * dims[1] + outcomes)
         for seed in range(3):
-            rho = ginibre(2610 + seed, dims)
+            state = ginibre(2610 + seed, dims)
             elements = np.array([haar_elements(rng, dims[0], outcomes) for _ in range(8)])
-            got = optimize._rates(rho, elements)
-            want = [scalar_rate(rho, m) for m in elements]
-            assert np.abs(got - want).max() <= 1e-14
+            # a trace off by 9e-11 passes DensityMatrix; both routes renormalize the kept q
+            for rho in (state, *(DensityMatrix(state.mat * (1.0 + d), dims) for d in (-9e-11, 9e-11))):
+                got = optimize._rates(rho, elements)
+                want = [scalar_rate(rho, m) for m in elements]
+                assert np.abs(got - want).max() <= 1e-14
+
+    def test_a_measurement_that_keeps_no_outcome_raises(self):
+        # A sits in |1>: the Z basis keeps its |1> outcome, |0><0| twice keeps nothing, and nothing divides 0/0
+        rho = SimpleNamespace(mat=np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex), dims=(2, 2))
+        with pytest.raises(ValueError, match="all outcomes of measurement 1 fell below the probability floor"):
+            optimize._rates(rho, np.array([Z_AND_X[0], Z_AND_X[0, :1].repeat(2, axis=0)]))
 
     @pytest.mark.parametrize("db", [2, 3])
     def test_a_kernel_that_swaps_a_and_b_fails_the_agreement(self, db):
@@ -389,6 +459,20 @@ class TestRateKernel:
         # control: the non-PSD case's split with no negative weight is a state, incoherent after either measurement
         rho = SimpleNamespace(mat=np.diag([0.8, 0.2, 0.0, 0.0, 0.0, 0.0]).astype(complex), dims=(2, 3))
         assert optimize._rates(rho, Z_AND_X).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("sigma, expected", [case[1:] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES])
+    def test_the_kernel_and_a_density_matrix_agree_at_the_tolerance_edge(self, sigma, expected):
+        with warnings.catch_warnings():  # a non-finite entry warns on its way to the rejection
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert kernel_accepts(sigma) == density_matrix_accepts(sigma) == expected
+
+    def test_a_rule_that_skips_the_diagonal_pairs_fails_the_edge_table(self, monkeypatch):
+        # control: with only the i < j pairs tested, a diagonal imaginary part of 0.6e-10 passes the kernel
+        monkeypatch.setattr(optimize, "itertools", SimpleNamespace(combinations_with_replacement=itertools.combinations))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            missed = [name for name, sigma, expected in EDGE_CASES if kernel_accepts(sigma) != expected]
+        assert missed == ["db2-diagonal-imag-0.6e-10", "db3-diagonal-imag-0.6e-10"]
 
 
 MEMORY_PROBE = """
