@@ -1,15 +1,13 @@
 """The paper's Werner closed forms and the `cohdist scan` sweep over them.
 
-Standard library and scalars only, so a scan never loads numpy.  This is
-a top layer: only verify, which holds the matrix-level routes to these
-forms, and cli import it, so no route can reach the forms it is checked
-against."""
+Standard library and scalars only, and each row a plain dict, so a scan
+loads neither numpy nor dataclasses.  This is a top layer: only verify,
+which holds the matrix-level routes to these forms, and cli import it,
+so no route can reach the forms it is checked against."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 from .scalars import _check_p, _fmt6, _indices, xlog2x
 
@@ -44,18 +42,8 @@ def gap_second_derivative(p: float) -> float:
     return (1.0 - 3.0 * p) / ((1.0 + 3.0 * p) * (1.0 - p * p) * LN2)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One row of a closed-form p sweep."""
-
-    p: float
-    qi: float
-    rate: float
-    gap: float
-
-
-def figure_data(p_from: float, p_to: float, steps: int) -> list[ScanRecord]:
-    """Uniform closed-form sweep of (qi, rate, gap) over [p_from, p_to]."""
+def figure_data(p_from: float, p_to: float, steps: int) -> list[dict[str, float]]:
+    """Uniform closed-form sweep over [p_from, p_to]: one {p, qi, rate, gap} row per sample."""
     (steps,) = _indices((steps,), "steps", least=2)
     # the CSV prints p to 6 decimals: no more distinct rows fit in [0, 1]
     if steps > MAX_SCAN_STEPS:
@@ -68,7 +56,7 @@ def figure_data(p_from: float, p_to: float, steps: int) -> list[ScanRecord]:
         p = p_from + (p_to - p_from) * k / (steps - 1) if k < steps - 1 else p_to
         qi = qi_werner_closed_form(p)
         rate = rate_werner_closed_form(p)
-        records.append(ScanRecord(p, qi, rate, qi - rate))
+        records.append({"p": p, "qi": qi, "rate": rate, "gap": qi - rate})
     return records
 
 
@@ -77,13 +65,12 @@ CSV_HEADER = "p,qi,rate,gap"
 
 def records_to_csv(records) -> str:
     """Six-decimal CSV, as scalars._fmt6 prints, with the fixed header row."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(map(_fmt6, (r.p, r.qi, r.rate, r.gap))))
+    lines = [CSV_HEADER, *(",".join(map(_fmt6, r.values())) for r in records)]
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records) -> str:
     """Full-precision JSON array of {p, qi, rate, gap} objects."""
-    payload = [{"p": r.p, "qi": r.qi, "rate": r.rate, "gap": r.gap} for r in records]
-    return json.dumps(payload, indent=2) + "\n"
+    import json  # only --format json needs it
+
+    return json.dumps(records, indent=2) + "\n"

@@ -29,8 +29,8 @@ def identity(d: int) -> np.ndarray:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array; unwraps objects carrying a .mat."""
-    m = np.asarray(getattr(a, "mat", a), dtype=complex)
+    """Coerce to a 2-d complex array."""
+    m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     return m

@@ -171,16 +171,10 @@ def random_zero_discord_spec(rng: np.random.Generator, dim_a: int, dim_b: int) -
     """Sample a ZeroDiscordSpec: random block partition of the B basis,
     a Ginibre B factor supported on each block, Dirichlet weights."""
     dim_a, dim_b = _indices((dim_a, dim_b), "dim_a, dim_b")
-    perm = [int(i) for i in rng.permutation(dim_b)]
+    perm = rng.permutation(dim_b)
     n_blocks = int(rng.integers(1, dim_b + 1))
-    cuts: list[int] = []
-    if n_blocks > 1:
-        cuts = sorted(int(c) for c in rng.choice(np.arange(1, dim_b), size=n_blocks - 1, replace=False))
-    blocks: list[tuple[int, ...]] = []
-    start = 0
-    for cut in [*cuts, dim_b]:
-        blocks.append(tuple(sorted(perm[start:cut])))
-        start = cut
+    cuts = sorted(rng.choice(np.arange(1, dim_b), size=n_blocks - 1, replace=False)) if n_blocks > 1 else []
+    blocks = [tuple(sorted(blk.tolist())) for blk in np.split(perm, cuts)]
     weights = rng.dirichlet(np.ones(len(blocks)))
     a_states = tuple(random_density_matrix(dim_a, rng) for _ in blocks)
     b_states = []

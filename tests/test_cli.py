@@ -388,7 +388,7 @@ class TestScan:
     def test_values_that_round_to_zero_print_without_a_sign(self):
         args = ["scan", "--from", "0", "--to", "0.00000001", "--steps", "6"]
         # control: the sweep holds a value just below zero, which json prints in full
-        negative = [x for r in figure_data(0.0, 1e-8, 6) for x in (r.qi, r.rate, r.gap) if x < 0.0]
+        negative = [x for r in figure_data(0.0, 1e-8, 6) for x in (r["qi"], r["rate"], r["gap"]) if x < 0.0]
         assert negative
         rows = json.loads(run_cli([*args, "--format", "json"]).output)
         assert negative[0] in [row[key] for row in rows for key in ("qi", "rate", "gap")]
@@ -640,12 +640,22 @@ print("loaded", [m for m in lazy if m in sys.modules])
         f"loaded [{matrix}]",
         f"loaded [{matrix}, 'cohdist.protocols']",
     ]
-    # scan loads the closed forms alone; only theorem4 loads the closed
-    # forms, the measurement sweep and the protocols it certifies
+    # scan loads the closed forms alone, and json only for --format json;
+    # only theorem4 loads the closed forms, the measurement sweep and the
+    # protocols it certifies
     code = """
 import sys
 from cohdist.cli import main
-lazy = ("numpy", "cohdist.closed_forms", "cohdist.verify", "cohdist.optimize", "cohdist.protocols", "json")
+lazy = (
+    "numpy",
+    "dataclasses",
+    "inspect",
+    "cohdist.closed_forms",
+    "cohdist.verify",
+    "cohdist.optimize",
+    "cohdist.protocols",
+    "json",
+)
 for args in %r:
     try:
         main(args)
@@ -656,10 +666,10 @@ for args in %r:
     scans = [["scan", "--steps", "3"], ["scan", "--steps", "3", "--format", "json"]]
     suites = [["verify", "theorem3"], ["verify", "lemma1"], ["verify", "theorem4", "--brute-theta", "21", "--brute-phi", "4"]]
     lines = [line for cmds in (scans, suites) for line in _fresh_python(code % cmds).splitlines() if line.startswith("loaded")]
-    scan = "loaded ['cohdist.closed_forms', 'json']"
-    suite = "loaded ['numpy', 'cohdist.verify']"
-    theorem4 = "loaded ['numpy', 'cohdist.closed_forms', 'cohdist.verify', 'cohdist.optimize', 'cohdist.protocols', 'json']"
-    assert lines == [scan, scan, suite, suite, theorem4]
+    csv_scan, json_scan = "loaded ['cohdist.closed_forms']", "loaded ['cohdist.closed_forms', 'json']"
+    suite = "loaded ['numpy', 'dataclasses', 'inspect', 'cohdist.verify']"
+    theorem4 = "loaded ['numpy', 'dataclasses', 'inspect', 'cohdist.closed_forms', 'cohdist.verify', 'cohdist.optimize', 'cohdist.protocols']"
+    assert lines == [csv_scan, json_scan, suite, suite, theorem4]
 
 
 def test_scan_and_rejected_input_start_without_numpy(tmp_path):

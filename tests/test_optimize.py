@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -473,6 +474,43 @@ class TestRateKernel:
             warnings.simplefilter("ignore", RuntimeWarning)
             missed = [name for name, sigma, expected in EDGE_CASES if kernel_accepts(sigma) != expected]
         assert missed == ["db2-diagonal-imag-0.6e-10", "db3-diagonal-imag-0.6e-10"]
+
+    def test_a_density_matrix_rejects_a_non_finite_block(self):
+        # given this state, _rates names the wrong outcome: 0 * inf turns every conditional state NaN
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 1] = mat[1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite entries"):
+            DensityMatrix(mat, (2, 2))
+
+    def test_only_the_werner_sweep_calls_the_kernel(self):
+        """So every state _rates sees has passed DensityMatrix, and the
+        non-finite block above cannot reach it.  Control: a second caller
+        added to a module's source fails the rule."""
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in Path(optimize.__file__).parent.glob("*.py")}
+        assert kernel_references(sources) == [("optimize", "brute_force_measurement_opt", "rho")]
+        sweep = next(f for f in ast.walk(ast.parse(sources["optimize"])) if getattr(f, "name", "") == "brute_force_measurement_opt")
+        assert ast.unparse(sweep.body[1]) == "rho = werner(p)"  # after the docstring
+        sources["verify"] += "\n\ndef _audit(rho, elements):\n    return optimize._rates(rho, elements)\n"
+        assert kernel_references(sources)[1:] == [("verify", "_audit", "rho")]
+
+
+def kernel_references(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(module, outermost def or "<module>", first argument or "") of each
+    reference to optimize._rates in {module: source}, its definition aside."""
+    out = []
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        owner, first_arg = {}, {}
+        for node in ast.walk(tree):  # breadth first: an outer def claims its nodes first
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({sub: node.name for sub in ast.walk(node) if sub not in owner})
+            elif isinstance(node, ast.Call) and node.args:
+                first_arg[node.func] = ast.unparse(node.args[0])
+        for node in ast.walk(tree):
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}  # a Name, an Attribute, an import
+            if "_rates" in names and not isinstance(node, ast.FunctionDef):
+                out.append((module, owner.get(node, "<module>"), first_arg.get(node, "")))
+    return out
 
 
 MEMORY_PROBE = """

@@ -333,6 +333,75 @@ def test_random_zero_discord_spec_is_seed_deterministic():
         assert np.array_equal(a.mat, b.mat)
 
 
+# (B's block partition, weights) of each spec, as one generator per seed
+# draws them through lemma1_suite's shape cycle
+LEMMA1_SPECS = [
+    # seed 0
+    (((0,), (1,)), (0.9809442073677069, 0.019055792632292994)),
+    (((0, 1), (2,)), (0.19484856589836322, 0.8051514341016368)),
+    (((0,), (1,), (2,), (3,)), (0.5910759534590084, 0.14716728236793666, 0.033597965962917975, 0.22815879821013696)),
+    (((0,), (1, 2)), (0.12750010126772937, 0.8724998987322705)),
+    # seed 1
+    (((0,), (1,)), (0.05426796493549245, 0.9457320350645075)),
+    (((0, 1, 2),), (1.0,)),
+    (((3,), (0, 1, 2)), (0.4141201774099126, 0.5858798225900874)),
+    (((0, 1), (2,)), (0.8117955366928833, 0.18820446330711663)),
+    # seed 2
+    (((0, 1),), (0.9999999999999999,)),
+    (((0, 1, 2),), (1.0,)),
+    (((0, 1, 2, 3),), (0.9999999999999999,)),
+    (((0, 1, 2),), (1.0,)),
+    # seed 3
+    (((0, 1),), (1.0,)),
+    (((2,), (0,), (1,)), (0.3556625848713338, 0.2730522689910561, 0.3712851461376102)),
+    (((2,), (0, 1, 3)), (0.524253350950209, 0.47574664904979097)),
+    (((2,), (1,), (0,)), (0.42940365358012567, 0.5367400034396571, 0.033856342980217245)),
+    # seed 4
+    (((1,), (0,)), (0.11735194659219093, 0.8826480534078092)),
+    (((1,), (0, 2)), (0.36574661355317895, 0.6342533864468212)),
+    (((1,), (0, 2, 3)), (0.291055365167294, 0.7089446348327061)),
+    (((1,), (0, 2)), (0.9339538312351812, 0.06604616876481889)),
+    # seed 5
+    (((1,), (0,)), (0.36567138912901753, 0.6343286108709825)),
+    (((2,), (1,), (0,)), (0.15838778809232512, 0.310808840247751, 0.530803371659924)),
+    (((0, 3), (2,), (1,)), (0.19424149516407344, 0.059926514302716796, 0.7458319905332097)),
+    (((0, 1, 2),), (0.9999999999999999,)),
+    # seed 6
+    (((1,), (0,)), (0.23334848655854154, 0.7666515134414584)),
+    (((0, 1, 2),), (1.0,)),
+    (((1,), (0, 2, 3)), (0.9825947374689384, 0.017405262531061543)),
+    (((1,), (0,), (2,)), (0.13551832510855283, 0.5807815800399856, 0.28370009485146164)),
+    # seed 7
+    (((0,), (1,)), (0.6432640364638609, 0.3567359635361392)),
+    (((0, 1), (2,)), (0.8221142689043758, 0.17788573109562433)),
+    (((0, 1), (2, 3)), (0.3509126006640302, 0.6490873993359698)),
+    (((0,), (1, 2)), (0.9947773975304866, 0.005222602469513535)),
+    # seed 8
+    (((0, 1),), (1.0,)),
+    (((1, 2), (0,)), (0.9541886824599911, 0.04581131754000889)),
+    (((2,), (0, 1, 3)), (0.49635495590707157, 0.5036450440929283)),
+    (((2,), (0, 1)), (0.23949519827990942, 0.7605048017200906)),
+    # seed 9
+    (((0,), (1,)), (0.3440757801982398, 0.6559242198017603)),
+    (((0, 1, 2),), (0.9999999999999999,)),
+    (((2,), (3,), (0, 1)), (0.5439736883189156, 0.24648181282435663, 0.20954449885672777)),
+    (((2,), (0,), (1,)), (0.20866788380977733, 0.6715950708746146, 0.11973704531560819)),
+]
+
+
+def test_random_zero_discord_spec_keeps_its_draws():
+    """Seeds 0-9 at the four lemma-1 shapes give the pinned partitions and
+    weights, so every draw keeps its order.  Neither goes through BLAS,
+    so the pin is exact on every platform."""
+    specs = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for dims in ((2, 2), (2, 3), (2, 4), (3, 3)):
+            spec = random_zero_discord_spec(rng, *dims)
+            specs.append((tuple(tuple(sorted(s)) for s in _supports(spec)), spec.weights))
+    assert specs == LEMMA1_SPECS
+
+
 class TestStateSerialization:
     def test_round_trip_is_exact(self):
         rho = random_density_matrix(6, np.random.default_rng(1), (2, 3))

@@ -133,10 +133,11 @@ class TestFigureData:
     def test_grid_and_bounds(self):
         records = figure_data(0.0, 1.0, 11)
         assert len(records) == 11
-        assert records[0].p == 0.0 and records[-1].p == 1.0
-        assert records[5].p == pytest.approx(0.5, abs=1e-15)
+        assert records[0]["p"] == 0.0 and records[-1]["p"] == 1.0
+        assert records[5]["p"] == pytest.approx(0.5, abs=1e-15)
         for r in records:
-            assert 0.0 <= r.rate <= r.qi <= 2.0
+            assert list(r) == ["p", "qi", "rate", "gap"]  # the CSV's and the JSON's column order
+            assert 0.0 <= r["rate"] <= r["qi"] <= 2.0
 
     def test_deterministic(self):
         assert figure_data(0.1, 0.9, 20) == figure_data(0.1, 0.9, 20)
@@ -173,7 +174,7 @@ class TestFigureData:
         for p_to in (1.0, 0.9, 0.7, 0.3):
             for p_from in (k / 1000 for k in range(1001) if k / 1000 <= p_to):
                 for steps in (2, 3, 5, 7, 11, 13, 101):
-                    ps = [r.p for r in figure_data(p_from, p_to, steps)]
+                    ps = [r["p"] for r in figure_data(p_from, p_to, steps)]
                     assert all(p_from <= p <= p_to for p in ps), (p_from, p_to, steps)
                     assert ps[-1] == p_to, (p_from, p_to, steps)
 
