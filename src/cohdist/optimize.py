@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,18 @@ def _projector_pairs(st, ct, sp, cp) -> np.ndarray:
     pairs[:, 0, 1, 1] = 0.5 * (1.0 - nz)
     np.subtract(linalg.identity(2), pairs[:, 0], out=pairs[:, 1])
     return pairs
+
+
+@lru_cache(maxsize=16)
+def _grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
+    """Read-only angles of the grid, their sines and cosines, and its fixed-seed recheck draw."""
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    trig = [np.array([f(t) for t in angles.tolist()]) for angles in (thetas, phis) for f in (math.sin, math.cos)]
+    draw = np.random.default_rng(0).choice(n_theta * n_phi - 1, min(n_theta * n_phi, RECHECK_POINTS) - 1, replace=False)
+    for a in (thetas, phis, *trig, draw):
+        a.setflags(write=False)
+    return (thetas, phis, *trig, draw)
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
@@ -120,10 +133,7 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceRe
     n_theta, n_phi = _indices(grid, "grid sizes")
     if n_theta < 2:
         raise ValueError(f"grid must be at least 2 x 1, got {grid}")
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    st, ct = (np.array([f(t) for t in thetas.tolist()]) for f in (math.sin, math.cos))
-    sp, cp = (np.array([f(t) for t in phis.tolist()]) for f in (math.sin, math.cos))
+    thetas, phis, st, ct, sp, cp, others = _grid(n_theta, n_phi)
     n = n_theta * n_phi
 
     def pairs(points):  # at theta-major grid indices
@@ -132,7 +142,6 @@ def brute_force_measurement_opt(p: float, grid: tuple[int, int]) -> BruteForceRe
 
     rates = np.concatenate([_rates(rho, pairs(np.arange(i, min(i + CHUNK_POINTS, n)))) for i in range(0, n, CHUNK_POINTS)])
     best = int(np.argmax(rates >= rates.max() - SWEEP_TIE_TOL))
-    others = np.random.default_rng(0).choice(len(rates) - 1, min(len(rates), RECHECK_POINTS) - 1, replace=False)
     picked = sorted([best, *(others + (others >= best)).tolist()])
     for i, pair in zip(picked, pairs(picked)):
         rate = ensemble_rate(measure_local_A(rho, KrausChannel(pair)))

@@ -29,7 +29,8 @@ PHASE_PLUS_I = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 # the input amplitudes folded into relative phases.
 ERASE_K1 = np.array([[1.0j, 1.0], [0.0, 0.0]], dtype=complex) / math.sqrt(2.0)
 ERASE_K2 = np.array([[-1.0j, 1.0], [0.0, 0.0]], dtype=complex) / math.sqrt(2.0)
-for _gate in (IDENTITY_2, PAULI_X, PAULI_Z, PHASE_MINUS_I, PHASE_PLUS_I, ERASE_K1, ERASE_K2):
+_ERASING_CORRECTIONS = {"1": PHASE_MINUS_I @ PAULI_X, "2": PHASE_PLUS_I @ PAULI_X}
+for _gate in (IDENTITY_2, PAULI_X, PAULI_Z, PHASE_MINUS_I, PHASE_PLUS_I, ERASE_K1, ERASE_K2, *_ERASING_CORRECTIONS.values()):
     _gate.setflags(write=False)
 
 # Measurement outcomes below this probability are dropped.
@@ -167,13 +168,14 @@ def _run_werner_protocol(p: float, channel: KrausChannel, corrections: dict) -> 
     return ProtocolResult(corrected, ensemble_rate(corrected), gates)
 
 
+_X_BASIS = KrausChannel(np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]], dtype=complex), ("+1", "-1"))
+_ERASING = KrausChannel((ERASE_K1, ERASE_K2), ("1", "2"))
+
+
 def lqicc_werner_protocol(p: float) -> ProtocolResult:
     """Alice measures X on her half of werner(p); Bob fixes outcome -1
     with a Z gate.  Both corrected branches equal p|+><+| + (1-p) I/2."""
-    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-    channel = KrausChannel((plus, minus), ("+1", "-1"))
-    return _run_werner_protocol(p, channel, {"+1": IDENTITY_2, "-1": PAULI_Z})
+    return _run_werner_protocol(p, _X_BASIS, {"+1": IDENTITY_2, "-1": PAULI_Z})
 
 
 def licc_erasing_protocol(p: float) -> ProtocolResult:
@@ -181,6 +183,4 @@ def licc_erasing_protocol(p: float) -> ProtocolResult:
     ERASE_K2} to her half of werner(p); Bob applies X then a phase gate
     (-i or +i on |1>) per the announced outcome.  Both corrected
     branches again equal p|+><+| + (1-p) I/2."""
-    channel = KrausChannel((ERASE_K1, ERASE_K2), ("1", "2"))
-    corrections = {"1": PHASE_MINUS_I @ PAULI_X, "2": PHASE_PLUS_I @ PAULI_X}
-    return _run_werner_protocol(p, channel, corrections)
+    return _run_werner_protocol(p, _ERASING, _ERASING_CORRECTIONS)

@@ -105,11 +105,13 @@ def bell_phi_plus() -> DensityMatrix:
     return pure_state([1.0, 0.0, 0.0, 1.0], (2, 2))
 
 
+_BELL = bell_phi_plus().mat  # read-only
+
+
 def werner(p: float) -> DensityMatrix:
     """p |Phi+><Phi+| + (1 - p) I/4 for p in [0, 1]."""
     p = _check_p(p)
-    mat = p * bell_phi_plus().mat + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
-    return DensityMatrix(mat, (2, 2))
+    return DensityMatrix(p * _BELL + (1.0 - p) * np.eye(4, dtype=complex) / 4.0, (2, 2))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, dims: tuple[int, ...] = ()) -> DensityMatrix:

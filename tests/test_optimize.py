@@ -294,15 +294,38 @@ class TestBatchedSweep:
         brute_force_measurement_opt(0.5, (6, 4))
         assert len(seen) == 24
 
-    def test_a_large_grid_rechecks_the_same_64_points_every_run(self, monkeypatch):
+    @pytest.mark.parametrize("grid", [(6, 4), (21, 20), (41, 400)])
+    def test_every_run_rechecks_the_same_fixed_seed_points(self, monkeypatch, grid):
+        """The winner and min(N, 64) - 1 of the other N - 1 points, drawn by
+        default_rng(0) over their theta-major ranks, in grid order."""
+        n_theta, n_phi = grid
+        n = n_theta * n_phi
+        thetas = np.linspace(0.0, math.pi, n_theta).tolist()
+        phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False).tolist()
         runs = []
         for _ in range(2):
             seen = count_scalar_calls(monkeypatch)
-            res = brute_force_measurement_opt(0.5, (21, 20))
-            assert len(seen) == RECHECK_POINTS == 64
-            runs.append(sorted(seen))
-        assert runs[0] == runs[1]
-        assert projector_up(res.theta, res.phi).tobytes() in runs[0]
+            res = brute_force_measurement_opt(0.5, grid)
+            runs.append(seen)
+        best = thetas.index(res.theta) * n_phi + phis.index(res.phi)
+        others = np.random.default_rng(0).choice(n - 1, min(n, RECHECK_POINTS) - 1, replace=False)
+        want = sorted([best, *(others + (others >= best)).tolist()])
+        assert len(want) == min(n, RECHECK_POINTS) and RECHECK_POINTS == 64
+        assert runs[0] == runs[1] == [projector_up(thetas[i // n_phi], phis[i % n_phi]).tobytes() for i in want]
+
+    def test_a_second_sweep_on_a_grid_rebuilds_nothing(self, monkeypatch):
+        """Angles, their trig and the recheck draw are built once per grid
+        size, on a grid no other test sweeps, and shared read-only."""
+        first = brute_force_measurement_opt(0.3, (9, 7))
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("the recheck draw was made again")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert brute_force_measurement_opt(0.3, (9, 7)) == first
+        for cached in optimize._grid(9, 7):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
 
     @pytest.mark.parametrize("grid, chunk", [((21, 20), 7), ((7, 9), 4), ((3, 5000), 4096)])
     def test_chunking_leaves_every_rate_bit_for_bit(self, monkeypatch, grid, chunk):

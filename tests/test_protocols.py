@@ -348,11 +348,13 @@ class TestWernerProtocols:
             assert rate <= qi + 1e-9
             assert qi - rate > 1e-3  # strict gap away from the endpoints
 
-    def test_returned_gates_are_read_only(self):
-        gate = lqicc_werner_protocol(0.5).corrections[0]
-        with pytest.raises(ValueError, match="read-only"):
-            gate[0, 0] = 2.0
-        assert lqicc_werner_protocol(0.5).rate == pytest.approx(rate_werner_closed_form(0.5), abs=1e-10)
+    @pytest.mark.parametrize("protocol", [lqicc_werner_protocol, licc_erasing_protocol])
+    def test_returned_gates_are_read_only(self, protocol):
+        """Every result of a protocol shares its gates."""
+        for gate in protocol(0.5).corrections:
+            with pytest.raises(ValueError, match="read-only"):
+                gate[0, 0] = 2.0
+        assert protocol(0.5).rate == pytest.approx(rate_werner_closed_form(0.5), abs=1e-10)
         for u in (IDENTITY_2, PAULI_X, PAULI_Z, PHASE_MINUS_I, PHASE_PLUS_I, ERASE_K1, ERASE_K2):
             assert not u.flags.writeable
 

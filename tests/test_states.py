@@ -3,6 +3,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from cohdist import states
 from cohdist.closed_forms import figure_data, qi_werner_closed_form, rate_werner_closed_form
 from cohdist.optimize import brute_force_measurement_opt
 from cohdist.scalars import DEFAULT_TOL, _check_p
@@ -148,8 +149,16 @@ def test_sizes_at_the_constructors_must_be_integers(build, what, rule):
 
 
 def test_werner_endpoints_and_domain():
-    assert np.allclose(werner(0.0).mat, np.eye(4) / 4)
-    assert np.allclose(werner(1.0).mat, bell_phi_plus().mat)
+    """werner(p) is the mixture of a freshly built Bell state, bit for bit,
+    though it mixes a shared read-only copy."""
+    edges = [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]
+    for p in edges + np.random.default_rng(32).uniform(0.0, 1.0, 200).tolist():
+        want = p * bell_phi_plus().mat + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+        assert werner(p).mat.tobytes() == want.tobytes(), p
+    assert werner(0.0).mat.tobytes() == (np.eye(4, dtype=complex) / 4).tobytes()
+    assert werner(1.0).mat.tobytes() == bell_phi_plus().mat.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        states._BELL[0, 0] = 0.0
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError, match="mixing parameter"):
             werner(bad)
