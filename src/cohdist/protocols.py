@@ -18,21 +18,6 @@ from .coherence import c_re
 from .scalars import DEFAULT_TOL, _bipartite_dims, _check_distribution
 from .states import DensityMatrix, werner
 
-# Single-qubit gates used for outcome corrections; read-only, as results share them.
-IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PHASE_MINUS_I = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
-PHASE_PLUS_I = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
-
-# Erasing measurement on A: each operator maps everything onto |0> with
-# the input amplitudes folded into relative phases.
-ERASE_K1 = np.array([[1.0j, 1.0], [0.0, 0.0]], dtype=complex) / math.sqrt(2.0)
-ERASE_K2 = np.array([[-1.0j, 1.0], [0.0, 0.0]], dtype=complex) / math.sqrt(2.0)
-_ERASING_CORRECTIONS = {"1": PHASE_MINUS_I @ PAULI_X, "2": PHASE_PLUS_I @ PAULI_X}
-for _gate in (IDENTITY_2, PAULI_X, PAULI_Z, PHASE_MINUS_I, PHASE_PLUS_I, ERASE_K1, ERASE_K2, *_ERASING_CORRECTIONS.values()):
-    _gate.setflags(write=False)
-
 # Measurement outcomes below this probability are dropped.
 PROB_FLOOR = 1e-14
 
@@ -135,47 +120,49 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     return Ensemble(tuple([(q / total, state) for q, state in items]), tuple(labels))
 
 
-def apply_correction(ensemble: Ensemble, gates) -> Ensemble:
-    """Conjugate each branch by its correction gate.
-
-    Every gate must be unitary (checked as a complete one-operator
-    KrausChannel), of its branch's dimension and incoherent (at most one
-    nonzero entry per column); anything else smuggles coherence into Bob's lab.
-    """
-    gates = tuple(gates)
-    if len(gates) != len(ensemble.items):
-        raise ValueError("one correction gate per branch")
-    items = []
-    for (q, state), gate in zip(ensemble.items, gates):
-        (u,) = KrausChannel((gate,)).operators
-        if u.shape[0] != state.dim:
-            raise ValueError(f"correction gate acts on dimension {u.shape[0]}, the branch has {state.dim}")
-        if not is_incoherent_kraus(u):
-            raise ValueError("correction gate is not incoherent")
-        items.append((q, DensityMatrix(u @ state.mat @ u.conj().T, state.dims)))
-    return Ensemble(tuple(items), ensemble.labels)
-
-
 def ensemble_rate(ensemble: Ensemble) -> float:
     """Average coherence sum_l q_l c_re(rho_l) of an ensemble."""
     return sum(q * c_re(state) for q, state in ensemble.items)
 
 
+def _gate(m) -> np.ndarray:
+    """A correction gate, checked once: unitary (complete as a one-operator
+    KrausChannel) and incoherent, so it smuggles no coherence into Bob's lab."""
+    (u,) = KrausChannel((m,)).operators
+    if not is_incoherent_kraus(u):
+        raise ValueError("correction gate is not incoherent")
+    return u
+
+
+# Single-qubit gates used for outcome corrections, each checked at import;
+# read-only, as results share them.
+IDENTITY_2 = _gate(np.eye(2, dtype=complex))
+PAULI_X = _gate(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+PAULI_Z = _gate(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+PHASE_MINUS_I = _gate(np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex))
+PHASE_PLUS_I = _gate(np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex))
+
+# Erasing measurement on A: each operator maps everything onto |0> with
+# the input amplitudes folded into relative phases.
+_ERASING = KrausChannel(np.array([[[1.0j, 1.0], [0.0, 0.0]], [[-1.0j, 1.0], [0.0, 0.0]]]) / math.sqrt(2.0), ("1", "2"))
+ERASE_K1, ERASE_K2 = _ERASING.operators
+_ERASING_CORRECTIONS = {"1": _gate(PHASE_MINUS_I @ PAULI_X), "2": _gate(PHASE_PLUS_I @ PAULI_X)}
+_X_BASIS = KrausChannel(np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]], dtype=complex), ("+1", "-1"))
+_X_CORRECTIONS = {"+1": IDENTITY_2, "-1": PAULI_Z}
+
+
 def _run_werner_protocol(p: float, channel: KrausChannel, corrections: dict) -> ProtocolResult:
     measured = measure_local_A(werner(p), channel)
     gates = tuple(corrections[label] for label in measured.labels)
-    corrected = apply_correction(measured, gates)
+    items = tuple((q, DensityMatrix(u @ state.mat @ u.conj().T, state.dims)) for (q, state), u in zip(measured.items, gates))
+    corrected = Ensemble(items, measured.labels)
     return ProtocolResult(corrected, ensemble_rate(corrected), gates)
-
-
-_X_BASIS = KrausChannel(np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]], dtype=complex), ("+1", "-1"))
-_ERASING = KrausChannel((ERASE_K1, ERASE_K2), ("1", "2"))
 
 
 def lqicc_werner_protocol(p: float) -> ProtocolResult:
     """Alice measures X on her half of werner(p); Bob fixes outcome -1
     with a Z gate.  Both corrected branches equal p|+><+| + (1-p) I/2."""
-    return _run_werner_protocol(p, _X_BASIS, {"+1": IDENTITY_2, "-1": PAULI_Z})
+    return _run_werner_protocol(p, _X_BASIS, _X_CORRECTIONS)
 
 
 def licc_erasing_protocol(p: float) -> ProtocolResult:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_unitary, trace_distance
 
+from cohdist import protocols
 from cohdist.closed_forms import rate_werner_closed_form
 from cohdist.coherence import c_re, qi_relative_entropy
 from cohdist.protocols import (
@@ -17,7 +18,7 @@ from cohdist.protocols import (
     PROB_FLOOR,
     Ensemble,
     KrausChannel,
-    apply_correction,
+    _gate,
     ensemble_rate,
     is_incoherent_kraus,
     licc_erasing_protocol,
@@ -253,40 +254,63 @@ class TestMeasureLocalA:
             assert rate >= c_re(rho.marginal_b) - 1e-9
 
 
-class TestApplyCorrection:
+class TestGate:
     def test_conjugation(self):
         ens = measure_local_A(werner(0.7), _z_channel())
-        fixed = apply_correction(ens, (IDENTITY_2, PAULI_X))
-        assert np.abs(fixed.items[1][1].mat - np.diag([0.85, 0.15])).max() < 1e-12
+        fixed = PAULI_X @ ens.items[1][1].mat @ PAULI_X.conj().T
+        assert np.abs(fixed - np.diag([0.85, 0.15])).max() < 1e-12
 
     def test_rejects_non_unitary_gates(self):
         # a gate is checked as a one-operator channel, complete exactly when unitary
-        ens = measure_local_A(werner(0.7), _z_channel())
         with pytest.raises(ValueError, match=r"^Kraus completeness violated by 0\.75$"):
-            apply_correction(ens, (IDENTITY_2, 0.5 * PAULI_X))
+            _gate(0.5 * PAULI_X)
 
     def test_rejects_nan_gates(self):
-        ens = measure_local_A(werner(0.7), _z_channel())
         with pytest.raises(ValueError, match="^Kraus completeness violated by nan$"):
-            apply_correction(ens, (IDENTITY_2, np.full((2, 2), np.nan)))
-
-    def test_rejects_gates_of_the_wrong_dimension(self):
-        # a 3x3 unitary, incoherent gate once passed both checks and failed inside numpy's matmul
-        ens = measure_local_A(werner(0.5), _z_channel())
-        swap = np.eye(3)[[1, 0, 2]]
-        with pytest.raises(ValueError, match="^correction gate acts on dimension 3, the branch has 2$"):
-            apply_correction(ens, (IDENTITY_2, swap))
+            _gate(np.full((2, 2), np.nan))
 
     def test_rejects_coherent_gates(self):
-        ens = measure_local_A(werner(0.7), _z_channel())
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         with pytest.raises(ValueError, match="incoherent"):
-            apply_correction(ens, (IDENTITY_2, hadamard))
+            _gate(hadamard)
 
-    def test_rejects_wrong_gate_count(self):
-        ens = measure_local_A(werner(0.7), _z_channel())
-        with pytest.raises(ValueError, match="per branch"):
-            apply_correction(ens, (IDENTITY_2,))
+    def test_every_module_gate_passes(self):
+        for u in (*ALL_GATES, *protocols._X_CORRECTIONS.values(), *protocols._ERASING_CORRECTIONS.values()):
+            checked = _gate(u)
+            assert checked.tobytes() == u.tobytes() and not checked.flags.writeable
+
+    def test_protocol_calls_check_no_gate(self, monkeypatch):
+        """The gates are checked at import, so a protocol call builds no
+        channel and runs no incoherence test."""
+        calls = {"channel": 0, "incoherent": 0}
+        post_init, incoherent = KrausChannel.__post_init__, protocols.is_incoherent_kraus
+
+        def counted_post_init(channel):
+            calls["channel"] += 1
+            post_init(channel)
+
+        def counted_incoherent(k):
+            calls["incoherent"] += 1
+            return incoherent(k)
+
+        monkeypatch.setattr(KrausChannel, "__post_init__", counted_post_init)
+        monkeypatch.setattr(protocols, "is_incoherent_kraus", counted_incoherent)
+        for protocol in (lqicc_werner_protocol, licc_erasing_protocol):
+            assert protocol(0.5).rate == pytest.approx(rate_werner_closed_form(0.5), abs=1e-10)
+        assert calls == {"channel": 0, "incoherent": 0}
+
+    @pytest.mark.parametrize(
+        "protocol, channel",
+        [(lqicc_werner_protocol, protocols._X_BASIS), (licc_erasing_protocol, protocols._ERASING)],
+    )
+    def test_branches_are_the_measured_branches_conjugated(self, protocol, channel):
+        for p in (0.0, 0.3, 1.0):
+            measured = measure_local_A(werner(p), channel)
+            result = protocol(p)
+            assert result.ensemble.labels == measured.labels
+            for (q, state), u, (want_q, raw) in zip(result.ensemble.items, result.corrections, measured.items):
+                assert q == want_q
+                assert state.mat.tobytes() == (u @ raw.mat @ u.conj().T).tobytes()
 
 
 def test_ensemble_rate_hand_value():
@@ -380,7 +404,9 @@ def test_correction_aligns_the_minus_branch():
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
     raw = measure_local_A(werner(p), KrausChannel((plus, minus), ("+1", "-1")))
     assert np.allclose(raw.items[1][1].mat, np.array([[0.5, -0.5 * p], [-0.5 * p, 0.5]]), atol=1e-12)
-    fixed = apply_correction(raw, (IDENTITY_2, PAULI_Z))
+    (q_plus, plus_branch), (q_minus, minus_branch) = raw.items
+    fixed_minus = DensityMatrix(PAULI_Z @ minus_branch.mat @ PAULI_Z.conj().T)
+    fixed = Ensemble(((q_plus, plus_branch), (q_minus, fixed_minus)), raw.labels)
     assert trace_distance(fixed.items[1][1].mat, fixed.items[0][1].mat) < 1e-12
     assert ensemble_rate(fixed) == pytest.approx(ensemble_rate(raw), abs=1e-9)
     assert ensemble_rate(fixed) == pytest.approx(rate_werner_closed_form(p), abs=1e-10)

@@ -33,7 +33,9 @@ def _definitions() -> dict[str, list[ast.AST]]:
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                # `a, b = ...` defines a and b too
+                elts = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+                names = [e.id for e in elts if isinstance(e, ast.Name)]
             else:
                 continue
             for name in names:
@@ -192,7 +194,7 @@ def test_lapack_spectra_have_one_home():
 
 # Lines of src/cohdist/*.py, as `wc -l` counts them.  Lower it when code
 # is deleted; the budget the roadmap aims for is 1400.
-MAX_SOURCE_LINES = 1391
+MAX_SOURCE_LINES = 1378
 
 
 def test_source_line_count_does_not_grow():
