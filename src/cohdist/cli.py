@@ -92,7 +92,7 @@ def protocol(name, p):
 
     result = protocols.lqicc_werner_protocol(p) if name == "lqicc" else protocols.licc_erasing_protocol(p)
     print(f"protocol = {name}\np = {_fmt6(p)}")
-    for label, (q, state), gate in zip(result.ensemble.labels, result.ensemble.items, result.corrections):
+    for (label, q, state), gate in zip(result.branches, result.corrections):
         print(f"outcome {label}: probability = {_fmt6(q)}")
         for title, m in (("correction =", gate), ("bob state =", state.mat)):
             print(title, *("  [" + ", ".join(f"{_fmt6(v.real)}{_fmt6(v.imag, '+')}j" for v in row) + "]" for row in m), sep="\n")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .coherence import c_re
-from .scalars import DEFAULT_TOL, _bipartite_dims, _check_distribution
+from .scalars import DEFAULT_TOL, _bipartite_dims
 from .states import DensityMatrix, werner
 
 # Measurement outcomes below this probability are dropped.
@@ -63,42 +63,24 @@ class KrausChannel:
 
 
 @dataclass(frozen=True, eq=False)
-class Ensemble:
-    """A labeled mixture {(probability, state)} over a common dimension."""
-
-    items: tuple[tuple[float, DensityMatrix], ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.items:
-            raise ValueError("ensemble needs at least one branch")
-        labels = tuple(self.labels) or tuple(str(i + 1) for i in range(len(self.items)))
-        if len(labels) != len(self.items):
-            raise ValueError("one label per branch")
-        _check_distribution([q for q, _ in self.items], "branch probabilities")
-        if len({state.dims for _, state in self.items}) > 1:
-            raise ValueError("ensemble states must share dims")
-        object.__setattr__(self, "labels", labels)
-
-
-@dataclass(frozen=True, eq=False)
 class ProtocolResult:
-    """Corrected outcome ensemble, its distillation rate, and the
-    correction gate Bob applied on each branch, in the ensemble's label
-    order."""
+    """Bob's corrected (label, probability, state) branches, their
+    distillation rate, and the correction gate Bob applied on each
+    branch, in branch order."""
 
-    ensemble: Ensemble
+    branches: tuple[tuple[str, float, DensityMatrix], ...]
     rate: float
     corrections: tuple[np.ndarray, ...]
 
 
-def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
+def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> tuple[tuple[str, float, DensityMatrix], ...]:
     """Measure subsystem A with {K_l x I_B}; return Bob's conditional
-    ensemble {(q_l, tr_A[(K_l x I) rho (K_l x I)+] / q_l)}, formed in
-    one contraction without building K_l x I.  Outcomes with probability
-    below PROB_FLOOR are dropped, and the kept probabilities are divided
-    by their total: the state's trace and the channel's completeness may
-    each be off by DEFAULT_TOL, and the two defects add up in the sum.
+    branches (l, q_l, tr_A[(K_l x I) rho (K_l x I)+] / q_l) in label
+    order, formed in one contraction without building K_l x I.  Outcomes
+    with probability below PROB_FLOOR are dropped, and the kept
+    probabilities are divided by their total: the state's trace and the
+    channel's completeness may each be off by DEFAULT_TOL, and the two
+    defects add up in the sum.
     """
     da, db = _bipartite_dims(rho.dims)
     if channel.dim != da:
@@ -106,23 +88,21 @@ def measure_local_A(rho: DensityMatrix, channel: KrausChannel) -> Ensemble:
     ops = channel.operators
     bobs = np.einsum("lxa,abcd,lxc->lbd", ops, rho.mat.reshape(da, db, da, db), ops.conj())
     probs = np.trace(bobs, axis1=1, axis2=2).real.tolist()
-    items = []
-    labels = []
+    kept = []
     total = 0.0
     for q, bob, label in zip(probs, bobs, channel.labels):
         if q < PROB_FLOOR:
             continue
-        items.append((q, DensityMatrix(bob / q, (db,))))
-        labels.append(label)
+        kept.append((label, q, DensityMatrix(bob / q, (db,))))
         total += q
-    if not items:
+    if not kept:
         raise ValueError("all outcomes fell below the probability floor")
-    return Ensemble(tuple([(q / total, state) for q, state in items]), tuple(labels))
+    return tuple([(label, q / total, state) for label, q, state in kept])
 
 
-def ensemble_rate(ensemble: Ensemble) -> float:
-    """Average coherence sum_l q_l c_re(rho_l) of an ensemble."""
-    return sum(q * c_re(state) for q, state in ensemble.items)
+def ensemble_rate(branches) -> float:
+    """Average coherence sum_l q_l c_re(rho_l) of (l, q_l, rho_l) branches."""
+    return sum(q * c_re(state) for _, q, state in branches)
 
 
 def _gate(m) -> np.ndarray:
@@ -153,10 +133,9 @@ _X_CORRECTIONS = {"+1": IDENTITY_2, "-1": PAULI_Z}
 
 def _run_werner_protocol(p: float, channel: KrausChannel, corrections: dict) -> ProtocolResult:
     measured = measure_local_A(werner(p), channel)
-    gates = tuple(corrections[label] for label in measured.labels)
-    items = tuple((q, DensityMatrix(u @ state.mat @ u.conj().T, state.dims)) for (q, state), u in zip(measured.items, gates))
-    corrected = Ensemble(items, measured.labels)
-    return ProtocolResult(corrected, ensemble_rate(corrected), gates)
+    gates = tuple(corrections[label] for label, _, _ in measured)
+    branches = tuple((label, q, DensityMatrix(u @ state.mat @ u.conj().T, state.dims)) for (label, q, state), u in zip(measured, gates))
+    return ProtocolResult(branches, ensemble_rate(branches), gates)
 
 
 def lqicc_werner_protocol(p: float) -> ProtocolResult:

@@ -85,11 +85,19 @@ def _floats(rows) -> list[list[float]]:
 def _payload_rows(payload) -> tuple[list[list[complex]], tuple[int, ...]]:
     """The rows r + 1j * i (as numpy's re + 1j * im, bit for bit) and dims of
     a state file's {"dims": [dA, dB], "re": [[..]], "im": [[..]]}; ValueError
-    unless dims are integers and re, im matching 2-d lists of numbers."""
+    unless payload is a dict with those keys, dims are integers and re, im
+    matching 2-d lists of numbers."""
+    if not isinstance(payload, dict):
+        kinds = {list: "an array", str: "a string", int: "a number", float: "a number", bool: "a boolean", type(None): "null"}
+        found = kinds.get(type(payload), type(payload).__name__)
+        raise ValueError(f"malformed state payload: expected a JSON object with dims, re and im, got {found}")
+    for key in ("dims", "re", "im"):
+        if key not in payload:
+            raise ValueError(f"malformed state payload: missing key {key!r}")
     try:
         dims = _indices(payload["dims"], "dims")
         re, im = (_floats(payload[key]) for key in ("re", "im"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state payload: {exc}") from exc
     # numpy's shapes: (0,) for [], else (rows, columns)
     shape, im_shape = ((len(x), *{len(row) for row in x}) for x in (re, im))

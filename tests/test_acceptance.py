@@ -53,7 +53,7 @@ def test_criterion_2_protocols_hit_the_steered_state_and_rate():
         target = p * pure_state([1.0, 1.0]).mat + (1.0 - p) * np.eye(2) / 2
         for protocol in (lqicc_werner_protocol, licc_erasing_protocol):
             result = protocol(p)
-            for _, state in result.ensemble.items:
+            for _, _, state in result.branches:
                 worst_td = max(worst_td, trace_distance(state.mat, target))
             worst_rate = max(worst_rate, abs(result.rate - rate_werner_closed_form(p)))
     assert worst_td < 1e-12

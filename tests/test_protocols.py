@@ -16,7 +16,6 @@ from cohdist.protocols import (
     PHASE_MINUS_I,
     PHASE_PLUS_I,
     PROB_FLOOR,
-    Ensemble,
     KrausChannel,
     _gate,
     ensemble_rate,
@@ -128,46 +127,21 @@ class TestKrausChannel:
             sliced.operators[0, 0, 0] = 5.0
 
 
-class TestEnsemble:
-    def test_properties(self):
-        ens = Ensemble(((0.5, pure_state([1.0, 1.0])), (0.5, maximally_mixed(2))))
-        assert tuple(q for q, _ in ens.items) == (0.5, 0.5)
-        assert len(ens.items) == 2
-        assert ens.labels == ("1", "2")
-
-    def test_validation(self):
-        q = maximally_mixed(2)
-        with pytest.raises(ValueError, match="at least one"):
-            Ensemble(())
-        with pytest.raises(ValueError, match="negative"):
-            Ensemble(((-0.5, q), (1.5, q)))
-        with pytest.raises(ValueError, match="sum to"):
-            Ensemble(((0.4, q), (0.4, q)))
-        with pytest.raises(ValueError, match="share dims"):
-            Ensemble(((0.5, q), (0.5, maximally_mixed(3))))
-        with pytest.raises(ValueError, match="one label per"):
-            Ensemble(((1.0, q),), ("a", "b"))
-
-    def test_rejects_nan_probability(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            Ensemble(((float("nan"), maximally_mixed(2)),))
-
-
 class TestMeasureLocalA:
     def test_z_measurement_on_werner(self):
-        ens = measure_local_A(werner(0.7), _z_channel())
-        assert ens.labels == ("0", "1")
-        assert tuple(q for q, _ in ens.items) == pytest.approx((0.5, 0.5), abs=1e-12)
-        assert np.abs(ens.items[0][1].mat - np.diag([0.85, 0.15])).max() < 1e-12
-        assert np.abs(ens.items[1][1].mat - np.diag([0.15, 0.85])).max() < 1e-12
+        branches = measure_local_A(werner(0.7), _z_channel())
+        assert tuple(label for label, _, _ in branches) == ("0", "1")
+        assert tuple(q for _, q, _ in branches) == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert np.abs(branches[0][2].mat - np.diag([0.85, 0.15])).max() < 1e-12
+        assert np.abs(branches[1][2].mat - np.diag([0.15, 0.85])).max() < 1e-12
 
     def test_probabilities_sum_to_one_for_complete_channels(self):
         rng = np.random.default_rng(60)
         for _ in range(15):
             u = random_unitary(rng, 2)
             ops = tuple(np.outer(u[:, k], u[:, k].conj()) for k in range(2))
-            ens = measure_local_A(random_density_matrix(6, rng, (2, 3)), KrausChannel(ops))
-            assert abs(sum(q for q, _ in ens.items) - 1.0) <= 1e-10
+            branches = measure_local_A(random_density_matrix(6, rng, (2, 3)), KrausChannel(ops))
+            assert abs(sum(q for _, q, _ in branches) - 1.0) <= 1e-10
 
     @staticmethod
     def _reference_branches(rho, ops):
@@ -189,9 +163,9 @@ class TestMeasureLocalA:
                 iso = random_unitary(rng, n_ops * da)[:, :da]
                 ops = tuple(iso[i * da : (i + 1) * da] for i in range(n_ops))
                 rho = random_density_matrix(da * db, rng, (da, db))
-                ens = measure_local_A(rho, KrausChannel(ops))
-                assert len(ens.items) == n_ops
-                for want, (q, state) in zip(self._reference_branches(rho, ops), ens.items):
+                branches = measure_local_A(rho, KrausChannel(ops))
+                assert len(branches) == n_ops
+                for want, (_, q, state) in zip(self._reference_branches(rho, ops), branches):
                     assert abs(q - want.trace().real) <= 1e-14
                     assert np.abs(state.mat - want / want.trace().real).max() <= 1e-14
 
@@ -213,31 +187,32 @@ class TestMeasureLocalA:
         g = random_density_matrix(da * db, rng, dims).mat
         a0 = np.kron(np.diag([1.0] + [0.0] * (da - 1)), sigma)
         rho = DensityMatrix((1.0 - eps) * a0 + eps * g, dims)
-        ens = measure_local_A(rho, KrausChannel(ops))
+        branches = measure_local_A(rho, KrausChannel(ops))
         want = self._reference_branches(rho, ops)
         kept = [w for w in want if w.trace().real >= PROB_FLOOR]
         assert len(kept) == (2 if eps < PROB_FLOOR else 3)
-        assert ens.labels == ("1", "2", "3")[: len(kept)]
-        for w, (q, state) in zip(kept, ens.items):
+        assert tuple(label for label, _, _ in branches) == ("1", "2", "3")[: len(kept)]
+        for w, (_, q, state) in zip(kept, branches):
             assert abs(q - w.trace().real) <= 1e-14
             assert np.abs(state.mat - w / w.trace().real).max() <= 1e-14
 
     def test_zero_probability_outcomes_are_dropped(self):
         rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))
-        ens = measure_local_A(rho, _z_channel())
-        assert ens.labels == ("0",)
-        assert tuple(q for q, _ in ens.items) == pytest.approx((1.0,), abs=1e-12)
+        branches = measure_local_A(rho, _z_channel())
+        assert tuple(label for label, _, _ in branches) == ("0",)
+        assert tuple(q for _, q, _ in branches) == pytest.approx((1.0,), abs=1e-12)
         # A in |0>, measured in the reference basis: only outcome "1" survives
         for da, db in ((2, 2), (2, 3), (3, 2)):
             sigma = random_density_matrix(db, np.random.default_rng(63))
             rho = DensityMatrix(np.kron(np.diag([1.0] + [0.0] * (da - 1)), sigma.mat), (da, db))
             ops = tuple(np.diag(np.eye(da)[a]) for a in range(da))
-            ens = measure_local_A(rho, KrausChannel(ops))
+            branches = measure_local_A(rho, KrausChannel(ops))
             want = self._reference_branches(rho, ops)
             assert [w.trace().real for w in want[1:]] == [0.0] * (da - 1)
-            assert ens.labels == ("1",)
-            assert abs(ens.items[0][0] - 1.0) <= 1e-14
-            assert np.abs(ens.items[0][1].mat - want[0]).max() <= 1e-14
+            ((label, q, state),) = branches
+            assert label == "1"
+            assert abs(q - 1.0) <= 1e-14
+            assert np.abs(state.mat - want[0]).max() <= 1e-14
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="bipartite"):
@@ -256,8 +231,8 @@ class TestMeasureLocalA:
 
 class TestGate:
     def test_conjugation(self):
-        ens = measure_local_A(werner(0.7), _z_channel())
-        fixed = PAULI_X @ ens.items[1][1].mat @ PAULI_X.conj().T
+        branches = measure_local_A(werner(0.7), _z_channel())
+        fixed = PAULI_X @ branches[1][2].mat @ PAULI_X.conj().T
         assert np.abs(fixed - np.diag([0.85, 0.15])).max() < 1e-12
 
     def test_rejects_non_unitary_gates(self):
@@ -307,15 +282,15 @@ class TestGate:
         for p in (0.0, 0.3, 1.0):
             measured = measure_local_A(werner(p), channel)
             result = protocol(p)
-            assert result.ensemble.labels == measured.labels
-            for (q, state), u, (want_q, raw) in zip(result.ensemble.items, result.corrections, measured.items):
-                assert q == want_q
+            assert len(result.branches) == len(measured)
+            for (label, q, state), u, (want_label, want_q, raw) in zip(result.branches, result.corrections, measured):
+                assert (label, q) == (want_label, want_q)
                 assert state.mat.tobytes() == (u @ raw.mat @ u.conj().T).tobytes()
 
 
 def test_ensemble_rate_hand_value():
-    ens = Ensemble(((0.5, pure_state([1.0, 1.0])), (0.5, pure_state([1.0, 0.0]))))
-    assert ensemble_rate(ens) == pytest.approx(0.5, abs=1e-12)
+    branches = (("1", 0.5, pure_state([1.0, 1.0])), ("2", 0.5, pure_state([1.0, 0.0])))
+    assert ensemble_rate(branches) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestWernerProtocols:
@@ -332,22 +307,22 @@ class TestWernerProtocols:
         for p in self.TARGET_P:
             result = runner(p)
             target = self._target(p)
-            assert tuple(q for q, _ in result.ensemble.items) == pytest.approx((0.5, 0.5), abs=1e-12)
-            for _, state in result.ensemble.items:
+            assert tuple(q for _, q, _ in result.branches) == pytest.approx((0.5, 0.5), abs=1e-12)
+            for _, _, state in result.branches:
                 assert trace_distance(state.mat, target.mat) < 1e-12
             assert result.rate == pytest.approx(rate_werner_closed_form(p), abs=1e-10)
 
     def test_transcripts(self):
-        """One correction per branch, in the ensemble's label order."""
+        """One correction per branch, in branch order."""
         lq = lqicc_werner_protocol(0.5)
-        assert lq.ensemble.labels == ("+1", "-1")
+        assert tuple(label for label, _, _ in lq.branches) == ("+1", "-1")
         assert len(lq.corrections) == 2
         assert np.array_equal(lq.corrections[0], IDENTITY_2)
         assert np.array_equal(lq.corrections[1], PAULI_Z)
-        assert lq.ensemble.items[0][0] == pytest.approx(0.5, abs=1e-12)
+        assert lq.branches[0][1] == pytest.approx(0.5, abs=1e-12)
 
         li = licc_erasing_protocol(0.5)
-        assert li.ensemble.labels == ("1", "2")
+        assert tuple(label for label, _, _ in li.branches) == ("1", "2")
         assert len(li.corrections) == 2
         assert np.array_equal(li.corrections[0], PHASE_MINUS_I @ PAULI_X)
         assert np.array_equal(li.corrections[1], PHASE_PLUS_I @ PAULI_X)
@@ -403,10 +378,10 @@ def test_correction_aligns_the_minus_branch():
     plus = pure_state([1.0, 1.0]).mat
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
     raw = measure_local_A(werner(p), KrausChannel((plus, minus), ("+1", "-1")))
-    assert np.allclose(raw.items[1][1].mat, np.array([[0.5, -0.5 * p], [-0.5 * p, 0.5]]), atol=1e-12)
-    (q_plus, plus_branch), (q_minus, minus_branch) = raw.items
-    fixed_minus = DensityMatrix(PAULI_Z @ minus_branch.mat @ PAULI_Z.conj().T)
-    fixed = Ensemble(((q_plus, plus_branch), (q_minus, fixed_minus)), raw.labels)
-    assert trace_distance(fixed.items[1][1].mat, fixed.items[0][1].mat) < 1e-12
+    assert np.allclose(raw[1][2].mat, np.array([[0.5, -0.5 * p], [-0.5 * p, 0.5]]), atol=1e-12)
+    plus_branch, (label_minus, q_minus, minus_state) = raw
+    fixed_minus = DensityMatrix(PAULI_Z @ minus_state.mat @ PAULI_Z.conj().T)
+    fixed = (plus_branch, (label_minus, q_minus, fixed_minus))
+    assert trace_distance(fixed[1][2].mat, fixed[0][2].mat) < 1e-12
     assert ensemble_rate(fixed) == pytest.approx(ensemble_rate(raw), abs=1e-9)
     assert ensemble_rate(fixed) == pytest.approx(rate_werner_closed_form(p), abs=1e-10)

@@ -194,7 +194,7 @@ def test_lapack_spectra_have_one_home():
 
 # Lines of src/cohdist/*.py, as `wc -l` counts them.  Lower it when code
 # is deleted; the budget the roadmap aims for is 1400.
-MAX_SOURCE_LINES = 1378
+MAX_SOURCE_LINES = 1365
 
 
 def test_source_line_count_does_not_grow():

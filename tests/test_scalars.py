@@ -132,7 +132,7 @@ def test_general_path_names_non_finite_behind_a_non_hermitian_pair():
 
 
 def test_distribution_rule_tolerance_and_nan():
-    """The one probability-vector rule Ensemble and ZeroDiscordSpec share:
+    """The probability-vector rule ZeroDiscordSpec checks its weights by:
     each entry and the sum's defect may be off by DEFAULT_TOL, no more, and a
     NaN or an infinity fails."""
     _check_distribution([1.0 + DEFAULT_TOL, -DEFAULT_TOL / 2, 0.0], "weights")
@@ -146,18 +146,24 @@ def test_distribution_rule_tolerance_and_nan():
         _check_distribution([0.5, float("inf")], "branch probabilities")
 
 
+def _with_re(re):
+    return {"dims": [2], "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
 @pytest.mark.parametrize(
-    "re, message",
+    "payload, message",
     [
-        ([[0.5, 0.0], [0.0]], r"malformed state payload: rows must be equally long, got lengths \[2, 1\]"),
-        ([], r"re/im must be matching 2-d arrays, got \(0,\) and \(2, 2\)"),
-        ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], r"re/im must be matching 2-d arrays, got \(2, 3\) and \(2, 2\)"),
-        ([[0.5, 10**400], [0.0, 0.5]], "malformed state payload: int too large to convert to float"),
+        (_with_re([[0.5, 0.0], [0.0]]), r"malformed state payload: rows must be equally long, got lengths \[2, 1\]"),
+        (_with_re([]), r"re/im must be matching 2-d arrays, got \(0,\) and \(2, 2\)"),
+        (_with_re([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]), r"re/im must be matching 2-d arrays, got \(2, 3\) and \(2, 2\)"),
+        (_with_re([[0.5, 10**400], [0.0, 0.5]]), "malformed state payload: int too large to convert to float"),
+        ([1, 2], "malformed state payload: expected a JSON object with dims, re and im, got an array"),
+        (None, "malformed state payload: expected a JSON object with dims, re and im, got null"),
+        ({"dims": [2, 2], "im": [[0]]}, "malformed state payload: missing key 're'"),
     ],
-    ids=["ragged", "empty", "mismatched", "overflow"],
+    ids=["ragged", "empty", "mismatched", "overflow", "top-level-list", "null", "missing-re"],
 )
-def test_payload_shape_rules(re, message):
-    payload = {"dims": [2], "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]}
+def test_payload_shape_rules(payload, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         _payload_rows(payload)
 

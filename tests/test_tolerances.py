@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cohdist.protocols import Ensemble, KrausChannel, measure_local_A
+from cohdist.protocols import KrausChannel, measure_local_A
 from cohdist.scalars import DEFAULT_TOL
 from cohdist.states import DensityMatrix, ZeroDiscordSpec, pure_state
 
@@ -35,11 +35,6 @@ def _off_diagonal_kraus(defect):
     return KrausChannel((np.array([[1.0, defect], [0.0, 1.0]]),))
 
 
-def _probabilities_off_one(defect):
-    q = pure_state([1.0, 0.0])
-    return Ensemble(((0.5, q), (0.5 + defect, q)))
-
-
 def _weights_off_one(defect):
     a = pure_state([1.0, 0.0])
     b0, b1 = pure_state([1.0, 0.0]), pure_state([0.0, 1.0])
@@ -60,7 +55,6 @@ def _support_overlap(defect):
         (_negative_eigenvalue, "positive semidefinite"),
         (_incomplete_kraus, "completeness"),
         (_off_diagonal_kraus, "completeness"),
-        (_probabilities_off_one, "sum to"),
         (_weights_off_one, "sum to"),
         (_support_overlap, "overlap"),
     ],
@@ -70,7 +64,6 @@ def _support_overlap(defect):
         "state-min-eigenvalue",
         "kraus-completeness",
         "kraus-off-diagonal-completeness",
-        "ensemble-probability-sum",
         "spec-weight-sum",
         "spec-support-overlap",
     ],
@@ -83,13 +76,13 @@ def test_validation_tolerance_edges(build, message):
 
 def test_measurement_accepts_a_state_and_a_channel_each_just_inside_tolerance():
     # trace 1 + e times completeness 1 + e puts the outcome probabilities
-    # near 1 + 2e, past the ensemble's tolerance unless renormalized
+    # sum near 1 + 2e; divided by that sum they are one half each
     def measure(e):
         k = math.sqrt(1.0 + e)
         channel = KrausChannel((np.diag([k, 0.0]), np.diag([0.0, k])))
         return measure_local_A(DensityMatrix(np.eye(4) * (0.25 + e / 4), (2, 2)), channel)
 
-    assert [q for q, _ in measure(0.9 * DEFAULT_TOL).items] == [0.5, 0.5]
+    assert [q for _, q, _ in measure(0.9 * DEFAULT_TOL)] == [0.5, 0.5]
     with pytest.raises(ValueError, match="completeness"):
         measure(2.0 * DEFAULT_TOL)
 
