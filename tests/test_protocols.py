@@ -143,6 +143,34 @@ class TestMeasureLocalA:
             branches = measure_local_A(random_density_matrix(6, rng, (2, 3)), KrausChannel(ops))
             assert abs(sum(q for _, q, _ in branches) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_branches_are_labelled_normalized_states_on_b(self, dims):
+        """Every branch tuple carries the channel's label, in channel order,
+        a positive probability, and a DensityMatrix on B alone; the
+        probabilities sum to one, also when an outcome is dropped."""
+        da, db = dims
+        rng = np.random.default_rng(64)
+        labels = tuple(f"m{a}" for a in range(da))
+        projectors = tuple(np.diag(np.eye(da)[a]) for a in range(da))
+        sigma = random_density_matrix(db, rng).mat
+        states = (
+            random_density_matrix(da * db, rng, dims),
+            DensityMatrix(np.kron(np.diag([0.0] + [1.0 / (da - 1)] * (da - 1)), sigma), dims),
+        )
+        for rho, kept in zip(states, (labels, labels[1:])):
+            branches = measure_local_A(rho, KrausChannel(projectors, labels))
+            assert tuple(label for label, _, _ in branches) == kept
+            for _, q, state in branches:
+                assert q > 0.0
+                assert isinstance(state, DensityMatrix)
+                assert state.dims == (db,)
+            assert abs(sum(q for _, q, _ in branches) - 1.0) <= 1e-15 * len(branches)
+
+    def test_no_kept_outcome_raises(self, monkeypatch):
+        monkeypatch.setattr(protocols, "PROB_FLOOR", 2.0)
+        with pytest.raises(ValueError, match="^all outcomes fell below the probability floor$"):
+            measure_local_A(werner(0.7), _z_channel())
+
     @staticmethod
     def _reference_branches(rho, ops):
         """Unnormalized tr_A[(K x I) rho (K x I)+] built from explicit tensors."""
