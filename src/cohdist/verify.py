@@ -28,7 +28,8 @@ VERDICT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DiscordReport:
-    """Zero-discord equality check on one bipartite state."""
+    """Zero-discord check on one bipartite state: passed is |discord| <=
+    VERDICT_TOL.  Kept apart from ChainReport: the benchmark's discord audit reads its four fields."""
 
     discord: float
     qi: float
@@ -38,7 +39,8 @@ class DiscordReport:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Achievability check: a protocol rate never beats the qi measure."""
+    """Achievability check: a protocol rate never beats the qi measure, so passed
+    is rate <= qi + VERDICT_TOL.  Kept apart: check_chain is public API and has no discord."""
 
     rate: float
     qi: float
@@ -57,13 +59,10 @@ class CheckLine:
 
 def discord_report(rho: DensityMatrix) -> DiscordReport:
     """Evaluate discord and the equality qi == c_re(rho_B) on any
-    bipartite state; passes only when the discord vanishes within
-    VERDICT_TOL."""
-    qi = qi_relative_entropy(rho)
-    cb = c_re(rho.marginal_b)
+    bipartite state.  The discord is qi - c_re(rho_B) from the same calls,
+    so it passes only when the discord vanishes within VERDICT_TOL."""
     d = basis_dependent_discord(rho, check=True)
-    passed = abs(d) <= VERDICT_TOL and abs(qi - cb - d) <= VERDICT_TOL
-    return DiscordReport(d, qi, cb, passed)
+    return DiscordReport(d, qi_relative_entropy(rho), c_re(rho.marginal_b), abs(d) <= VERDICT_TOL)
 
 
 def check_theorem3(spec: ZeroDiscordSpec) -> DiscordReport:
@@ -148,7 +147,7 @@ def lemma1_suite(seed: int) -> tuple[CheckLine, ...]:
         checks.append(
             CheckLine(
                 f"negative control: {name} must fail",
-                (not rep.passed) and rep.discord > VERDICT_TOL,
+                rep.discord > VERDICT_TOL,
                 f"discord={_fmt6(rep.discord)}",
             )
         )

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
-from cohdist import closed_forms, linalg
+from cohdist import closed_forms, coherence, linalg, verify
 from cohdist.closed_forms import (
     CSV_HEADER,
     MAX_SCAN_STEPS,
@@ -14,6 +16,7 @@ from cohdist.closed_forms import (
     records_to_json,
 )
 from cohdist.coherence import qi_relative_entropy
+from cohdist.scalars import DEFAULT_TOL
 from cohdist.states import (
     DensityMatrix,
     pure_state,
@@ -23,6 +26,7 @@ from cohdist.states import (
 )
 from cohdist.verify import (
     DEFAULT_P_GRID,
+    VERDICT_TOL,
     CheckLine,
     check_chain,
     check_theorem3,
@@ -58,6 +62,68 @@ class TestDiscordReport:
         rep = discord_report(overlap_mixture())
         assert not rep.passed
         assert rep.discord == pytest.approx(0.28959791223372333, abs=1e-9)
+
+
+def lemma1_states(seed: int) -> list[DensityMatrix]:
+    """The 100 zero-discord states lemma1_suite(seed) draws, then its four
+    negative controls, in the suite's order."""
+    rng = np.random.default_rng(seed)
+    dims_cycle = ((2, 2), (2, 3), (2, 4), (3, 3))
+    specs = [random_zero_discord_spec(rng, *dims_cycle[i % 4]) for i in range(100)]
+    controls = [werner(p) for p in (0.1, 0.5, 0.9)] + [verify._overlap_control_state()]
+    return [zero_discord_state(spec) for spec in specs] + controls
+
+
+CONTROL_LABELS = [
+    f"negative control: {name} must fail"
+    for name in ("werner(0.1)", "werner(0.5)", "werner(0.9)", "overlapping blocks")
+]
+
+
+def test_discord_verdict_is_one_rule_on_the_lemma1_states():
+    """passed is |discord| <= VERDICT_TOL and nothing else.  The discord is
+    qi - C_re(rho_B) from the same calls, so qi - C_re(rho_B) - discord
+    reads exactly 0.0: a clause bounding it could never fail."""
+    reports = [discord_report(rho) for rho in lemma1_states(7)]
+    for rep in reports:
+        assert rep.passed == (abs(rep.discord) <= VERDICT_TOL)
+        assert rep.qi - rep.marginal_coherence - rep.discord == 0.0
+    assert [rep.passed for rep in reports] == [True] * 100 + [False] * 4
+    # the helper draws the suite's own states
+    details = [c.detail for c in lemma1_suite(7)[:100]]
+    assert details == [f"discord={rep.discord:.3e}" for rep in reports[:100]]
+
+
+def test_sign_flipped_discord_fails_the_negative_controls(monkeypatch):
+    """A discord of the wrong sign keeps every random spec within
+    VERDICT_TOL, and the controls' discord > VERDICT_TOL rule fails all four.
+    The verdict bounds |discord|, so the controls' reports still fail."""
+    discord = verify.basis_dependent_discord
+    monkeypatch.setattr(verify, "basis_dependent_discord", lambda rho, check=False: -discord(rho, check=check))
+    assert not any(discord_report(rho).passed for rho in lemma1_states(7)[100:])
+    assert [c.label for c in lemma1_suite(7) if not c.passed] == CONTROL_LABELS
+    assert run_cli(["verify", "lemma1"]).exit_code == 1
+
+
+def non_finite_check_routes(states: list[DensityMatrix]) -> list[int]:
+    """Indices of the states whose double-relative-entropy discord is not finite."""
+    return [
+        i
+        for i, rho in enumerate(states)
+        if not math.isfinite(coherence._discord_via_relative_entropies(rho, DEFAULT_TOL))
+    ]
+
+
+def test_check_route_is_finite_on_every_lemma1_state():
+    """basis_dependent_discord skips its cross-check when the check route is
+    not finite; on the lemma-1 specs and controls it always is, so every
+    report there is cross-checked."""
+    assert non_finite_check_routes(lemma1_states(7)) == []
+
+
+def test_an_infinite_relative_entropy_fails_the_finiteness_check(monkeypatch):
+    monkeypatch.setattr(coherence, "_relative_entropy_eig", lambda *args: math.inf)
+    assert non_finite_check_routes(lemma1_states(7)) == list(range(104))
 
 
 def test_discord_report_builds_each_derived_state_once(monkeypatch):
