@@ -17,16 +17,13 @@ SUPPORT_TOL = 1e-12
 WEIGHT_TOL = 1e-10
 
 
-def von_neumann_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
-    """S(rho) = -sum lambda log2 lambda over the spectrum.  An eigenvalue in
-    [-tol, 0) counts as 0 (xlog2x maps it there); a lower one is not a state."""
-    lam = rho.eigenvalues[-1]
-    if lam < -tol:
-        raise ValueError(f"eigenvalue {lam} below -{tol}: not a state")
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S(rho) = -sum lambda log2 lambda over the spectrum.  DensityMatrix admits no
+    eigenvalue below -DEFAULT_TOL, and xlog2x maps one in [-DEFAULT_TOL, 0) to 0."""
     return -sum(map(xlog2x, rho.eigenvalues))
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """S(rho || sigma) = tr rho log2 rho - tr rho log2 sigma.
 
     The first term reads rho's spectrum, the second sigma's
@@ -36,12 +33,12 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, tol: float = DEFA
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return _relative_entropy_eig(rho, *linalg.hermitian_eigh(sigma.mat), tol)
+    return _relative_entropy_eig(rho, *linalg.hermitian_eigh(sigma.mat))
 
 
-def _relative_entropy_eig(rho: DensityMatrix, vals, vecs: np.ndarray, tol: float) -> float:
+def _relative_entropy_eig(rho: DensityMatrix, vals, vecs: np.ndarray) -> float:
     """relative_entropy(rho, sigma) given sigma's eigenvalues and eigenvector columns."""
-    first = -von_neumann_entropy(rho, tol)
+    first = -von_neumann_entropy(rho)
     # weight of rho along each sigma eigenvector, as Python floats: the loop runs on plain scalars
     weights = (vecs.conj() * (rho.mat @ vecs)).sum(axis=0).real.tolist()
     second = 0.0
@@ -54,18 +51,18 @@ def _relative_entropy_eig(rho: DensityMatrix, vals, vecs: np.ndarray, tol: float
     return first - second
 
 
-def c_re(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
+def c_re(rho: DensityMatrix) -> float:
     """Relative entropy of coherence: S(rho.dephased) - S(rho)."""
-    return von_neumann_entropy(rho.dephased, tol) - von_neumann_entropy(rho, tol)
+    return von_neumann_entropy(rho.dephased) - von_neumann_entropy(rho)
 
 
-def qi_relative_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
+def qi_relative_entropy(rho: DensityMatrix) -> float:
     """Quantum-incoherent relative entropy S(rho.dephased_b) - S(rho).
 
     The second subsystem of the bipartite state is the incoherent
     (reference-basis) side.
     """
-    return von_neumann_entropy(rho.dephased_b, tol) - von_neumann_entropy(rho, tol)
+    return von_neumann_entropy(rho.dephased_b) - von_neumann_entropy(rho)
 
 
 def _kron_eigh(eig_a, eig_b):
@@ -73,12 +70,12 @@ def _kron_eigh(eig_a, eig_b):
     return [x * y for x in eig_a[0] for y in eig_b[0]], linalg._kron(eig_a[1], eig_b[1])
 
 
-def _discord_via_relative_entropies(rho: DensityMatrix, tol: float) -> float:
+def _discord_via_relative_entropies(rho: DensityMatrix) -> float:
     # S(rho || rhoA x rhoB) - S(dephase_B rho || rhoA x dephase(rhoB)); no product built, no rhoA validated
     eig_a = linalg.hermitian_eigh(rho.mat.reshape(rho.dims * 2).trace(axis1=1, axis2=3))
     product = _kron_eigh(eig_a, linalg.hermitian_eigh(rho.marginal_b.mat))
     product_deph = _kron_eigh(eig_a, linalg.hermitian_eigh(rho.marginal_b.dephased.mat))
-    return _relative_entropy_eig(rho, *product, tol) - _relative_entropy_eig(rho.dephased_b, *product_deph, tol)
+    return _relative_entropy_eig(rho, *product) - _relative_entropy_eig(rho.dephased_b, *product_deph)
 
 
 def basis_dependent_discord(rho: DensityMatrix, tol: float = DEFAULT_TOL, check: bool = False) -> float:
@@ -87,10 +84,11 @@ def basis_dependent_discord(rho: DensityMatrix, tol: float = DEFAULT_TOL, check:
     Primary route: qi_relative_entropy(rho) - c_re(rho_B).  With
     check=True the double-relative-entropy route is evaluated as well
     and an ArithmeticError is raised if the two disagree beyond 1e-8.
+    tol is unread; perfbench's sign-flip control passes it positionally.
     """
-    d = qi_relative_entropy(rho, tol) - c_re(rho.marginal_b, tol)
+    d = qi_relative_entropy(rho) - c_re(rho.marginal_b)
     if check:
-        alt = _discord_via_relative_entropies(rho, tol)
+        alt = _discord_via_relative_entropies(rho)
         if math.isfinite(alt) and abs(alt - d) > 1e-8:
             raise ArithmeticError(f"discord routes disagree: {d} vs {alt}")
     return d

@@ -18,7 +18,7 @@ from cohdist.coherence import (
     relative_entropy,
     von_neumann_entropy,
 )
-from cohdist.scalars import DEFAULT_TOL, xlog2x
+from cohdist.scalars import xlog2x
 from cohdist.states import (
     DensityMatrix,
     bell_phi_plus,
@@ -223,10 +223,25 @@ class TestBasisDependentDiscord:
         from cohdist import coherence
 
         monkeypatch.setattr(
-            coherence, "_discord_via_relative_entropies", lambda rho, tol: 123.0
+            coherence, "_discord_via_relative_entropies", lambda rho: 123.0
         )
         with pytest.raises(ArithmeticError, match="disagree"):
             basis_dependent_discord(werner(0.5), check=True)
+
+    def test_the_benchmarks_positional_call(self, monkeypatch):
+        """perfbench's sign-flip control calls basis_dependent_discord(rho,
+        tol, check) positionally: the unread second slot stays, and the third
+        still selects the check route."""
+        from cohdist import coherence
+
+        rho_2x3 = random_density_matrix(6, np.random.default_rng(43), (2, 3))
+        for rho in (werner(0.5), rho_2x3):
+            value = basis_dependent_discord(rho, 1e-10, True)
+            assert type(value) is float and value == basis_dependent_discord(rho)
+        monkeypatch.setattr(coherence, "_discord_via_relative_entropies", lambda rho: 123.0)
+        for rho in (werner(0.5), rho_2x3):
+            with pytest.raises(ArithmeticError, match="disagree"):
+                basis_dependent_discord(rho, 1e-10, True)
 
     def test_werner_discord_equals_qi(self):
         # Bob's marginal is maximally mixed, so the marginal coherence is zero
@@ -305,7 +320,7 @@ class TestDiscordCheckRoute:
                 ginibre = random_density_matrix(dims[0] * dims[1], rng, dims)
                 zero = zero_discord_state(random_zero_discord_spec(rng, *dims))
                 for rho in (ginibre, zero):
-                    alt = _discord_via_relative_entropies(rho, DEFAULT_TOL)
+                    alt = _discord_via_relative_entropies(rho)
                     assert abs(alt - _explicit_discord_check(rho)) < 1e-12
 
     @pytest.mark.parametrize("dims", ((2, 2), (2, 3), (2, 4), (3, 3)))
@@ -320,7 +335,7 @@ class TestDiscordCheckRoute:
             ginibre = random_density_matrix(dims[0] * dims[1], rng, dims)
             zero = zero_discord_state(random_zero_discord_spec(rng, *dims))
             for rho in (ginibre, zero):
-                alt = _discord_via_relative_entropies(rho, DEFAULT_TOL)
+                alt = _discord_via_relative_entropies(rho)
                 assert alt == _numpy_scalar_discord_check(rho) and type(alt) is float
                 product = DensityMatrix(np.kron(rho.marginal_a.mat, rho.marginal_b.mat), dims)
                 for state, sigma in ((rho, product), (rho, rho.dephased_b), (rho.dephased_b, product)):
@@ -345,7 +360,7 @@ class TestDiscordCheckRoute:
     )
     def test_non_finite_where_the_explicit_route_is(self, amplitudes, dims, finite):
         rho = pure_state(amplitudes, dims)
-        alt = _discord_via_relative_entropies(rho, DEFAULT_TOL)
+        alt = _discord_via_relative_entropies(rho)
         explicit = _explicit_discord_check(rho)
         assert math.isfinite(alt) == math.isfinite(explicit) == finite
         if finite:

@@ -16,7 +16,6 @@ from cohdist.closed_forms import (
     records_to_json,
 )
 from cohdist.coherence import qi_relative_entropy
-from cohdist.scalars import DEFAULT_TOL
 from cohdist.states import (
     DensityMatrix,
     pure_state,
@@ -110,7 +109,7 @@ def non_finite_check_routes(states: list[DensityMatrix]) -> list[int]:
     return [
         i
         for i, rho in enumerate(states)
-        if not math.isfinite(coherence._discord_via_relative_entropies(rho, DEFAULT_TOL))
+        if not math.isfinite(coherence._discord_via_relative_entropies(rho))
     ]
 
 
