@@ -107,7 +107,12 @@ def scan(p_from, p_to, steps, fmt, out):
         records = closed_forms.figure_data(p_from, p_to, steps)
     except ValueError as exc:
         raise argparse.ArgumentError(None, str(exc))
-    text = closed_forms.records_to_csv(records) if fmt == "csv" else closed_forms.records_to_json(records)
+    if fmt == "csv":  # the first row's keys are the header, then each value to six decimals
+        text = "\n".join([",".join(records[0]), *(",".join(map(_fmt6, r.values())) for r in records)]) + "\n"
+    else:
+        import json  # only --format json needs it
+
+        text = json.dumps(records, indent=2) + "\n"
     if out is None:
         print(text, end="")
         return

@@ -1,15 +1,16 @@
 """The paper's Werner closed forms and the `cohdist scan` sweep over them.
 
-Standard library and scalars only, and each row a plain dict, so a scan
-loads neither numpy nor dataclasses.  This is a top layer: only verify,
-which holds the matrix-level routes to these forms, and cli import it,
-so no route can reach the forms it is checked against."""
+Standard library and scalars only.  Each row is a plain dict whose keys,
+in order, are the scan's columns: cli writes its CSV and JSON from them.
+This is a top layer: only verify, which holds the matrix-level routes to
+these forms, and cli import it, so no route can reach the forms it is
+checked against."""
 
 from __future__ import annotations
 
 import math
 
-from .scalars import _check_p, _fmt6, _indices, xlog2x
+from .scalars import _check_p, _indices, xlog2x
 
 MAX_SCAN_STEPS = 1_000_001
 
@@ -45,7 +46,7 @@ def gap_second_derivative(p: float) -> float:
 def figure_data(p_from: float, p_to: float, steps: int) -> list[dict[str, float]]:
     """Uniform closed-form sweep over [p_from, p_to]: one {p, qi, rate, gap} row per sample."""
     (steps,) = _indices((steps,), "steps", least=2)
-    # the CSV prints p to 6 decimals: no more distinct rows fit in [0, 1]
+    # the CSV `cohdist scan` writes prints p to 6 decimals: no more distinct rows fit in [0, 1]
     if steps > MAX_SCAN_STEPS:
         raise ValueError(f"steps must be at most {MAX_SCAN_STEPS}, got {steps}")
     if not 0.0 <= p_from <= p_to <= 1.0:
@@ -58,19 +59,3 @@ def figure_data(p_from: float, p_to: float, steps: int) -> list[dict[str, float]
         rate = rate_werner_closed_form(p)
         records.append({"p": p, "qi": qi, "rate": rate, "gap": qi - rate})
     return records
-
-
-CSV_HEADER = "p,qi,rate,gap"
-
-
-def records_to_csv(records) -> str:
-    """Six-decimal CSV, as scalars._fmt6 prints, with the fixed header row."""
-    lines = [CSV_HEADER, *(",".join(map(_fmt6, r.values())) for r in records)]
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records) -> str:
-    """Full-precision JSON array of {p, qi, rate, gap} objects."""
-    import json  # only --format json needs it
-
-    return json.dumps(records, indent=2) + "\n"

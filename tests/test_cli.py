@@ -373,10 +373,24 @@ class TestScan:
     def test_json_format(self):
         result = run_cli(["scan", "--steps", "3", "--format", "json"])
         assert result.exit_code == 0
+        assert result.output.endswith("\n")
         rows = json.loads(result.output)
         assert [r["p"] for r in rows] == [0.0, 0.5, 1.0]
         assert rows[1]["qi"] == qi_werner_closed_form(0.5)
         assert rows[1]["rate"] == rate_werner_closed_form(0.5)
+        assert rows[1]["gap"] == qi_werner_closed_form(0.5) - rate_werner_closed_form(0.5)
+
+    def test_csv_header_is_the_json_rows_keys(self, monkeypatch):
+        def header_and_keys():
+            header = run_cli(["scan", "--steps", "3"]).output.splitlines()[0]
+            rows = json.loads(run_cli(["scan", "--steps", "3", "--format", "json"]).output)
+            return header, list(rows[0])
+
+        assert header_and_keys() == ("p,qi,rate,gap", ["p", "qi", "rate", "gap"])
+        # control: rows that put gap first move it to the front of the CSV header as well
+        sweep = closed_forms.figure_data
+        monkeypatch.setattr(closed_forms, "figure_data", lambda *args: [{"gap": r.pop("gap"), **r} for r in sweep(*args)])
+        assert header_and_keys() == ("gap,p,qi,rate", ["gap", "p", "qi", "rate"])
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,13 +6,10 @@ from conftest import run_cli
 
 from cohdist import closed_forms, coherence, linalg, verify
 from cohdist.closed_forms import (
-    CSV_HEADER,
     MAX_SCAN_STEPS,
     figure_data,
     qi_werner_closed_form,
     rate_werner_closed_form,
-    records_to_csv,
-    records_to_json,
 )
 from cohdist.coherence import qi_relative_entropy
 from cohdist.states import (
@@ -201,7 +197,7 @@ class TestFigureData:
         assert records[0]["p"] == 0.0 and records[-1]["p"] == 1.0
         assert records[5]["p"] == pytest.approx(0.5, abs=1e-15)
         for r in records:
-            assert list(r) == ["p", "qi", "rate", "gap"]  # the CSV's and the JSON's column order
+            assert list(r) == ["p", "qi", "rate", "gap"]  # the scan's columns: the CSV header and the JSON keys
             assert 0.0 <= r["rate"] <= r["qi"] <= 2.0
 
     def test_deterministic(self):
@@ -242,27 +238,6 @@ class TestFigureData:
                     ps = [r["p"] for r in figure_data(p_from, p_to, steps)]
                     assert all(p_from <= p <= p_to for p in ps), (p_from, p_to, steps)
                     assert ps[-1] == p_to, (p_from, p_to, steps)
-
-
-def test_csv_golden():
-    text = records_to_csv(figure_data(0.0, 1.0, 3))
-    assert text == (
-        "p,qi,rate,gap\n"
-        "0.000000,0.000000,0.000000,0.000000\n"
-        "0.500000,0.262483,0.188722,0.073761\n"
-        "1.000000,1.000000,1.000000,0.000000\n"
-    )
-    assert CSV_HEADER == "p,qi,rate,gap"
-
-
-def test_json_round_trip_keeps_full_precision():
-    text = records_to_json(figure_data(0.0, 1.0, 3))
-    assert text.endswith("\n")
-    rows = json.loads(text)
-    assert [r["p"] for r in rows] == [0.0, 0.5, 1.0]
-    assert rows[1]["qi"] == qi_werner_closed_form(0.5)
-    assert rows[1]["rate"] == rate_werner_closed_form(0.5)
-    assert rows[1]["gap"] == qi_werner_closed_form(0.5) - rate_werner_closed_form(0.5)
 
 
 def test_theorem3_suite_passes():
