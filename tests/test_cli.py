@@ -399,6 +399,14 @@ class TestScan:
         assert result.output == f"wrote 3 records to {out}\n"
         assert out.read_text() == SCAN_3_STEPS
 
+    def test_json_output_file_holds_what_stdout_prints(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        args = ["scan", "--steps", "3", "--format", "json"]
+        result = run_cli([*args, "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.output == f"wrote 3 records to {out}\n"
+        assert out.read_text() == run_cli(args).output
+
     def test_values_that_round_to_zero_print_without_a_sign(self):
         args = ["scan", "--from", "0", "--to", "0.00000001", "--steps", "6"]
         # control: the sweep holds a value just below zero, which json prints in full
