@@ -100,12 +100,7 @@ def maximally_mixed(dim: int, dims: tuple[int, ...] = ()) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim, dims)
 
 
-def bell_phi_plus() -> DensityMatrix:
-    """(|00> + |11>) / sqrt(2) as a two-qubit density matrix."""
-    return pure_state([1.0, 0.0, 0.0, 1.0], (2, 2))
-
-
-_BELL = bell_phi_plus().mat  # read-only
+_BELL = pure_state([1.0, 0.0, 0.0, 1.0], (2, 2)).mat  # |Phi+> = (|00> + |11>) / sqrt(2), read-only
 
 
 def werner(p: float) -> DensityMatrix:

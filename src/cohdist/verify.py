@@ -81,11 +81,10 @@ def check_chain(rho: DensityMatrix, rate: float) -> ChainReport:
 def _overlap_control_state() -> DensityMatrix:
     # two-block mixture whose B factors overlap on the same basis span;
     # the classical-quantum decomposition fails and discord is positive
-    sigma0 = pure_state([1.0, 0.0])
-    sigma1 = pure_state([0.0, 1.0])
-    plus = pure_state([1.0, 1.0])
     zero = pure_state([1.0, 0.0])
-    mat = 0.5 * _kron(sigma0.mat, plus.mat) + 0.5 * _kron(sigma1.mat, zero.mat)
+    one = pure_state([0.0, 1.0])
+    plus = pure_state([1.0, 1.0])
+    mat = 0.5 * _kron(zero.mat, plus.mat) + 0.5 * _kron(one.mat, zero.mat)
     return DensityMatrix(mat, (2, 2))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cohdist
 import cohdist.verify as verify_mod
-from cohdist import closed_forms, coherence
+from cohdist import cli, closed_forms, coherence
 from cohdist.closed_forms import figure_data, qi_werner_closed_form, rate_werner_closed_form
 from cohdist.scalars import _bipartite_dims, _fmt6
 from cohdist.states import (
@@ -407,6 +407,24 @@ class TestScan:
         assert result.output == f"wrote 3 records to {out}\n"
         assert out.read_text() == run_cli(args).output
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_any_batch_size_writes_the_same_bytes(self, monkeypatch, tmp_path, size):
+        """Rows are written SCAN_BATCH_ROWS at a time: batches of 1 or 2 rows print,
+        and write to --out, exactly what one batch of all 5 rows does."""
+
+        def outputs():
+            got = []
+            for fmt in ("csv", "json"):
+                args, out = ["scan", "--steps", "5", "--format", fmt], tmp_path / f"sweep.{fmt}"
+                got += [run_cli(args).output, run_cli([*args, "--out", str(out)]).output, out.read_text()]
+            return got
+
+        whole = outputs()
+        assert len(whole[0].splitlines()) == 6 and len(json.loads(whole[3])) == 5
+        assert whole[2] == whole[0] and whole[5] == whole[3]
+        monkeypatch.setattr(cli, "SCAN_BATCH_ROWS", size)
+        assert outputs() == whole
+
     def test_values_that_round_to_zero_print_without_a_sign(self):
         args = ["scan", "--from", "0", "--to", "0.00000001", "--steps", "6"]
         # control: the sweep holds a value just below zero, which json prints in full
@@ -600,20 +618,22 @@ def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
     """As in `cohdist verify theorem3 | head -0`, the reader of stdout is
     gone before the command prints: it exits 1 with nothing on stderr.
     The write fails at the first print when Python does not buffer stdout,
-    and at the final flush when it does."""
+    and at the final flush when it does.  A scan of 20001 rows, five batches,
+    fails at its first batch's write either way, long before the last."""
     src = str(Path(cohdist.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        command = [sys.executable, "-m", "cohdist.cli", "verify", "theorem3"]
-        proc = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
-    finally:
-        os.close(write)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    for args in (["verify", "theorem3"], ["scan", "--steps", "20001"], ["scan", "--steps", "20001", "--format", "json"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            command = [sys.executable, "-m", "cohdist.cli", *args]
+            proc = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b""), args
 
 
 def _fresh_python(code: str) -> str:

@@ -21,7 +21,6 @@ from cohdist.coherence import (
 from cohdist.scalars import xlog2x
 from cohdist.states import (
     DensityMatrix,
-    bell_phi_plus,
     maximally_mixed,
     pure_state,
     random_density_matrix,
@@ -50,7 +49,7 @@ def test_xlog2x_sign(x):
 
 def test_entropy_of_named_states():
     assert von_neumann_entropy(pure_state([1.0, 1j])) == pytest.approx(0.0, abs=1e-12)
-    assert von_neumann_entropy(bell_phi_plus()) == pytest.approx(0.0, abs=1e-12)
+    assert von_neumann_entropy(pure_state([1.0, 0.0, 0.0, 1.0], (2, 2))) == pytest.approx(0.0, abs=1e-12)
     for d in (2, 3, 4, 8):
         assert von_neumann_entropy(maximally_mixed(d)) == pytest.approx(math.log2(d), abs=1e-12)
     assert von_neumann_entropy(werner(0.5)) == pytest.approx(1.5487949406953987, abs=1e-9)
@@ -171,7 +170,7 @@ def test_c_re_of_named_states():
     assert c_re(maximally_mixed(2)) == pytest.approx(0.0, abs=1e-12)
     assert c_re(pure_state([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     # dephasing the Bell state leaves diag(1/2, 0, 0, 1/2)
-    assert c_re(bell_phi_plus()) == pytest.approx(1.0, abs=1e-9)
+    assert c_re(pure_state([1.0, 0.0, 0.0, 1.0], (2, 2))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_c_re_equals_relative_entropy_to_the_dephased_state():

@@ -10,7 +10,6 @@ from cohdist.scalars import DEFAULT_TOL, _check_p
 from cohdist.states import (
     DensityMatrix,
     ZeroDiscordSpec,
-    bell_phi_plus,
     density_matrix_from_dict,
     density_matrix_to_dict,
     maximally_mixed,
@@ -98,7 +97,7 @@ def test_pure_state_normalizes():
 
 
 def test_named_states():
-    bell = bell_phi_plus()
+    bell = werner(1.0)
     assert bell.dims == (2, 2)
     want = np.zeros((4, 4))
     want[np.ix_((0, 3), (0, 3))] = 0.5
@@ -153,10 +152,10 @@ def test_werner_endpoints_and_domain():
     though it mixes a shared read-only copy."""
     edges = [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]
     for p in edges + np.random.default_rng(32).uniform(0.0, 1.0, 200).tolist():
-        want = p * bell_phi_plus().mat + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+        want = p * pure_state([1.0, 0.0, 0.0, 1.0], (2, 2)).mat + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
         assert werner(p).mat.tobytes() == want.tobytes(), p
     assert werner(0.0).mat.tobytes() == (np.eye(4, dtype=complex) / 4).tobytes()
-    assert werner(1.0).mat.tobytes() == bell_phi_plus().mat.tobytes()
+    assert werner(1.0).mat.tobytes() == pure_state([1.0, 0.0, 0.0, 1.0], (2, 2)).mat.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         states._BELL[0, 0] = 0.0
     for bad in (-0.1, 1.1):

@@ -192,7 +192,7 @@ class TestCheckChain:
 
 class TestFigureData:
     def test_grid_and_bounds(self):
-        records = figure_data(0.0, 1.0, 11)
+        records = list(figure_data(0.0, 1.0, 11))
         assert len(records) == 11
         assert records[0]["p"] == 0.0 and records[-1]["p"] == 1.0
         assert records[5]["p"] == pytest.approx(0.5, abs=1e-15)
@@ -201,7 +201,15 @@ class TestFigureData:
             assert 0.0 <= r["rate"] <= r["qi"] <= 2.0
 
     def test_deterministic(self):
-        assert figure_data(0.1, 0.9, 20) == figure_data(0.1, 0.9, 20)
+        assert list(figure_data(0.1, 0.9, 20)) == list(figure_data(0.1, 0.9, 20))
+
+    def test_returns_an_iterator_checked_at_the_call(self):
+        # a row is made as it is read, but a bad argument raises before any row is asked for
+        rows = figure_data(0.0, 1.0, 3)
+        assert iter(rows) is rows
+        assert [r["p"] for r in rows] == [0.0, 0.5, 1.0]
+        with pytest.raises(ValueError, match="at least 2"):
+            figure_data(0.0, 1.0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="steps"):
