@@ -106,7 +106,7 @@ _BELL = pure_state([1.0, 0.0, 0.0, 1.0], (2, 2)).mat  # |Phi+> = (|00> + |11>) /
 def werner(p: float) -> DensityMatrix:
     """p |Phi+><Phi+| + (1 - p) I/4 for p in [0, 1]."""
     p = _check_p(p)
-    return DensityMatrix(p * _BELL + (1.0 - p) * np.eye(4, dtype=complex) / 4.0, (2, 2))
+    return DensityMatrix(p * _BELL + (1.0 - p) * linalg.identity(4) / 4.0, (2, 2))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, dims: tuple[int, ...] = ()) -> DensityMatrix:

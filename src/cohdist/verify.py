@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import basis_dependent_discord, c_re, qi_relative_entropy
-from .linalg import _kron
 from .scalars import _fmt6
 from .states import (
     DensityMatrix,
@@ -84,39 +83,33 @@ def _overlap_control_state() -> DensityMatrix:
     zero = pure_state([1.0, 0.0])
     one = pure_state([0.0, 1.0])
     plus = pure_state([1.0, 1.0])
-    mat = 0.5 * _kron(zero.mat, plus.mat) + 0.5 * _kron(one.mat, zero.mat)
+    mat = 0.5 * np.kron(zero.mat, plus.mat) + 0.5 * np.kron(one.mat, zero.mat)
     return DensityMatrix(mat, (2, 2))
 
 
 def theorem3_suite() -> tuple[CheckLine, ...]:
     """Deterministic zero-discord constructions hit the equality."""
-    checks = []
-    product = ZeroDiscordSpec((1.0,), (pure_state([1.0, 0.0]),), (pure_state([1.0, 1.0]),))
-    rep = check_theorem3(product)
-    checks.append(
+    zero, plus = pure_state([1.0, 0.0]), pure_state([1.0, 1.0])
+    product = check_theorem3(ZeroDiscordSpec((1.0,), (zero,), (plus,)))
+    two_block = check_theorem3(
+        ZeroDiscordSpec(
+            (0.6, 0.4),
+            (zero, plus),
+            (pure_state([1.0, 1.0, 0.0], (3,)), pure_state([0.0, 0.0, 1.0], (3,))),
+        )
+    )
+    return (
         CheckLine(
             "product state |0><0| x |+><+|",
-            rep.passed and abs(rep.qi - 1.0) <= VERDICT_TOL,
-            f"discord={rep.discord:.3e} qi={_fmt6(rep.qi)}",
-        )
-    )
-    two_block = ZeroDiscordSpec(
-        (0.6, 0.4),
-        (pure_state([1.0, 0.0]), pure_state([1.0, 1.0])),
-        (
-            pure_state([1.0, 1.0, 0.0], (3,)),
-            pure_state([0.0, 0.0, 1.0], (3,)),
+            product.passed and abs(product.qi - 1.0) <= VERDICT_TOL,
+            f"discord={product.discord:.3e} qi={_fmt6(product.qi)}",
         ),
-    )
-    rep = check_theorem3(two_block)
-    checks.append(
         CheckLine(
             "two-block qubit x qutrit mixture",
-            rep.passed,
-            f"discord={rep.discord:.3e} qi={_fmt6(rep.qi)} c_re(B)={_fmt6(rep.marginal_coherence)}",
-        )
+            two_block.passed,
+            f"discord={two_block.discord:.3e} qi={_fmt6(two_block.qi)} c_re(B)={_fmt6(two_block.marginal_coherence)}",
+        ),
     )
-    return tuple(checks)
 
 
 def lemma1_suite(seed: int) -> tuple[CheckLine, ...]:

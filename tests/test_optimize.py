@@ -14,7 +14,7 @@ import pytest
 
 from cohdist import optimize
 from cohdist.closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
-from cohdist.coherence import c_re
+from cohdist.coherence import c_re, qi_relative_entropy
 from cohdist.optimize import (
     RECHECK_POINTS,
     SWEEP_TIE_TOL,
@@ -23,7 +23,7 @@ from cohdist.optimize import (
 )
 from cohdist.protocols import KrausChannel, ensemble_rate, measure_local_A
 from cohdist.scalars import xlog2x
-from cohdist.states import DensityMatrix, werner
+from cohdist.states import DensityMatrix, random_density_matrix, random_zero_discord_spec, werner, zero_discord_state
 
 
 def gap(p: float) -> float:
@@ -534,6 +534,56 @@ def kernel_references(sources: dict[str, str]) -> list[tuple[str, str, str]]:
             if "_rates" in names and not isinstance(node, ast.FunctionDef):
                 out.append((module, owner.get(node, "<module>"), first_arg.get(node, "")))
     return out
+
+
+def grid_pairs() -> np.ndarray:
+    """The projector pairs of the 21x20 sweep, in theta-major order."""
+    _, _, st, ct, sp, cp, _ = optimize._grid(21, 20)
+    t, f = np.divmod(np.arange(21 * 20), 20)
+    return optimize._projector_pairs(st[t], ct[t], sp[f], cp[f])
+
+
+# I x H, real and symmetric: its own adjoint
+HADAMARD_ON_B = np.kron(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+
+
+class TestLandscape:
+    """The abstract's claims read off _rates at every point of a 21x20 grid,
+    on seeded states at 2x2, 2x3 and 2x4."""
+
+    def test_alice_cannot_help_on_zero_discord_states(self):
+        """Zero discord is sufficient: every rate equals qi = C_re(rho_B).
+        Control: a Werner landscape is not flat."""
+        rng, pairs = np.random.default_rng(39), grid_pairs()
+        for db in (2, 3, 4):
+            for _ in range(25):
+                rho = zero_discord_state(random_zero_discord_spec(rng, 2, db))
+                rates = optimize._rates(rho, pairs)
+                assert np.abs(rates - qi_relative_entropy(rho)).max() <= 1e-12 and np.abs(rates - c_re(rho.marginal_b)).max() <= 1e-12
+        assert np.ptp(optimize._rates(werner(0.5), pairs)) > 1e-3
+
+    def test_every_rate_lies_between_c_re_of_b_and_qi(self):
+        """C_re(rho_B) <= rate <= qi(rho) within 1e-12.  The lower side holds
+        by convexity of C_re: Bob's conditional states average to rho_B.
+        The upper side is the QI relative entropy's bound on any rate.
+
+        Control 1: Alice helps, so the grid maximum clears C_re(rho_B) by
+        more than 1e-3 on every state.  Control 2: a Hadamard on B, a
+        coherent operation, lifts some 2x2 state's grid maximum more than
+        1e-3 above the original state's qi."""
+        rng, pairs = np.random.default_rng(39), grid_pairs()
+        lifted = []
+        for db in (2, 3, 4):
+            for _ in range(25):
+                rho = random_density_matrix(2 * db, rng, (2, db))
+                rates = optimize._rates(rho, pairs)
+                floor, qi = c_re(rho.marginal_b), qi_relative_entropy(rho)
+                assert floor - 1e-12 <= rates.min() and rates.max() <= qi + 1e-12
+                assert rates.max() > floor + 1e-3
+                if db == 2:
+                    rotated = DensityMatrix(HADAMARD_ON_B @ rho.mat @ HADAMARD_ON_B, rho.dims)
+                    lifted.append(optimize._rates(rotated, pairs).max() - qi)
+        assert max(lifted) > 1e-3
 
 
 MEMORY_PROBE = """
