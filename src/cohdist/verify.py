@@ -77,24 +77,19 @@ def check_chain(rho: DensityMatrix, rate: float) -> ChainReport:
     return ChainReport(rate, qi, qi - rate, rate <= qi + VERDICT_TOL)
 
 
-def _overlap_control_state() -> DensityMatrix:
-    # two-block mixture whose B factors overlap on the same basis span;
-    # the classical-quantum decomposition fails and discord is positive
-    zero = pure_state([1.0, 0.0])
-    one = pure_state([0.0, 1.0])
-    plus = pure_state([1.0, 1.0])
-    mat = 0.5 * np.kron(zero.mat, plus.mat) + 0.5 * np.kron(one.mat, zero.mat)
-    return DensityMatrix(mat, (2, 2))
+_ZERO, _ONE, _PLUS = (pure_state(v) for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]))
+# two-block mixture whose B factors overlap on the same basis span;
+# the classical-quantum decomposition fails and discord is positive
+_OVERLAP_CONTROL = DensityMatrix(0.5 * np.kron(_ZERO.mat, _PLUS.mat) + 0.5 * np.kron(_ONE.mat, _ZERO.mat), (2, 2))
 
 
 def theorem3_suite() -> tuple[CheckLine, ...]:
     """Deterministic zero-discord constructions hit the equality."""
-    zero, plus = pure_state([1.0, 0.0]), pure_state([1.0, 1.0])
-    product = check_theorem3(ZeroDiscordSpec((1.0,), (zero,), (plus,)))
+    product = check_theorem3(ZeroDiscordSpec((1.0,), (_ZERO,), (_PLUS,)))
     two_block = check_theorem3(
         ZeroDiscordSpec(
             (0.6, 0.4),
-            (zero, plus),
+            (_ZERO, _PLUS),
             (pure_state([1.0, 1.0, 0.0], (3,)), pure_state([0.0, 0.0, 1.0], (3,))),
         )
     )
@@ -134,7 +129,7 @@ def lemma1_suite(seed: int) -> tuple[CheckLine, ...]:
             )
         )
     controls = [(f"werner({p})", werner(p)) for p in (0.1, 0.5, 0.9)]
-    for name, rho in [*controls, ("overlapping blocks", _overlap_control_state())]:
+    for name, rho in [*controls, ("overlapping blocks", _OVERLAP_CONTROL)]:
         rep = discord_report(rho)
         checks.append(
             CheckLine(

@@ -21,9 +21,10 @@ from cohdist.optimize import (
     BruteForceResult,
     brute_force_measurement_opt,
 )
-from cohdist.protocols import KrausChannel, ensemble_rate, measure_local_A
+from cohdist.protocols import KrausChannel, ensemble_rate, is_incoherent_kraus, measure_local_A
 from cohdist.scalars import xlog2x
-from cohdist.states import DensityMatrix, random_density_matrix, random_zero_discord_spec, werner, zero_discord_state
+from cohdist.states import DensityMatrix, pure_state, random_density_matrix, random_zero_discord_spec, werner, zero_discord_state
+from cohdist.verify import DEFAULT_P_GRID
 
 
 def gap(p: float) -> float:
@@ -536,11 +537,28 @@ def kernel_references(sources: dict[str, str]) -> list[tuple[str, str, str]]:
     return out
 
 
-def grid_pairs() -> np.ndarray:
-    """The projector pairs of the 21x20 sweep, in theta-major order."""
-    _, _, st, ct, sp, cp, _ = optimize._grid(21, 20)
-    t, f = np.divmod(np.arange(21 * 20), 20)
+def grid_pairs(n_theta: int = 21, n_phi: int = 20) -> np.ndarray:
+    """The projector pairs of the sweep, by default the 21x20 one, in theta-major order."""
+    _, _, st, ct, sp, cp, _ = optimize._grid(n_theta, n_phi)
+    t, f = np.divmod(np.arange(n_theta * n_phi), n_phi)
     return optimize._projector_pairs(st[t], ct[t], sp[f], cp[f])
+
+
+def grid_max(rho: DensityMatrix, n_theta: int, n_phi: int) -> float:
+    """The largest _rates value over the sweep's grid, in 20 batches to bound memory."""
+    return max(optimize._rates(rho, chunk).max() for chunk in np.array_split(grid_pairs(n_theta, n_phi), 20))
+
+
+def erasing_pairs() -> np.ndarray:
+    """{|0><n|, |0><-n|} for each direction of the 21x20 sweep, in theta-major
+    order, with |n> = (cos t/2, e^{if} sin t/2) and |-n> = (sin t/2, -e^{if} cos t/2)."""
+    thetas, phis = optimize._grid(21, 20)[:2]
+    t, f = np.divmod(np.arange(21 * 20), 20)
+    c, s, e = np.cos(thetas[t] / 2.0), np.sin(thetas[t] / 2.0), np.exp(1j * phis[f])
+    pairs = np.zeros((21 * 20, 2, 2, 2), dtype=complex)
+    pairs[:, 0, 0] = np.stack([c, e * s], axis=1).conj()
+    pairs[:, 1, 0] = np.stack([s, -e * c], axis=1).conj()
+    return pairs
 
 
 # I x H, real and symmetric: its own adjoint
@@ -584,6 +602,57 @@ class TestLandscape:
                     rotated = DensityMatrix(HADAMARD_ON_B @ rho.mat @ HADAMARD_ON_B, rho.dims)
                     lifted.append(optimize._rates(rotated, pairs).max() - qi)
         assert max(lifted) > 1e-3
+
+    def test_licc_equals_lqicc_at_every_grid_direction(self):
+        """Alice's projective measurement {|n><n|, |-n><-n|} is coherent off
+        the poles, yet the incoherent erasing pair {|0><n|, |0><-n|} leaves
+        Bob the same branches, so LICC reaches every LQICC rate of the grid.
+        The branches agree within 1e-12, and the two rates agree within
+        1e-12 of each other and of _rates, on werner(0.5) and seeded 2x2
+        and 2x3 states.
+
+        Control 1: every off-pole projector pair fails is_incoherent_kraus
+        and every pole pair passes.  Control 2: the erasing pair of the next
+        theta row misses the projector rate by more than 1e-3 somewhere."""
+        rng, pairs, erasing = np.random.default_rng(40), grid_pairs(), erasing_pairs()
+        assert [all(map(is_incoherent_kraus, pair)) for pair in pairs] == [i // 20 in (0, 20) for i in range(21 * 20)]
+        assert all(is_incoherent_kraus(k) for ops in erasing for k in ops)
+        channels = [(KrausChannel(ops), KrausChannel(pair)) for ops, pair in zip(erasing, pairs)]
+        shifted = []
+        for rho in (werner(0.5), random_density_matrix(4, rng, (2, 2)), random_density_matrix(6, rng, (2, 3))):
+            kernel = optimize._rates(rho, pairs)
+            rates = []
+            for (erase, projective), want in zip(channels, kernel):
+                got, proj = measure_local_A(rho, erase), measure_local_A(rho, projective)
+                assert len(got) == len(proj)
+                for (_, q, sigma), (_, q_proj, sigma_proj) in zip(got, proj):
+                    assert abs(q - q_proj) <= 1e-12 and np.abs(sigma.mat - sigma_proj.mat).max() <= 1e-12
+                rates.append(ensemble_rate(got))
+                assert abs(rates[-1] - ensemble_rate(proj)) <= 1e-12 and abs(rates[-1] - want) <= 1e-12
+            shifted.append(np.abs(np.array(rates[20:]) - kernel[:-20]).max())
+        assert max(shifted) > 1e-3
+
+    def test_werner_states_stay_below_qi_on_the_grid(self):
+        """A grid result: on the 21x20 grid, no measurement brings a Werner
+        state of DEFAULT_P_GRID within 1e-3 of its qi.  Control: on a
+        zero-discord state the grid maximum meets qi within 1e-12."""
+        for p in DEFAULT_P_GRID:
+            rho = werner(p)
+            assert qi_relative_entropy(rho) - grid_max(rho, 21, 20) > 1e-3, p
+        rho = zero_discord_state(random_zero_discord_spec(np.random.default_rng(40), 2, 2))
+        assert abs(qi_relative_entropy(rho) - grid_max(rho, 21, 20)) <= 1e-12
+
+    def test_pure_states_reach_qi_on_the_full_grid(self):
+        """One round reaches qi on pure 2x2 states: the 200x400 grid maximum
+        comes within 1e-7 of qi and never beats it by more than 1e-12.
+        Control: a seeded mixed state misses qi by more than 1e-3."""
+        for seed in range(900, 905):
+            rng = np.random.default_rng(seed)
+            a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+            rho = pure_state((a + 1j * b).reshape(-1), (2, 2))
+            assert -1e-12 <= qi_relative_entropy(rho) - grid_max(rho, 200, 400) <= 1e-7, seed
+        mixed = random_density_matrix(4, np.random.default_rng(100), (2, 2))
+        assert qi_relative_entropy(mixed) - grid_max(mixed, 200, 400) > 1e-3
 
 
 MEMORY_PROBE = """

@@ -96,6 +96,22 @@ def test_pure_state_normalizes():
         pure_state([0.0, 0.0])
 
 
+def test_pure_state_at_extreme_magnitudes():
+    """The norm's squares once underflowed or overflowed on these three:
+    the first raised "must be nonzero", the second "trace is 0j", the third
+    "trace is 0.91...".  Rescaling by a power of two is exact, so a state's
+    bytes do not depend on its vector's scale; an empty vector is still zero."""
+    plus, zero = np.full((2, 2), 0.5), np.diag([1.0, 0.0])
+    for amplitudes, want in (([1e-200, 1e-200], plus), ([1e200, 1e200], plus), ([3e-162, 0.0], zero)):
+        assert np.allclose(pure_state(amplitudes).mat, want, atol=1e-15, rtol=0.0)
+    rng = np.random.default_rng(40)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    for k in (-900, -600, -1, 1, 600, 900):
+        assert pure_state(v * 2.0**k).mat.tobytes() == pure_state(v).mat.tobytes()
+    with pytest.raises(ValueError, match="nonzero"):
+        pure_state([])
+
+
 def test_named_states():
     bell = werner(1.0)
     assert bell.dims == (2, 2)

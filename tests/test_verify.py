@@ -65,7 +65,7 @@ def lemma1_states(seed: int) -> list[DensityMatrix]:
     rng = np.random.default_rng(seed)
     dims_cycle = ((2, 2), (2, 3), (2, 4), (3, 3))
     specs = [random_zero_discord_spec(rng, *dims_cycle[i % 4]) for i in range(100)]
-    controls = [werner(p) for p in (0.1, 0.5, 0.9)] + [verify._overlap_control_state()]
+    controls = [werner(p) for p in (0.1, 0.5, 0.9)] + [verify._OVERLAP_CONTROL]
     return [zero_discord_state(spec) for spec in specs] + controls
 
 
