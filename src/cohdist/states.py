@@ -88,6 +88,8 @@ def pure_state(amplitudes, dims: tuple[int, ...] = ()) -> DensityMatrix:
     """Outer product |v><v| of a normalized amplitude vector: any nonzero finite
     vector whose largest modulus is a normal float (a subnormal one is out of scope)."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ValueError("amplitude vector has non-finite entries")
     v = v * np.ldexp(1.0, -np.frexp(np.abs(v).max(initial=0.0))[1])  # exact: keeps the norm's squares from over- or underflowing
     nrm = float(np.linalg.norm(v))
     if nrm <= 0.0:

@@ -21,29 +21,18 @@ from .states import (
 )
 
 DEFAULT_P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-# Verdict tolerance of the discord and chain checks.
+# Verdict tolerance of the discord checks.
 VERDICT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DiscordReport:
     """Zero-discord check on one bipartite state: passed is |discord| <=
-    VERDICT_TOL.  Kept apart from ChainReport: the benchmark's discord audit reads its four fields."""
+    VERDICT_TOL.  The benchmark's discord audit reads its four fields."""
 
     discord: float
     qi: float
     marginal_coherence: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Achievability check: a protocol rate never beats the qi measure, so passed
-    is rate <= qi + VERDICT_TOL.  Kept apart: check_chain is public API and has no discord."""
-
-    rate: float
-    qi: float
-    slack: float
     passed: bool
 
 
@@ -68,13 +57,6 @@ def check_theorem3(spec: ZeroDiscordSpec) -> DiscordReport:
     """Assemble the classical-quantum state a spec describes and confirm
     its discord vanishes, i.e. qi collapses to the marginal coherence."""
     return discord_report(zero_discord_state(spec))
-
-
-def check_chain(rho: DensityMatrix, rate: float) -> ChainReport:
-    """An achieved distillation rate can never exceed the qi relative
-    entropy of the input state (up to VERDICT_TOL)."""
-    qi = qi_relative_entropy(rho)
-    return ChainReport(rate, qi, qi - rate, rate <= qi + VERDICT_TOL)
 
 
 _ZERO, _ONE, _PLUS = (pure_state(v) for v in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]))

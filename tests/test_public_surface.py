@@ -219,7 +219,7 @@ def test_no_caller_sets_a_tolerance():
 
 # Lines of src/cohdist/*.py, as `wc -l` counts them.  Lower it when code
 # is deleted; the budget the roadmap aims for is 1400.
-MAX_SOURCE_LINES = 1339
+MAX_SOURCE_LINES = 1323
 
 
 def test_source_line_count_does_not_grow():

@@ -1,3 +1,4 @@
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -110,6 +111,16 @@ def test_pure_state_at_extreme_magnitudes():
         assert pure_state(v * 2.0**k).mat.tobytes() == pure_state(v).mat.tobytes()
     with pytest.raises(ValueError, match="nonzero"):
         pure_state([])
+
+
+@pytest.mark.parametrize("amplitudes", [[np.inf, 0.0], [np.nan, 1.0]])
+def test_pure_state_rejects_non_finite_entries(amplitudes):
+    """These once raised numpy's "invalid value" RuntimeWarning while
+    rescaling, so under -W error the caller never saw the ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            pure_state(amplitudes)
 
 
 def test_named_states():

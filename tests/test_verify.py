@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import run_cli
 
-from cohdist import closed_forms, coherence, linalg, verify
+from cohdist import closed_forms, coherence, linalg, optimize, verify
 from cohdist.closed_forms import (
     MAX_SCAN_STEPS,
     figure_data,
@@ -23,7 +23,6 @@ from cohdist.verify import (
     DEFAULT_P_GRID,
     VERDICT_TOL,
     CheckLine,
-    check_chain,
     check_theorem3,
     discord_report,
     lemma1_suite,
@@ -176,20 +175,6 @@ def test_check_theorem4_single_point():
     assert abs(float(fields["brute"]) - rate) <= 2e-4
 
 
-class TestCheckChain:
-    def test_achievable_rate_passes(self):
-        rho = werner(0.5)
-        rep = check_chain(rho, rate_werner_closed_form(0.5))
-        assert rep.passed
-        assert rep.slack > 0.0
-
-    def test_rate_above_the_bound_fails(self):
-        rho = werner(0.5)
-        rep = check_chain(rho, qi_relative_entropy(rho) + 1e-3)
-        assert not rep.passed
-        assert rep.slack < 0.0
-
-
 class TestFigureData:
     def test_grid_and_bounds(self):
         records = list(figure_data(0.0, 1.0, 11))
@@ -295,3 +280,67 @@ def test_per_p_lines_fail_on_a_qi_closed_form_off_by_1e_9(monkeypatch):
     monkeypatch.setattr(closed_forms, "qi_werner_closed_form", lambda p: qi(p) + 1e-9)
     failed = [c.label for c in theorem4_suite(brute_grid=(21, 4)) if not c.passed]
     assert failed == [f"p={p:g}: protocols and sweep meet the closed form" for p in DEFAULT_P_GRID]
+
+
+# Each gate control below fails one step past its bound and passes one step inside it.
+
+
+def test_a_20x1_sweep_misses_the_2e_4_allowance_by_less_than_2e_2():
+    """On a 20x1 grid the sweep falls short of the rate by more than the
+    2e-4 allowance at seven p, but by less than 2e-2, so a looser
+    allowance would pass them; the other two are within 2e-4."""
+    result = run_cli(["verify", "theorem4", "--brute-theta", "20", "--brute-phi", "1"])
+    assert result.exit_code == 1
+    assert result.output.endswith("4/11 checks passed\n")
+    misses = {p: abs(optimize.brute_force_measurement_opt(p, (20, 1)).rate - rate_werner_closed_form(p)) for p in DEFAULT_P_GRID}
+    failed = {float(line.split("p=")[1].split(":")[0]) for line in result.output.splitlines() if line.startswith("[FAIL]")}
+    print(f"20x1 sweep: worst |brute - rate| = {max(misses.values()):.3e}")
+    assert failed == {p for p, miss in misses.items() if miss > 2e-4} == set(DEFAULT_P_GRID[2:])
+    assert all(2e-4 < misses[p] < 2e-2 for p in failed)
+
+
+@pytest.mark.parametrize("eps, passed", [(2e-9, False), (5e-10, True)])
+def test_a_sweep_above_the_rate_by_more_than_1e_9_fails(monkeypatch, eps, passed):
+    """A sweep that beats the closed form by 2e-9 is within the 2e-4
+    allowance; only the bf <= rate + 1e-9 clause fails it."""
+    def above(p, grid):
+        return optimize.BruteForceResult(rate_werner_closed_form(p) + eps, math.pi / 2, 0.0)
+
+    monkeypatch.setattr(optimize, "brute_force_measurement_opt", above)
+    checks = theorem4_suite(brute_grid=(21, 4))
+    assert [c.passed for c in checks] == [passed] * len(DEFAULT_P_GRID) + [True, True]
+
+
+def test_a_discord_between_1e_9_and_1e_6_fails_the_verdict():
+    """A zero-discord state mixed with the overlap control at weight 1e-4
+    has a discord of order 1e-8: the verdict fails it, and passes the same
+    state at weight 0."""
+    assert VERDICT_TOL == 1e-9
+    base = zero_discord_state(random_zero_discord_spec(np.random.default_rng(0), 2, 2))
+    reports = {
+        w: discord_report(DensityMatrix((1.0 - w) * base.mat + w * verify._OVERLAP_CONTROL.mat, (2, 2)))
+        for w in (0.0, 1e-4)
+    }
+    print(f"weight 1e-4: discord = {reports[1e-4].discord:.3e}")
+    assert 1e-9 < reports[1e-4].discord < 1e-6 and not reports[1e-4].passed
+    assert reports[0.0].passed
+
+
+def test_a_zero_gap_at_one_p_fails_its_line(monkeypatch):
+    """Both routes to qi read the rate at p = 0.5, so the qi tie holds and
+    only the gap > 0 clause can fail the p=0.5 line.  The gap and curvature
+    lines read the same patched closed form at p = 0.5 and fail too."""
+    qi, qi_re = closed_forms.qi_werner_closed_form, verify.qi_relative_entropy
+    at_half = werner(0.5).mat.tobytes()
+    monkeypatch.setattr(closed_forms, "qi_werner_closed_form", lambda p: rate_werner_closed_form(p) if p == 0.5 else qi(p))
+    monkeypatch.setattr(
+        verify,
+        "qi_relative_entropy",
+        lambda rho: rate_werner_closed_form(0.5) if rho.mat.tobytes() == at_half else qi_re(rho),
+    )
+    failed = [c.label for c in theorem4_suite(brute_grid=(21, 4)) if not c.passed]
+    assert failed == [
+        "p=0.5: protocols and sweep meet the closed form",
+        "gap positive on the interior grid",
+        "gap convex below 1/3, concave above",
+    ]
