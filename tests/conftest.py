@@ -1,5 +1,5 @@
-"""Shared random-object builders for the test suite, and an in-process
-runner for the command line."""
+"""Shared random-object builders for the test suite, the Werner gap, the
+sweep's projector pairs, and an in-process runner for the command line."""
 
 import contextlib
 import io
@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cohdist import optimize
 from cohdist.cli import main
+from cohdist.closed_forms import qi_werner_closed_form, rate_werner_closed_form
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -26,6 +28,18 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) sum |eigenvalues| of the Hermitian difference a - b."""
     return 0.5 * abs(np.linalg.eigvalsh(a - b)).sum()
+
+
+def gap(p: float) -> float:
+    """The Werner gap qi - rate, as theorem4_suite reads it."""
+    return qi_werner_closed_form(p) - rate_werner_closed_form(p)
+
+
+def grid_pairs(n_theta: int = 21, n_phi: int = 20) -> np.ndarray:
+    """The projector pairs of the sweep, by default the 21x20 one, in theta-major order."""
+    _, _, st, ct, sp, cp, _ = optimize._grid(n_theta, n_phi)
+    t, f = np.divmod(np.arange(n_theta * n_phi), n_phi)
+    return optimize._projector_pairs(st[t], ct[t], sp[f], cp[f])
 
 
 def random_monomial_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -28,12 +28,7 @@ from cohdist.states import (
 )
 from cohdist.verify import discord_report
 
-from conftest import random_monomial_unitary, run_cli, trace_distance
-
-
-def gap(p: float) -> float:
-    """The Werner gap qi - rate, as theorem4_suite reads it."""
-    return qi_werner_closed_form(p) - rate_werner_closed_form(p)
+from conftest import gap, random_monomial_unitary, run_cli, trace_distance
 
 
 def test_criterion_1_closed_form_matches_matrix_oracle():
@@ -53,6 +48,7 @@ def test_criterion_2_protocols_hit_the_steered_state_and_rate():
         target = p * pure_state([1.0, 1.0]).mat + (1.0 - p) * np.eye(2) / 2
         for protocol in (lqicc_werner_protocol, licc_erasing_protocol):
             result = protocol(p)
+            assert [q for _, q, _ in result.branches] == pytest.approx([0.5, 0.5], abs=1e-12)
             for _, _, state in result.branches:
                 worst_td = max(worst_td, trace_distance(state.mat, target))
             worst_rate = max(worst_rate, abs(result.rate - rate_werner_closed_form(p)))

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_monomial_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,25 +170,6 @@ def test_c_re_of_named_states():
     assert c_re(pure_state([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     # dephasing the Bell state leaves diag(1/2, 0, 0, 1/2)
     assert c_re(pure_state([1.0, 0.0, 0.0, 1.0], (2, 2))) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_c_re_equals_relative_entropy_to_the_dephased_state():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        rho = random_density_matrix(2, rng)
-        assert abs(c_re(rho) - relative_entropy(rho, rho.dephased)) < 1e-9
-        rho2 = random_density_matrix(4, rng, (2, 2))
-        assert abs(c_re(rho2) - relative_entropy(rho2, rho2.dephased)) < 1e-9
-
-
-def test_c_re_is_invariant_under_monomial_unitaries():
-    rng = np.random.default_rng(22)
-    for _ in range(25):
-        for dim, dims in ((2, (2,)), (4, (2, 2))):
-            rho = random_density_matrix(dim, rng, dims)
-            u = random_monomial_unitary(rng, dim)
-            rotated = DensityMatrix(u @ rho.mat @ u.conj().T, dims)
-            assert abs(c_re(rotated) - c_re(rho)) < 1e-9
 
 
 class TestQiRelativeEntropy:

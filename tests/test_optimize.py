@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import gap, grid_pairs
 
 from cohdist import optimize
 from cohdist.closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
@@ -25,11 +26,6 @@ from cohdist.protocols import KrausChannel, ensemble_rate, is_incoherent_kraus, 
 from cohdist.scalars import xlog2x
 from cohdist.states import DensityMatrix, pure_state, random_density_matrix, random_zero_discord_spec, werner, zero_discord_state
 from cohdist.verify import DEFAULT_P_GRID
-
-
-def gap(p: float) -> float:
-    """The Werner gap as theorem4_suite reads it."""
-    return qi_werner_closed_form(p) - rate_werner_closed_form(p)
 
 
 class TestClosedForms:
@@ -537,13 +533,6 @@ def kernel_references(sources: dict[str, str]) -> list[tuple[str, str, str]]:
     return out
 
 
-def grid_pairs(n_theta: int = 21, n_phi: int = 20) -> np.ndarray:
-    """The projector pairs of the sweep, by default the 21x20 one, in theta-major order."""
-    _, _, st, ct, sp, cp, _ = optimize._grid(n_theta, n_phi)
-    t, f = np.divmod(np.arange(n_theta * n_phi), n_phi)
-    return optimize._projector_pairs(st[t], ct[t], sp[f], cp[f])
-
-
 def grid_max(rho: DensityMatrix, n_theta: int, n_phi: int) -> float:
     """The largest _rates value over the sweep's grid, in 20 batches to bound memory."""
     return max(optimize._rates(rho, chunk).max() for chunk in np.array_split(grid_pairs(n_theta, n_phi), 20))
@@ -696,24 +685,10 @@ class TestGapCurvature:
             -0.0024327288126356193, abs=1e-12
         )
 
-    def test_endpoint_values(self):
-        """At p = 0 no log term degenerates and the curvature is 1/ln 2; at
-        p = 1 ln(1 - p) diverges and the value is the nan sentinel."""
-        assert gap_second_derivative(0.0) == 1.0 / math.log(2.0)
-        assert math.isnan(gap_second_derivative(1.0))
-
-    def test_matches_central_differences(self):
-        h = 1e-4
-        for p in np.linspace(0.05, 0.95, 19):
-            fd = (gap(p + h) - 2.0 * gap(p) + gap(p - h)) / (h * h)
-            assert abs(fd - gap_second_derivative(p)) <= 1e-4
-
 
 class TestGapAnalysis:
     def test_endpoint_curvature(self):
-        """At p = 0 and 1 the gap, read as qi - rate, is a finite 0.  Its
-        curvature is 1/ln 2 at p = 0, and the nan sentinel at p = 1 only."""
-        for p in (0.0, 1.0):
-            assert gap(p) == pytest.approx(0.0, abs=1e-15)
+        """The gap's curvature is 1/ln 2 at p = 0, and the nan sentinel at
+        p = 1 only; TestClosedForms::test_endpoints pins the gap there."""
         assert gap_second_derivative(0.0) == 1.0 / math.log(2.0)
         assert math.isnan(gap_second_derivative(1.0))

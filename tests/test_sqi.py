@@ -1,20 +1,24 @@
-"""Theorem 4 beyond LQICC: the first two steps of the argument that no
+"""Theorem 4 beyond LQICC: the three steps of the argument that no
 operation in SQI (separable, incoherent on Bob's side) beats the
-closed-form rate on one copy of werner(p).
+closed-form rate on one copy of werner(p), and a two-round probe.
 
 Every product operator A x B on werner(p) leaves Bob with B D_p(tau) B+,
 where D_p is the qubit depolarizing map and tau a qubit state
 (the reduction).  The ratio r(s) = |s_01|^2 / (s_00 s_11) of a qubit state
 is at most p^2 after D_p (step i), and an incoherent B keeps it or
-removes every coherence (step ii).  Step (iii), C_re <= f(r) at fixed r,
-is not checked here.
+removes every coherence (step ii).  Step (iii), a qubit's C_re is at most
+f(r) = 1 - h((1 + sqrt r)/2) at fixed r, with f increasing, is checked on
+a grid, not proved.  f(p^2) is the closed-form rate.
 """
 
 import numpy as np
 import pytest
+from conftest import grid_pairs
 
-from cohdist.protocols import is_incoherent_kraus
-from cohdist.states import pure_state, random_density_matrix, werner
+from cohdist import linalg, optimize
+from cohdist.closed_forms import rate_werner_closed_form
+from cohdist.protocols import PROB_FLOOR, is_incoherent_kraus
+from cohdist.states import DensityMatrix, pure_state, random_density_matrix, werner
 from cohdist.verify import DEFAULT_P_GRID
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -124,3 +128,81 @@ class TestStepTwoIncoherentOperatorsKeepTheRatio:
             sigma = random_density_matrix(2, rng).mat
             shifts.append(abs(ratio(HADAMARD @ sigma @ HADAMARD.T) - ratio(sigma)))
         assert max(shifts) > 1e-3
+
+
+def entropy(x: np.ndarray) -> np.ndarray:
+    """-x log2 x summed over the first axis; an entry <= 0 counts as 0."""
+    return -optimize._xlog2x(x).sum(axis=0)
+
+
+def one_minus_h(x: np.ndarray) -> np.ndarray:
+    """1 - h((1 + x)/2), h the binary entropy; f(r) is this at x = sqrt r."""
+    return 1.0 - entropy(np.array([0.5 * (1.0 + x), 0.5 * (1.0 - x)]))
+
+
+R = np.arange(201) / 200.0
+S = np.arange(2001) / 2000.0
+
+
+def grid_c_re() -> np.ndarray:
+    """C_re of the qubit state of diagonal (s, 1 - s) and off-diagonal
+    sqrt(r s (1 - s)), so of ratio r, at each (r, s) of R x S, from the
+    matrix's spectrum."""
+    s = np.broadcast_to(S, (R.size, S.size))
+    diagonal = np.array([s, 1.0 - s])
+    spectrum = np.array(linalg._spectrum_2x2(diagonal[0], diagonal[1], np.sqrt(R[:, None] * s * (1.0 - s))))
+    return entropy(diagonal) - entropy(spectrum)
+
+
+class TestStepThreeTheRatioBoundsTheCoherence:
+    def test_c_re_at_fixed_ratio_is_at_most_f_checked_on_a_grid_not_proved(self):
+        c, f = grid_c_re(), one_minus_h(np.sqrt(R))
+        print(f"step (iii), a grid check: worst C_re - f(r) = {(c - f[:, None]).max():.3e} on 201 x 2001 (r, s)")
+        assert (c <= f[:, None] + 1e-14).all()
+        assert S[1000] == 0.5 and np.abs(c[:, 1000] - f).max() <= 1e-14
+        assert (np.diff(f) > 0.0).all()
+
+    def test_control_f_with_r_for_its_square_root_fails(self):
+        excess = (grid_c_re() - one_minus_h(R)[:, None]).max()
+        print(f"control: C_re exceeds 1 - h((1 + r)/2) by {excess:.3e}")
+        assert excess > 1e-2
+
+
+def two_round_rate(rho: np.ndarray, bob: tuple[np.ndarray, ...]) -> float:
+    """Bob applies the Kraus operators bob to his half of the two-qubit
+    state rho and announces the outcome; Alice then measures, per outcome,
+    the best direction of the 21x20 grid.  Bob's average final C_re."""
+    total = 0.0
+    for b in bob:
+        k = np.kron(np.eye(2), b)
+        out = k @ rho @ k.conj().T
+        q = np.trace(out).real
+        if q >= PROB_FLOOR:
+            total += q * optimize._rates(DensityMatrix(out / q, (2, 2)), grid_pairs()).max()
+    return total
+
+
+class TestTwoRoundProbe:
+    """Bob's diagonal filter first, then Alice's outcome-dependent
+    projective measurement, on werner(0.5): no round order beats the rate."""
+
+    def test_a_diagonal_filter_first_never_beats_the_rate(self):
+        rate = rate_werner_closed_form(0.5)
+        angles = np.linspace(0.0, np.pi / 2.0, 13)
+        excess = []
+        for a in angles:
+            for b in angles:
+                bob = (np.diag([np.cos(a), np.cos(b)]), np.diag([np.sin(a), np.sin(b)]))
+                assert all(map(is_incoherent_kraus, bob))
+                excess.append(two_round_rate(werner(0.5).mat, bob) - rate)
+        print(f"two rounds: best minus rate {max(excess):.3e} over 13 x 13 filters")
+        assert max(excess) <= 1e-12
+        assert max(excess) >= -1e-9
+
+    def test_control_a_coherent_filter_reaches_full_coherence(self):
+        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        bob = (np.outer(plus, [1.0, 0.0]), np.outer(plus, [0.0, 1.0]))
+        assert not any(map(is_incoherent_kraus, bob))
+        value = two_round_rate(werner(0.5).mat, bob)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert value > rate_werner_closed_form(0.5) + 1e-3
