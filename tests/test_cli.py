@@ -392,6 +392,13 @@ class TestScan:
 
 
 class TestVerify:
+    def test_theorem3_passes(self):
+        result = run_cli(["verify", "theorem3"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert all(line.startswith("[PASS] theorem3:") for line in lines[:-1])
+        assert lines[-1] == "2/2 checks passed"
+
     def test_lemma1_is_deterministic_for_a_fixed_seed(self):
         args = ["verify", "lemma1", "--seed", "42"]
         first = run_cli(args)

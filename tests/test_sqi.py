@@ -184,18 +184,20 @@ def two_round_rate(rho: np.ndarray, bob: tuple[np.ndarray, ...]) -> float:
 
 class TestTwoRoundProbe:
     """Bob's diagonal filter first, then Alice's outcome-dependent
-    projective measurement, on werner(0.5): no round order beats the rate."""
+    projective measurement, on werner(p) at each p of DEFAULT_P_GRID: no
+    round order beats the rate."""
 
-    def test_a_diagonal_filter_first_never_beats_the_rate(self):
-        rate = rate_werner_closed_form(0.5)
+    @pytest.mark.parametrize("p", DEFAULT_P_GRID)
+    def test_a_diagonal_filter_first_never_beats_the_rate(self, p):
+        rate = rate_werner_closed_form(p)
         angles = np.linspace(0.0, np.pi / 2.0, 13)
         excess = []
         for a in angles:
             for b in angles:
                 bob = (np.diag([np.cos(a), np.cos(b)]), np.diag([np.sin(a), np.sin(b)]))
                 assert all(map(is_incoherent_kraus, bob))
-                excess.append(two_round_rate(werner(0.5).mat, bob) - rate)
-        print(f"two rounds: best minus rate {max(excess):.3e} over 13 x 13 filters")
+                excess.append(two_round_rate(werner(p).mat, bob) - rate)
+        print(f"two rounds at p = {p}: best minus rate {max(excess):.3e} over 13 x 13 filters")
         assert max(excess) <= 1e-12
         assert max(excess) >= -1e-9
 
