@@ -83,6 +83,34 @@ MUTANTS = (
      '"2": _gate(PHASE_PLUS_I @ PAULI_X)', '"2": _gate(PHASE_MINUS_I @ PAULI_X)'),
     ("incoherence read along rows", "protocols.py", "(m > DEFAULT_TOL).sum(axis=0)", "(m > DEFAULT_TOL).sum(axis=1)"),
     ("theorem 3's two-block line negated", "verify.py", "            two_block.passed,\n", "            not two_block.passed,\n"),
+    # one per input rule whose second copy in tier-1 was deleted; its remaining home must kill it
+    ("measures takes both sources", "cli.py", "if (werner_p is None) == (path is None):", "if werner_p is None and path is None:"),
+    ("an unreadable state file exits 2", "cli.py",
+     'print(f"cannot read state file: {exc}", file=sys.stderr)\n            sys.exit(3)',
+     'print(f"cannot read state file: {exc}", file=sys.stderr)\n            sys.exit(2)'),
+    ("invalid JSON not caught", "cli.py", "except (json.JSONDecodeError, UnicodeDecodeError, ", "except (UnicodeDecodeError, "),
+    ("undecodable bytes not caught", "cli.py", "except (json.JSONDecodeError, UnicodeDecodeError, ", "except (json.JSONDecodeError, "),
+    ("--werner read as a plain float", "cli.py", '("--werner", "werner_p", _check_p,', '("--werner", "werner_p", float,'),
+    ("protocol's --p not required", "cli.py", "required=default is ...", "required=False"),
+    ("verify accepts a bogus suite", "cli.py", '("theorem3", "theorem4", "lemma1", "all")', '("theorem3", "theorem4", "lemma1", "all", "bogus")'),
+    ("a scan may run from above its end", "closed_forms.py",
+     "if not 0.0 <= p_from <= p_to <= 1.0:", "if not (0.0 <= p_from <= 1.0 and 0.0 <= p_to <= 1.0):"),
+    ("a bool size read as an integer", "scalars.py", "    if isinstance(x, bool):\n", "    if False:\n"),
+    ("sizes truncated by int", "scalars.py", "map(_index, values)", "map(int, values)"),
+    ("bool entries read as numbers", "scalars.py",
+     "if isinstance(x, bool) or not isinstance(x, (int, float)):", "if not isinstance(x, (int, float)):"),
+    ("string entries read as numbers", "scalars.py",
+     "if isinstance(x, bool) or not isinstance(x, (int, float)):", "if isinstance(x, bool) or not isinstance(x, (int, float, str)):"),
+    ("integer entries rejected", "scalars.py",
+     "if isinstance(x, bool) or not isinstance(x, (int, float)):", "if isinstance(x, bool) or not isinstance(x, float):"),
+    ("a missing re key not named", "scalars.py", 'for key in ("dims", "re", "im"):', 'for key in ("dims", "im"):'),
+    ("the square rule removed", "scalars.py", "if any(len(row) != n for row in rows):", "if False:"),
+    ("the dims product rule removed", "scalars.py", "if math.prod(dims) != n:", "if False:"),
+    ("non-finite entries reported as non-Hermitian", "scalars.py",
+     "if not all(map(cmath.isfinite, itertools.chain.from_iterable(rows))):", "if False:"),
+    ("the qubit off-diagonal tolerance at 1.0", "scalars.py", "abs(b - c.conjugate()) <= DEFAULT_TOL", "abs(b - c.conjugate()) <= 1.0"),
+    ("the trace tolerance at 1.0", "scalars.py", "if abs(tr - 1.0) > DEFAULT_TOL:", "if abs(tr - 1.0) > 1.0:"),
+    ("the positivity tolerance at 1.0", "states.py", "eigs[-1] < -DEFAULT_TOL", "eigs[-1] < -1.0"),
 )
 
 

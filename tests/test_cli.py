@@ -18,7 +18,6 @@ from cohdist.scalars import _bipartite_dims, _fmt6
 from cohdist.states import (
     density_matrix_from_dict,
     density_matrix_to_dict,
-    maximally_mixed,
     random_density_matrix,
     random_zero_discord_spec,
     werner,
@@ -34,16 +33,6 @@ SCAN_3_STEPS = (
 
 
 class TestMeasures:
-    def test_exactly_one_source_required(self):
-        assert run_cli(["measures"]).exit_code == 2
-        both = ["measures", "--werner", "0.5", "--file", "x.json"]
-        assert run_cli(both).exit_code == 2
-
-    def test_out_of_range_p(self):
-        result = run_cli(["measures", "--werner", "1.5"])
-        assert result.exit_code == 2
-        assert "mixing parameter must lie in [0, 1], got 1.5" in result.stderr
-
     def test_file_input_matches_werner(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(density_matrix_to_dict(werner(0.5))))
@@ -71,75 +60,13 @@ class TestMeasures:
             assert result.exit_code == 0
             assert "-0.000000" not in result.output
 
-    def test_missing_file_is_an_io_error(self, tmp_path):
-        result = run_cli(["measures", "--file", str(tmp_path / "nope.json")])
-        assert result.exit_code == 3
-        assert "cannot read state file" in result.stderr
-
-    def test_invalid_json_is_a_usage_error(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert run_cli(["measures", "--file", str(path)]).exit_code == 2
-
-    @pytest.mark.parametrize("content", [b"\xff\xfe\x00{", b"[" * 100000], ids=["non-utf8", "deeply-nested"])
-    def test_undecodable_file_is_a_usage_error(self, tmp_path, content):
-        # json.load raises UnicodeDecodeError and RecursionError, not JSONDecodeError
+    def test_deeply_nested_file_is_a_usage_error(self, tmp_path):
+        # json.load raises RecursionError, not JSONDecodeError
         path = tmp_path / "state.json"
-        path.write_bytes(content)
+        path.write_bytes(b"[" * 100000)
         result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert "state file is not valid JSON" in result.stderr
-
-    def test_malformed_payload_is_a_usage_error(self, tmp_path):
-        path = tmp_path / "payload.json"
-        path.write_text(json.dumps({"dims": [2, 2]}))
-        assert run_cli(["measures", "--file", str(path)]).exit_code == 2
-
-    @pytest.mark.parametrize("dims", [[2.9, 2.2], "22"], ids=["float", "string"])
-    def test_non_integer_dims_are_a_usage_error(self, tmp_path, dims):
-        # int() would truncate both to a valid split of a smaller matrix
-        payload = density_matrix_to_dict(maximally_mixed(4))
-        payload["dims"] = dims
-        path = tmp_path / "dims.json"
-        path.write_text(json.dumps(payload))
-        result = run_cli(["measures", "--file", str(path)])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert f"malformed state payload: dims must be integers, got {dims!r}" in result.stderr
-
-    def test_bool_dim_is_a_usage_error(self, tmp_path):
-        # operator.index(True) is 1, so [true, 4] would load as a 1x4 split
-        payload = density_matrix_to_dict(maximally_mixed(4))
-        payload["dims"] = [True, 4]
-        path = tmp_path / "dims.json"
-        path.write_text(json.dumps(payload))
-        assert "true" in path.read_text()
-        result = run_cli(["measures", "--file", str(path)])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-
-    @pytest.mark.parametrize("key, entry", [("re", "0.25"), ("im", False)], ids=["string", "bool"])
-    def test_non_number_entry_is_a_usage_error(self, tmp_path, key, entry):
-        payload = density_matrix_to_dict(werner(0.5))
-        payload[key][1][1] = entry
-        path = tmp_path / "entry.json"
-        path.write_text(json.dumps(payload))
-        result = run_cli(["measures", "--file", str(path)])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert "entries must be numbers" in result.stderr
-
-    def test_non_bipartite_state_is_a_usage_error(self, tmp_path):
-        payload = density_matrix_to_dict(maximally_mixed(4))
-        path = tmp_path / "mono.json"
-        path.write_text(json.dumps(payload))
-        result = run_cli(["measures", "--file", str(path)])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        # one rule, one message: the CLI states no bipartite rule of its own
-        assert [line for line in result.stderr.splitlines() if "bipartite" in line] == [
-            "Error: needs a bipartite state, dims are (4,)"
-        ]
 
     def test_bipartite_rule_runs_before_positivity(self, tmp_path):
         # it needs no spectrum, so a state breaking both reports it, before numpy loads
@@ -149,24 +76,6 @@ class TestMeasures:
         result = run_cli(["measures", "--file", str(path)])
         assert result.exit_code == 2
         assert result.stderr.endswith("\nError: needs a bipartite state, dims are (4,)\n")
-
-    def test_invalid_state_matrix_is_a_usage_error(self, tmp_path):
-        payload = density_matrix_to_dict(maximally_mixed(2))
-        payload["re"] = [[1.0, 0.0], [0.0, 1.0]]  # trace 2
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        assert run_cli(["measures", "--file", str(path)]).exit_code == 2
-
-    def test_non_finite_entry_is_a_usage_error(self, tmp_path):
-        payload = density_matrix_to_dict(werner(0.5))
-        payload["re"][0][1] = float("nan")
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(payload))  # writes the bare NaN token
-        assert "NaN" in path.read_text()
-        result = run_cli(["measures", "--file", str(path)])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert "non-finite" in result.stderr
 
     @pytest.mark.parametrize(
         "rows, defect",
@@ -202,12 +111,16 @@ def _non_positive(payload, rng):
     return {**payload, "re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
-def _set_entry(payload, rng, values):
-    key = ("re", "im")[int(rng.integers(2))]
-    rows = [list(row) for row in payload[key]]
-    i, j = (int(k) for k in rng.integers(len(rows), size=2))
-    rows[i][j] = values[int(rng.integers(len(values)))]
-    return {**payload, key: rows}
+def _set_entry(key, value):
+    """The defect that sets payload[key]'s entry at a position rng draws to value."""
+
+    def defect(payload, rng):
+        rows = [list(row) for row in payload[key]]
+        i, j = (int(k) for k in rng.integers(len(rows), size=2))
+        rows[i][j] = value
+        return {**payload, key: rows}
+
+    return defect
 
 
 def _add_off_diagonal(payload, rng):
@@ -217,59 +130,59 @@ def _add_off_diagonal(payload, rng):
     return {**payload, "re": rows}
 
 
-def _drop_key(payload, rng):
-    key = list(payload)[int(rng.integers(len(payload)))]
-    return {k: v for k, v in payload.items() if k != key}
-
-
-def _drop_from_a_row(payload, rng):
-    key = ("re", "im")[int(rng.integers(2))]
-    rows = [list(row) for row in payload[key]]
+def _ragged(payload, rng):
+    rows = [list(row) for row in payload["re"]]
     rows[int(rng.integers(len(rows)))].pop()
-    return {**payload, key: rows}
+    return {**payload, "re": rows}
 
 
-# One defect each, applied to a valid state payload.
+TOP_LEVEL = {"array": [1, 2], "string": "state", "number": 5, "null": None}
+FIRST_DIMS = {"2.5": 2.5, "string": "2", "true": True, "null": None}
+ENTRIES = {
+    "true": True, "false": False, "string": "0.1", "null": None, "list": [0.1],
+    "10**400": 10**400, "-10**400": -(10**400), "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"),
+}
+
+# One defect each, applied to a valid state payload: every input rule of a
+# state file, each way of breaking it a row of its own.
 DEFECTS = {
-    "missing key": _drop_key,
-    "not an object": lambda d, rng: [[1, 2], "state", 5, None][int(rng.integers(4))],
-    "non-integer dim": lambda d, rng: {**d, "dims": [[2.5, "2", True, None][int(rng.integers(4))], d["dims"][1]]},
-    "dims product": lambda d, rng: {**d, "dims": [d["dims"][0], d["dims"][1] + 1]},
-    "zero dim": lambda d, rng: {**d, "dims": [0, d["dims"][1]]},
-    "non-number entry": lambda d, rng: _set_entry(d, rng, [True, False, "0.1", None, [0.1]]),
-    "huge int": lambda d, rng: _set_entry(d, rng, [10**400, -(10**400)]),
-    "non-finite": lambda d, rng: _set_entry(d, rng, [float("nan"), float("inf"), -float("inf")]),
-    "ragged": _drop_from_a_row,
+    **{f"missing-{key}": lambda d, rng, key=key: {k: v for k, v in d.items() if k != key} for key in ("dims", "re", "im")},
+    **{f"top-level-{name}": lambda d, rng, x=x: x for name, x in TOP_LEVEL.items()},
+    **{f"first-dim-{name}": lambda d, rng, x=x: {**d, "dims": [x, d["dims"][1]]} for name, x in FIRST_DIMS.items()},
+    "dims-string": lambda d, rng: {**d, "dims": "22"},
+    "dims-product": lambda d, rng: {**d, "dims": [d["dims"][0], d["dims"][1] + 1]},
+    "zero-dim": lambda d, rng: {**d, "dims": [0, d["dims"][1]]},
+    **{f"{key}-entry-{name}": _set_entry(key, x) for key in ("re", "im") for name, x in ENTRIES.items()},
+    "re-string": lambda d, rng: {**d, "re": "oops"},
+    "re-flat": lambda d, rng: {**d, "re": d["re"][0]},
+    "ragged": _ragged,
     "non-square": lambda d, rng: {**d, "re": [row[:-1] for row in d["re"]], "im": [row[:-1] for row in d["im"]]},
     "mismatched": lambda d, rng: {**d, "im": d["im"][:-1]},
-    "empty": lambda d, rng: {**d, ("re", "im")[int(rng.integers(2))]: []},
+    "empty-re": lambda d, rng: {**d, "re": []},
+    "empty-im": lambda d, rng: {**d, "im": []},
     "non-Hermitian": _add_off_diagonal,
-    "wrong trace": lambda d, rng: {**d, "re": [[1.25 * x for x in row] for row in d["re"]], "im": [[1.25 * x for x in row] for row in d["im"]]},
+    "wrong-trace": lambda d, rng: {**d, "re": [[1.25 * x for x in row] for row in d["re"]], "im": [[1.25 * x for x in row] for row in d["im"]]},
     "non-bipartite": lambda d, rng: {**d, "dims": [len(d["re"])]},
     "non-positive": _non_positive,
 }
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(DEFECTS)), st.sampled_from([(2, 2), (2, 3), (3, 2)]))
-def test_cli_reports_the_library_error_for_any_single_defect(tmp_path_factory, seed, defect, dims):
-    """Whichever rule a state file breaks, the text after `Error: ` is the
-    ValueError the library raises on the same payload: the numpy-free
-    checks run before the state is built and say what it would say."""
-    rng = np.random.default_rng(seed)
-    payload = DEFECTS[defect](density_matrix_to_dict(random_density_matrix(dims[0] * dims[1], rng, dims)), rng)
-    try:
-        _bipartite_dims(density_matrix_from_dict(payload).dims)
-    except ValueError as exc:
-        want = str(exc)
-    else:
-        raise AssertionError(f"{defect} left a valid state")
-    path = tmp_path_factory.getbasetemp() / "defect.json"
-    path.write_text(json.dumps(payload))
-    result = run_cli(["measures", "--file", str(path)])
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr.endswith(f"\nError: {want}\n")
+@pytest.mark.parametrize("defect", list(DEFECTS))
+def test_cli_reports_the_library_error_for_each_defect(tmp_path, defect):
+    """Whichever rule a state file breaks, at 2x2, 2x3 and 3x2, the text
+    after `Error: ` is the ValueError the library raises on the same
+    payload: the numpy-free checks run before the state is built and say
+    what it would say."""
+    for k, dims in enumerate(((2, 2), (2, 3), (3, 2))):
+        rng = np.random.default_rng(k)
+        payload = DEFECTS[defect](density_matrix_to_dict(random_density_matrix(dims[0] * dims[1], rng, dims)), rng)
+        with pytest.raises(ValueError) as want:
+            _bipartite_dims(density_matrix_from_dict(payload).dims)
+        path = tmp_path / f"defect_{k}.json"
+        path.write_text(json.dumps(payload))
+        result = run_cli(["measures", "--file", str(path)])
+        assert (result.exit_code, result.stdout) == (2, ""), dims
+        assert result.stderr.endswith(f"\nError: {want.value}\n"), dims
 
 
 class TestFormat:
@@ -293,13 +206,6 @@ class TestFormat:
     )
     def test_explicit_cases(self, x, sign, text):
         assert _fmt6(x, sign) == text
-
-
-class TestProtocol:
-    def test_validation(self):
-        assert run_cli(["protocol", "bogus", "--p", "0.5"]).exit_code == 2
-        assert run_cli(["protocol", "lqicc"]).exit_code == 2
-        assert run_cli(["protocol", "lqicc", "--p", "1.2"]).exit_code == 2
 
 
 class TestScan:
@@ -374,10 +280,6 @@ class TestScan:
         assert result.exit_code == 0, result.output
         assert result.output.endswith("\n1.000000,1.000000,1.000000,0.000000\n")
 
-    def test_validation(self):
-        assert run_cli(["scan", "--steps", "1"]).exit_code == 2
-        assert run_cli(["scan", "--from", "0.7", "--to", "0.3"]).exit_code == 2
-
     def test_huge_step_count_is_rejected_at_once(self):
         result = run_cli(["scan", "--steps", "1000000000"])
         assert result.exit_code == 2
@@ -436,9 +338,6 @@ class TestVerify:
             assert line.startswith("[PASS] lemma1: ")
             assert abs(float(line.rsplit("discord=", 1)[1].rstrip(")"))) <= 1e-12
 
-    def test_unknown_suite_is_a_usage_error(self):
-        assert run_cli(["verify", "bogus"]).exit_code == 2
-
     @pytest.mark.parametrize(
         "args",
         [
@@ -495,14 +394,17 @@ class TestVerify:
         ["verify", "theorem4", "--brute-phi", "0"],
         ["measures", "--werner", "0.5", "extra"],
         ["scan", "-h"],
+        ["measures", "--werner", "0.5", "--file", "x.json"],
     ],
     ids=[
         "unknown-option", "abbreviated-option", "non-number-p", "missing-p", "non-integer-steps", "unknown-format",
         "unknown-suite", "negative-seed", "brute-theta-below-2", "brute-phi-below-1", "extra-argument", "short-help",
+        "both-sources",
     ],
 )
 def test_malformed_invocation_is_a_usage_error(args):
-    """Each invocation the parser rejects exits 2 before the command runs:
+    """Each invocation the parser rejects, or that names both state sources,
+    exits 2 before the command runs:
     nothing on stdout, and stderr opens with the command's usage line and
     holds an `Error: ` line.  No prefix stands for a flag, so `--wer` is an
     unknown option, not `--werner`, and `-h` is no short form of `--help`."""
@@ -672,6 +574,7 @@ def test_scan_and_rejected_input_start_without_numpy(tmp_path):
         "non_hermitian": with_entry(0, 1, re[0][1] + 1e-3),
         "wrong_trace": {**good, "re": [[1.1 * x for x in row] for row in re]},
         "non_bipartite": {**good, "dims": [4]},
+        "not_an_object": [1, 2],
     }
     positivity = {"dims": [2, 2], "re": np.diag([0.6, 0.5, 0.1, -0.2]).tolist(), "im": [[0.0] * 4] * 4}
     for name, payload in {**rejected, "non_positive": positivity, "valid": good}.items():

@@ -146,8 +146,11 @@ def test_distribution_rule_tolerance_and_nan():
         _check_distribution([0.5, float("inf")], "branch probabilities")
 
 
-def _with_re(re):
-    return {"dims": [2], "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]}
+def _with_re(re, **changes):
+    return {"dims": [2], "re": re, "im": [[0.0, 0.0], [0.0, 0.0]], **changes}
+
+
+HALF = [[0.5, 0.0], [0.0, 0.5]]
 
 
 @pytest.mark.parametrize(
@@ -160,8 +163,16 @@ def _with_re(re):
         ([1, 2], "malformed state payload: expected a JSON object with dims, re and im, got an array"),
         (None, "malformed state payload: expected a JSON object with dims, re and im, got null"),
         ({"dims": [2, 2], "im": [[0]]}, "malformed state payload: missing key 're'"),
+        (_with_re([["0.5", 0.0], [0.0, 0.5]]), "malformed state payload: entries must be numbers, got '0.5'"),
+        (_with_re(HALF, im=[[False, 0.0], [0.0, 0.0]]), "malformed state payload: entries must be numbers, got False"),
+        (_with_re("oops"), "malformed state payload: expected a list of rows"),
+        (_with_re(HALF, dims=[2.9, 2.2]), r"malformed state payload: dims must be integers, got \[2\.9, 2\.2\]"),
+        (_with_re(HALF, dims="22"), "malformed state payload: dims must be integers, got '22'"),
     ],
-    ids=["ragged", "empty", "mismatched", "overflow", "top-level-list", "null", "missing-re"],
+    ids=[
+        "ragged", "empty", "mismatched", "overflow", "top-level-list", "null", "missing-re",
+        "string-entry", "false-entry", "string-re", "float-dims", "string-dims",
+    ],
 )
 def test_payload_shape_rules(payload, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
