@@ -111,6 +111,11 @@ MUTANTS = (
     ("the qubit off-diagonal tolerance at 1.0", "scalars.py", "abs(b - c.conjugate()) <= DEFAULT_TOL", "abs(b - c.conjugate()) <= 1.0"),
     ("the trace tolerance at 1.0", "scalars.py", "if abs(tr - 1.0) > DEFAULT_TOL:", "if abs(tr - 1.0) > 1.0:"),
     ("the positivity tolerance at 1.0", "states.py", "eigs[-1] < -DEFAULT_TOL", "eigs[-1] < -1.0"),
+    # one per eigen-path behaviour whose second copy in tier-1 was deleted; its remaining home must kill it
+    ("the 2x2 path reads the lower triangle", "linalg.py", "(a, c), (_, d) = mat.tolist()", "(a, _), (c, d) = mat.conj().tolist()"),
+    ("hermitian_eigh's values left ascending", "linalg.py", "return _converged(vals)[::-1].tolist()", "return _converged(vals).tolist()"),
+    ("eigvalsh_up -> eigvalsh_lo", "linalg.py", "_umath_linalg.eigvalsh_up(", "_umath_linalg.eigvalsh_lo("),
+    ("eigh_up -> eigh_lo", "linalg.py", "_umath_linalg.eigh_up(", "_umath_linalg.eigh_lo("),
 )
 
 

@@ -9,17 +9,21 @@ is at most p^2 after D_p (step i), and an incoherent B keeps it or
 removes every coherence (step ii).  Step (iii), a qubit's C_re is at most
 f(r) = 1 - h((1 + sqrt r)/2) at fixed r, with f increasing, is checked on
 a grid, not proved.  f(p^2) is the closed-form rate.
+
+Last, the bound behind all four operation sets: on seeded states, qi
+never rises on average under seeded SQI operations.
 """
 
 import numpy as np
 import pytest
-from conftest import grid_pairs
+from conftest import grid_pairs, random_monomial_unitary, random_unitary
 
 from cohdist import linalg, optimize
 from cohdist.closed_forms import rate_werner_closed_form
-from cohdist.protocols import PROB_FLOOR, is_incoherent_kraus
+from cohdist.coherence import qi_relative_entropy
+from cohdist.protocols import PROB_FLOOR, KrausChannel, is_incoherent_kraus
 from cohdist.states import DensityMatrix, pure_state, random_density_matrix, werner
-from cohdist.verify import DEFAULT_P_GRID
+from cohdist.verify import DEFAULT_P_GRID, VERDICT_TOL
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -208,3 +212,86 @@ class TestTwoRoundProbe:
         value = two_round_rate(werner(0.5).mat, bob)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert value > rate_werner_closed_form(0.5) + 1e-3
+
+
+def sqi_states() -> list[DensityMatrix]:
+    """30 seeded full-rank states at each of 2x2, 2x3 and 3x3, then werner(p)
+    at p = 0.1, 0.5 and 0.9."""
+    rng = np.random.default_rng(1930)
+    states = [random_density_matrix(da * db, rng, (da, db)) for da, db in ((2, 2), (2, 3), (3, 3)) for _ in range(30)]
+    return states + [werner(p) for p in (0.1, 0.5, 0.9)]
+
+
+def isometry_blocks(rng: np.random.Generator, n: int, d: int) -> list[np.ndarray]:
+    """n seeded d x d Kraus operators with sum K+ K = I: the blocks of an isometry."""
+    return list(random_unitary(rng, n * d)[:, :d].reshape(n, d, d))
+
+
+def incoherent_measurement(rng: np.random.Generator, n: int, d: int) -> list[np.ndarray]:
+    """n seeded incoherent Kraus operators U_j diag(sqrt w_j), each U_j a
+    monomial unitary and sum_j w_j = 1 entry by entry."""
+    w = rng.random((n, d))
+    return [random_monomial_unitary(rng, d) * np.sqrt(wj) for wj in w / w.sum(axis=0)]
+
+
+def alice_then_bob(rng, da, db):
+    """Alice measures; Bob applies a monomial unitary for each outcome."""
+    return [(a, random_monomial_unitary(rng, db)) for a in isometry_blocks(rng, 3, da)]
+
+
+def bob_then_alice(rng, da, db):
+    """Bob measures incoherently; Alice then measures, by his outcome."""
+    return [(a, b) for b in incoherent_measurement(rng, 2, db) for a in isometry_blocks(rng, 2, da)]
+
+
+def both_incoherent(rng, da, db):
+    """SI: both sides measure incoherently."""
+    return [(a, b) for a in incoherent_measurement(rng, 2, da) for b in incoherent_measurement(rng, 2, db)]
+
+
+def qi_rise(rho: DensityMatrix, pairs) -> float:
+    """sum_i p_i qi(rho_i) - qi(rho) under the Kraus operators A_i x B_i
+    of pairs, which KrausChannel checks for completeness."""
+    ops = KrausChannel([np.kron(a, b) for a, b in pairs]).operators
+    average = 0.0
+    for out in ops @ rho.mat @ ops.conj().transpose(0, 2, 1):
+        q = np.trace(out).real
+        if q >= PROB_FLOOR:
+            average += q * qi_relative_entropy(DensityMatrix(out / q, rho.dims))
+    return average - qi_relative_entropy(rho)
+
+
+class TestQiNeverRisesUnderSqi:
+    """qi, the QI relative entropy, is monotone on average under SQI
+    operations, whose Kraus operators are A_i x B_i with every B_i
+    incoherent (Streltsov, Rana, Bera, Lewenstein, PRX 7, 011024 (2017)):
+    sum_i p_i qi(rho_i) <= qi(rho).  It is the upper bound for the
+    largest of the four operation sets LICC, LQICC, SI and SQI."""
+
+    @pytest.mark.parametrize("family", [alice_then_bob, bob_then_alice, both_incoherent], ids=lambda f: f.__name__)
+    def test_average_qi_never_rises(self, family):
+        rng = np.random.default_rng(1931)
+        rises = []
+        for rho in sqi_states():
+            pairs = family(rng, *rho.dims)
+            assert all(is_incoherent_kraus(b) for _, b in pairs)
+            rises.append(qi_rise(rho, pairs))
+        print(f"{family.__name__}: worst average qi rise {max(rises):.3e} over {len(rises)} states")
+        assert max(rises) <= VERDICT_TOL
+
+    def test_local_unitary_times_monomial_unitary_keeps_qi(self):
+        rng = np.random.default_rng(1932)
+        for rho in sqi_states():
+            da, db = rho.dims
+            assert abs(qi_rise(rho, [(random_unitary(rng, da), random_monomial_unitary(rng, db))])) <= 1e-12
+
+    def test_control_a_haar_unitary_on_b_raises_qi(self):
+        rng = np.random.default_rng(1933)
+        rises = []
+        for rho in sqi_states():
+            da, db = rho.dims
+            haar = random_unitary(rng, db)
+            assert not is_incoherent_kraus(haar)
+            rises.append(qi_rise(rho, [(np.eye(da), haar)]))
+        print(f"control: a Haar unitary on B raises qi by up to {max(rises):.3e}")
+        assert max(rises) > 1e-3
