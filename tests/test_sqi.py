@@ -214,12 +214,21 @@ class TestTwoRoundProbe:
         assert value > rate_werner_closed_form(0.5) + 1e-3
 
 
-def sqi_states() -> list[DensityMatrix]:
-    """30 seeded full-rank states at each of 2x2, 2x3 and 3x3, then werner(p)
+SQI_GROUPS = ("2x2", "2x3", "3x3", "werner")
+
+
+def sqi_states(group: str) -> list[DensityMatrix]:
+    """30 seeded full-rank states of a 2x2, 2x3 or 3x3 group, or werner(p)
     at p = 0.1, 0.5 and 0.9."""
-    rng = np.random.default_rng(1930)
-    states = [random_density_matrix(da * db, rng, (da, db)) for da, db in ((2, 2), (2, 3), (3, 3)) for _ in range(30)]
-    return states + [werner(p) for p in (0.1, 0.5, 0.9)]
+    if group == "werner":
+        return [werner(p) for p in (0.1, 0.5, 0.9)]
+    da, db = map(int, group.split("x"))
+    rng = np.random.default_rng(1930 + da * db)
+    return [random_density_matrix(da * db, rng, (da, db)) for _ in range(30)]
+
+
+def all_sqi_states() -> list[DensityMatrix]:
+    return [rho for group in SQI_GROUPS for rho in sqi_states(group)]
 
 
 def isometry_blocks(rng: np.random.Generator, n: int, d: int) -> list[np.ndarray]:
@@ -268,27 +277,28 @@ class TestQiNeverRisesUnderSqi:
     sum_i p_i qi(rho_i) <= qi(rho).  It is the upper bound for the
     largest of the four operation sets LICC, LQICC, SI and SQI."""
 
+    @pytest.mark.parametrize("group", SQI_GROUPS)
     @pytest.mark.parametrize("family", [alice_then_bob, bob_then_alice, both_incoherent], ids=lambda f: f.__name__)
-    def test_average_qi_never_rises(self, family):
+    def test_average_qi_never_rises(self, family, group):
         rng = np.random.default_rng(1931)
         rises = []
-        for rho in sqi_states():
+        for rho in sqi_states(group):
             pairs = family(rng, *rho.dims)
             assert all(is_incoherent_kraus(b) for _, b in pairs)
             rises.append(qi_rise(rho, pairs))
-        print(f"{family.__name__}: worst average qi rise {max(rises):.3e} over {len(rises)} states")
+        print(f"{family.__name__} at {group}: worst average qi rise {max(rises):.3e} over {len(rises)} states")
         assert max(rises) <= VERDICT_TOL
 
     def test_local_unitary_times_monomial_unitary_keeps_qi(self):
         rng = np.random.default_rng(1932)
-        for rho in sqi_states():
+        for rho in all_sqi_states():
             da, db = rho.dims
             assert abs(qi_rise(rho, [(random_unitary(rng, da), random_monomial_unitary(rng, db))])) <= 1e-12
 
     def test_control_a_haar_unitary_on_b_raises_qi(self):
         rng = np.random.default_rng(1933)
         rises = []
-        for rho in sqi_states():
+        for rho in all_sqi_states():
             da, db = rho.dims
             haar = random_unitary(rng, db)
             assert not is_incoherent_kraus(haar)
