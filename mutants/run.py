@@ -15,9 +15,10 @@ The first row changes nothing: both checks must pass on it.  Every other
 row must be killed by tier-1; `verify all` is reported beside it.  The
 harness exits 1 on a survivor, on a failing control, or on an error (a
 row whose text is not found exactly once, or a check that runs past
-TIMEOUT_S).  Standard library only; it needs numpy, pytest and
-hypothesis in the running interpreter, as tier-1 does.  About 10-20 s
-per row.
+TIMEOUT_S).  On SIGTERM it exits 143, once the running check is killed
+and the row's copy removed.  Standard library only; it needs numpy,
+pytest and hypothesis in the running interpreter, as tier-1 does.  About
+10-20 s per row.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -116,6 +118,32 @@ MUTANTS = (
     ("hermitian_eigh's values left ascending", "linalg.py", "return _converged(vals)[::-1].tolist()", "return _converged(vals).tolist()"),
     ("eigvalsh_up -> eigvalsh_lo", "linalg.py", "_umath_linalg.eigvalsh_up(", "_umath_linalg.eigvalsh_lo("),
     ("eigh_up -> eigh_lo", "linalg.py", "_umath_linalg.eigh_up(", "_umath_linalg.eigh_lo("),
+    # one per theorem-4, verify-suite, scan or protocol behaviour whose second copy in tier-1 was deleted; its remaining home must kill it
+    ("check_theorem3 reads the state with A and B swapped", "verify.py",
+     "return discord_report(zero_discord_state(spec))",
+     "return discord_report(DensityMatrix(zero_discord_state(spec).mat, zero_discord_state(spec).dims[::-1]))"),
+    ("theorem 4's detail prints gap before brute", "verify.py",
+     "brute={_fmt6(bf)} gap={_fmt6(gap)}", "gap={_fmt6(gap)} brute={_fmt6(bf)}"),
+    ("lemma 1 draws 99 specs", "verify.py", "for i in range(100):", "for i in range(99):"),
+    ("lemma 1 ignores its seed", "verify.py", "rng = np.random.default_rng(seed)", "rng = np.random.default_rng()"),
+    ("the gap minimum's p read one step low", "verify.py",
+     "at p={(gaps.index(min(gaps)) + 1) / 1000:g}", "at p={gaps.index(min(gaps)) / 1000:g}"),
+    ("the curvature line skips the central difference", "verify.py", "lo > 0.0 > hi and fd_agrees,", "lo > 0.0 > hi,"),
+    ("scan's rate column before qi", "closed_forms.py",
+     '{"p": p, "qi": qi, "rate": rate, "gap": qi - rate}', '{"p": p, "rate": rate, "qi": qi, "gap": qi - rate}'),
+    ("scan's p jittered by 1e-12 at random", "closed_forms.py",
+     '{"p": p, "qi": qi,', '{"p": p + 1e-12 * __import__("random").random(), "qi": qi,'),
+    ("scan's JSON ends without a newline", "cli.py", '["\\n]\\n"]', '["\\n]"]'),
+    ("scan --out drops the file's last newline", "cli.py", "fh.writelines(text)", 'fh.write("".join(text).rstrip("\\n"))'),
+    ("theorem 3's product line expects qi = 0.5", "verify.py",
+     "abs(product.qi - 1.0) <= VERDICT_TOL", "abs(product.qi - 0.5) <= VERDICT_TOL"),
+    ("theorem 4 sweeps its grid transposed", "verify.py",
+     "brute_force_measurement_opt(p, brute_grid).rate", "brute_force_measurement_opt(p, brute_grid[::-1]).rate"),
+    ("lqicc's outcome labels swapped", "protocols.py", '("+1", "-1"))', '("-1", "+1"))'),
+    ("PAULI_Z holds X", "protocols.py",
+     "PAULI_Z = _gate(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))",
+     "PAULI_Z = _gate(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))"),
+    ("werner's noise coherent on B", "states.py", "linalg.identity(4) / 4.0", "np.kron(linalg.identity(2), np.ones((2, 2))) / 4.0"),
 )
 
 
@@ -149,6 +177,9 @@ def try_row(name: str, file: str, old: str, new: str) -> dict:
 
 
 def main() -> int:
+    # a CI cancel or `kill` sends SIGTERM: exit through SystemExit, so that subprocess.run
+    # kills its child and the row's TemporaryDirectory is removed as the stack unwinds
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     results = []
     for row in MUTANTS:
         results.append(try_row(*row))

@@ -11,11 +11,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import gap, grid_pairs
+from conftest import gap, grid_pairs, random_unitary
 
 from cohdist import optimize
 from cohdist.closed_forms import gap_second_derivative, qi_werner_closed_form, rate_werner_closed_form
-from cohdist.coherence import c_re, qi_relative_entropy
+from cohdist.coherence import basis_dependent_discord, c_re, qi_relative_entropy
 from cohdist.optimize import (
     RECHECK_POINTS,
     SWEEP_TIE_TOL,
@@ -25,35 +25,34 @@ from cohdist.optimize import (
 from cohdist.protocols import KrausChannel, ensemble_rate, is_incoherent_kraus, measure_local_A
 from cohdist.scalars import xlog2x
 from cohdist.states import DensityMatrix, pure_state, random_density_matrix, random_zero_discord_spec, werner, zero_discord_state
-from cohdist.verify import DEFAULT_P_GRID
+from cohdist.verify import DEFAULT_P_GRID, VERDICT_TOL
+
+
+# p, qi, rate, gap, gap'': endpoints, the gap's tiny ends, the inflection at 1/3 and either side of it
+CLOSED_FORM_VALUES = (
+    (0.0, 0.0, 0.0, 0.0, 1.4426950408889634),
+    (1e-6, 1.4427336412187701e-12, 7.212674347396728e-13, 7.214662064790973e-13, 1.4426863847461295),
+    (0.1, 0.013188643469861705, 0.007225546012191789, 0.005963097457669916, 0.7846826174221246),
+    (1.0 / 3.0 - 1e-3, 0.12512667353759055, 0.08120497725882012, 0.043921696278770433, 0.0024363806447288234),
+    (1.0 / 3.0, 0.12581458369391152, 0.08170416594551042, 0.044110417748401104, 0.0),
+    (1.0 / 3.0 + 1e-3, 0.12650411688291407, 0.0822049776645784, 0.04429913921833567, -0.0024327288126356193),
+    (0.5, 0.26248318376373436, 0.18872187554086717, 0.0737613082228672, -0.38471867757039024),
+    (0.9, 0.7832132254353728, 0.7136030428840436, 0.06961018255132911, -3.4887362297457165),
+    (1.0 - 1e-6, 0.9999936564343228, 0.9999888128683748, 4.843565947987294e-06, -360673.6700391921),
+    (1.0, 1.0, 1.0, 0.0, math.nan),
+)
 
 
 class TestClosedForms:
-    def test_frozen_values(self):
-        assert qi_werner_closed_form(0.5) == pytest.approx(0.26248318376373436, abs=1e-12)
-        assert qi_werner_closed_form(0.1) == pytest.approx(0.013188643469861705, abs=1e-12)
-        assert rate_werner_closed_form(0.5) == pytest.approx(0.18872187554086717, abs=1e-12)
-        assert rate_werner_closed_form(0.1) == pytest.approx(0.007225546012191789, abs=1e-12)
-        assert rate_werner_closed_form(0.9) == pytest.approx(0.7136030428840436, abs=1e-12)
-        assert gap(0.5) == pytest.approx(0.0737613082228672, abs=1e-12)
-        assert gap(1.0 / 3.0) == pytest.approx(0.044110417748401104, abs=1e-12)
-
-    def test_endpoints(self):
-        assert qi_werner_closed_form(0.0) == 0.0
-        assert rate_werner_closed_form(0.0) == 0.0
-        assert gap(0.0) == 0.0
-        assert qi_werner_closed_form(1.0) == pytest.approx(1.0, abs=1e-15)
-        assert rate_werner_closed_form(1.0) == pytest.approx(1.0, abs=1e-15)
-        assert gap(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_endpoint_gaps_are_tiny_but_positive(self):
-        """qi - rate, as theorem4_suite reads the gap."""
-        low = qi_werner_closed_form(1e-6) - rate_werner_closed_form(1e-6)
-        high = qi_werner_closed_form(1.0 - 1e-6) - rate_werner_closed_form(1.0 - 1e-6)
-        assert 0.0 < low < 1e-4
-        assert 0.0 < high < 1e-4
-        assert low == pytest.approx(7.214662064790973e-13, abs=1e-15)
-        assert high == pytest.approx(4.843565947987294e-06, rel=1e-9)
+    @pytest.mark.parametrize("row", CLOSED_FORM_VALUES, ids=[f"{row[0]:.7g}" for row in CLOSED_FORM_VALUES])
+    def test_values(self, row):
+        """qi, rate, the gap qi - rate as theorem4_suite reads it, and its
+        curvature, whose nan sentinel marks p = 1 alone.  At p = 0 and 1
+        every log2 argument is 1, 2 or 4, so the values there are exact."""
+        p, *want = row
+        got = [qi_werner_closed_form(p), rate_werner_closed_form(p), gap(p), gap_second_derivative(p)]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15, nan_ok=True)
+        assert p not in (0.0, 1.0) or repr(got) == repr(want)
 
     def test_gap_is_the_difference_of_the_other_two(self):
         """qi - rate equals the simplified gap
@@ -556,7 +555,7 @@ HADAMARD_ON_B = np.kron(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sq
 
 class TestLandscape:
     """The abstract's claims read off _rates at every point of a 21x20 grid,
-    on seeded states at 2x2, 2x3 and 2x4."""
+    on seeded states from 2x2 to 3x3."""
 
     def test_alice_cannot_help_on_zero_discord_states(self):
         """Zero discord is sufficient: every rate equals qi = C_re(rho_B).
@@ -568,6 +567,31 @@ class TestLandscape:
                 rates = optimize._rates(rho, pairs)
                 assert np.abs(rates - qi_relative_entropy(rho)).max() <= 1e-12 and np.abs(rates - c_re(rho.marginal_b)).max() <= 1e-12
         assert np.ptp(optimize._rates(werner(0.5), pairs)) > 1e-3
+
+    def test_states_classical_on_a_reach_qi_in_the_computational_basis(self):
+        """A second family reaches qi, though its discord is positive:
+        sum_i w_i |i><i| x sigma_i, Dirichlet w and overlapping full-rank
+        sigma_i, 10 seeded states at each of 2x2, 2x3, 3x2 and 3x3.  Alice's
+        computational-basis measurement gives qi within 1e-12, and at qubit A
+        so does the grid maximum.  Each |i><i| is incoherent, so LICC reaches
+        qi too.  Control: a seeded Haar unitary on A leaves the computational
+        basis more than 1e-3 short of qi on some state."""
+        rng, discords, shortfalls = np.random.default_rng(41), [], []
+        for da, db in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            basis = np.array([np.outer(e, e) for e in np.eye(da)])
+            assert all(map(is_incoherent_kraus, basis))
+            for _ in range(10):
+                w = rng.dirichlet(np.ones(da))
+                rho = DensityMatrix(sum(w[i] * np.kron(basis[i], random_density_matrix(db, rng).mat) for i in range(da)), (da, db))
+                qi = qi_relative_entropy(rho)
+                assert abs(optimize._rates(rho, basis[None])[0] - qi) <= 1e-12
+                assert da > 2 or abs(grid_max(rho, 21, 20) - qi) <= 1e-12
+                discords.append(basis_dependent_discord(rho))
+                u = np.kron(random_unitary(rng, da), np.eye(db))
+                shortfalls.append(qi - optimize._rates(DensityMatrix(u @ rho.mat @ u.conj().T, (da, db)), basis[None])[0])
+        print(f"least discord {min(discords):.3e}, largest control shortfall {max(shortfalls):.3e}")
+        assert min(discords) > VERDICT_TOL
+        assert max(shortfalls) > 1e-3
 
     def test_every_rate_lies_between_c_re_of_b_and_qi(self):
         """C_re(rho_B) <= rate <= qi(rho) within 1e-12.  The lower side holds
@@ -623,10 +647,12 @@ class TestLandscape:
 
     def test_werner_states_stay_below_qi_on_the_grid(self):
         """A grid result: on the 21x20 grid, no measurement brings a Werner
-        state of DEFAULT_P_GRID within 1e-3 of its qi.  Control: on a
-        zero-discord state the grid maximum meets qi within 1e-12."""
+        state of DEFAULT_P_GRID within 1e-3 of its qi, though Bob alone
+        holds no coherence.  Control: on a zero-discord state the grid
+        maximum meets qi within 1e-12."""
         for p in DEFAULT_P_GRID:
             rho = werner(p)
+            assert c_re(rho.marginal_b) == pytest.approx(0.0, abs=1e-12), p
             assert qi_relative_entropy(rho) - grid_max(rho, 21, 20) > 1e-3, p
         rho = zero_discord_state(random_zero_discord_spec(np.random.default_rng(40), 2, 2))
         assert abs(qi_relative_entropy(rho) - grid_max(rho, 21, 20)) <= 1e-12
@@ -668,27 +694,3 @@ def test_a_full_sweep_grows_peak_memory_by_less_than_8_mb():
         [sys.executable, "-c", MEMORY_PROBE], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
     )
     assert int(out.stdout) < 8 * 1024
-
-
-class TestGapCurvature:
-    def test_sign_structure(self):
-        assert gap_second_derivative(0.2) > 0.0
-        assert gap_second_derivative(0.5) < 0.0
-        assert abs(gap_second_derivative(1.0 / 3.0)) < 1e-14
-
-    def test_bracketing_the_inflection(self):
-        third = 1.0 / 3.0
-        assert gap_second_derivative(third - 1e-3) == pytest.approx(
-            0.0024363806447288234, abs=1e-12
-        )
-        assert gap_second_derivative(third + 1e-3) == pytest.approx(
-            -0.0024327288126356193, abs=1e-12
-        )
-
-
-class TestGapAnalysis:
-    def test_endpoint_curvature(self):
-        """The gap's curvature is 1/ln 2 at p = 0, and the nan sentinel at
-        p = 1 only; TestClosedForms::test_endpoints pins the gap there."""
-        assert gap_second_derivative(0.0) == 1.0 / math.log(2.0)
-        assert math.isnan(gap_second_derivative(1.0))
