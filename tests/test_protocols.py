@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import random_unitary, trace_distance
 
 from cohdist import protocols
 from cohdist.closed_forms import rate_werner_closed_form
@@ -319,6 +319,21 @@ def test_ensemble_rate_hand_value():
 
 
 class TestWernerProtocols:
+    def test_transcripts(self):
+        """One correction per branch, in branch order."""
+        lq = lqicc_werner_protocol(0.5)
+        assert tuple(label for label, _, _ in lq.branches) == ("+1", "-1")
+        assert len(lq.corrections) == 2
+        assert np.array_equal(lq.corrections[0], IDENTITY_2)
+        assert np.array_equal(lq.corrections[1], PAULI_Z)
+        assert lq.branches[0][1] == pytest.approx(0.5, abs=1e-12)
+
+        li = licc_erasing_protocol(0.5)
+        assert tuple(label for label, _, _ in li.branches) == ("1", "2")
+        assert len(li.corrections) == 2
+        assert np.array_equal(li.corrections[0], PHASE_MINUS_I @ PAULI_X)
+        assert np.array_equal(li.corrections[1], PHASE_PLUS_I @ PAULI_X)
+
     def test_erasing_channel_is_incoherent_but_projective_x_is_not(self):
         assert all(map(is_incoherent_kraus, KrausChannel((ERASE_K1, ERASE_K2)).operators))
         plus = pure_state([1.0, 1.0]).mat
@@ -351,3 +366,19 @@ def test_steering_direction_matters():
     z_rate = ensemble_rate(measure_local_A(werner(0.8), _z_channel()))
     assert z_rate == pytest.approx(0.0, abs=1e-12)
     assert lqicc_werner_protocol(0.8).rate > 0.4
+
+
+def test_correction_aligns_the_minus_branch():
+    """The Z fix maps the -1 branch onto the +1 branch exactly; the rate
+    is unchanged because conjugation by Z only flips off-diagonal signs."""
+    p = 0.8
+    plus = pure_state([1.0, 1.0]).mat
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+    raw = measure_local_A(werner(p), KrausChannel((plus, minus), ("+1", "-1")))
+    assert np.allclose(raw[1][2].mat, np.array([[0.5, -0.5 * p], [-0.5 * p, 0.5]]), atol=1e-12)
+    plus_branch, (label_minus, q_minus, minus_state) = raw
+    fixed_minus = DensityMatrix(PAULI_Z @ minus_state.mat @ PAULI_Z.conj().T)
+    fixed = (plus_branch, (label_minus, q_minus, fixed_minus))
+    assert trace_distance(fixed[1][2].mat, fixed[0][2].mat) < 1e-12
+    assert ensemble_rate(fixed) == pytest.approx(ensemble_rate(raw), abs=1e-9)
+    assert ensemble_rate(fixed) == pytest.approx(rate_werner_closed_form(p), abs=1e-10)

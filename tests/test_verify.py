@@ -5,7 +5,12 @@ import pytest
 from conftest import run_cli
 
 from cohdist import closed_forms, coherence, linalg, optimize, verify
-from cohdist.closed_forms import MAX_SCAN_STEPS, figure_data, rate_werner_closed_form
+from cohdist.closed_forms import (
+    MAX_SCAN_STEPS,
+    figure_data,
+    qi_werner_closed_form,
+    rate_werner_closed_form,
+)
 from cohdist.coherence import qi_relative_entropy
 from cohdist.states import (
     DensityMatrix,
@@ -18,6 +23,7 @@ from cohdist.verify import (
     DEFAULT_P_GRID,
     VERDICT_TOL,
     CheckLine,
+    check_theorem3,
     discord_report,
     lemma1_suite,
     theorem3_suite,
@@ -150,7 +156,38 @@ def test_discord_report_builds_each_derived_state_once(monkeypatch):
     assert counts == {"validations": 3, "jacobi": 3, "eigh": 6}
 
 
+def test_check_theorem3_on_seeded_random_specs():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        assert check_theorem3(random_zero_discord_spec(rng, 2, 3)).passed
+
+
+def test_check_theorem4_single_point():
+    line = theorem4_suite(brute_grid=(21, 4))[4]
+    assert line.passed
+    assert line.label == "p=0.5: protocols and sweep meet the closed form"
+    fields = dict(item.split("=") for item in line.detail.split())
+    assert list(fields) == ["rate", "lqicc", "licc", "brute", "gap"]
+    rate = rate_werner_closed_form(0.5)
+    assert fields["rate"] == fields["lqicc"] == fields["licc"] == f"{rate:.6f}"
+    assert fields["gap"] == f"{qi_werner_closed_form(0.5) - rate:.6f}"
+    assert float(fields["brute"]) <= float(fields["rate"])
+    assert abs(float(fields["brute"]) - rate) <= 2e-4
+
+
 class TestFigureData:
+    def test_grid_and_bounds(self):
+        records = list(figure_data(0.0, 1.0, 11))
+        assert len(records) == 11
+        assert records[0]["p"] == 0.0 and records[-1]["p"] == 1.0
+        assert records[5]["p"] == pytest.approx(0.5, abs=1e-15)
+        for r in records:
+            assert list(r) == ["p", "qi", "rate", "gap"]  # the scan's columns: the CSV header and the JSON keys
+            assert 0.0 <= r["rate"] <= r["qi"] <= 2.0
+
+    def test_deterministic(self):
+        assert list(figure_data(0.1, 0.9, 20)) == list(figure_data(0.1, 0.9, 20))
+
     def test_returns_an_iterator_checked_at_the_call(self):
         # a row is made as it is read, but a bad argument raises before any row is asked for
         rows = figure_data(0.0, 1.0, 3)
@@ -201,6 +238,35 @@ def test_theorem3_suite_passes():
     assert type(checks) is tuple and all(type(c) is CheckLine for c in checks)
     assert all(c.passed for c in checks)
     assert len(checks) == 2
+
+
+def test_lemma1_suite_randomized_and_negative_controls():
+    checks = lemma1_suite(seed=3)
+    assert all(c.passed for c in checks)
+    assert len(checks) == 104  # 100 random + 3 werner controls + 1 overlap
+    labels = [c.label for c in checks]
+    assert sum("must fail" in s for s in labels) == 4
+
+
+def test_theorem4_suite_small_grid():
+    # an odd theta count puts the optimal equator on the grid
+    checks = theorem4_suite(brute_grid=(21, 4))
+    assert all(c.passed for c in checks)
+    assert len(checks) == 11  # 9 p values + positivity + curvature
+    by_label = {c.label: c for c in checks}
+    gap_line = by_label["gap positive on the interior grid"]
+    assert gap_line.passed
+    assert "7.199e-07" in gap_line.detail and "p=0.001" in gap_line.detail
+    assert by_label["gap convex below 1/3, concave above"].passed
+
+
+def test_curvature_line_fails_on_a_shifted_second_derivative(monkeypatch):
+    """A 1e-3 shift keeps the signs at 0.2 and 0.5, so only the
+    central-difference check can catch it."""
+    d2 = closed_forms.gap_second_derivative
+    monkeypatch.setattr(closed_forms, "gap_second_derivative", lambda p: d2(p) + 1e-3)
+    checks = theorem4_suite(brute_grid=(21, 4))
+    assert [c.label for c in checks if not c.passed] == ["gap convex below 1/3, concave above"]
 
 
 def test_per_p_lines_fail_on_a_qi_closed_form_off_by_1e_9(monkeypatch):
